@@ -1,139 +1,34 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy implementations.
+"""Pair-distance kernels of the Monte-Carlo splitting statistics.
 
-The numba path is used by default when numba imports cleanly.  Setting the
-environment variable ``BLOCKADESIM_PURE_NUMPY=1`` before import forces the
-vectorized numpy fallbacks (useful on platforms without a working JIT and
-for benchmarking, see ``benchmarks/bench_kernels.py``).  The two paths agree
-to floating-point roundoff (the JIT may fuse multiply-adds); any single path
-is bit-reproducible for fixed inputs.
+Each kernel takes one chunk of configurations, an (m, n_atoms, 3) array in
+um, and visits the upper-triangle pairs i < j only, in row-major order.
+``geometry`` feeds them one bounded chunk at a time.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("BLOCKADESIM_PURE_NUMPY", "").strip().lower() in (
-    "1", "true", "yes", "on",
-)
 
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-        HAS_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        warnings.warn("numba not available, falling back to pure numpy kernels")
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-
-# ---------------------------------------------------------------------------
-# pure numpy implementations (always importable, used as fallback and oracle)
-# ---------------------------------------------------------------------------
-
-def min_pair_kappa_numpy(positions: np.ndarray, c3: float) -> np.ndarray:
-    """Smallest pair coupling c3/r^3 per configuration.
-
-    positions: (n_configs, n_atoms, 3) array in um.  Returns (n_configs,).
-    The smallest coupling belongs to the most distant pair.
-    """
-    diff = positions[:, :, None, :] - positions[:, None, :, :]
-    r2 = (diff * diff).sum(axis=-1)
-    iu, ju = np.triu_indices(positions.shape[1], 1)
-    rmax = np.sqrt(r2[:, iu, ju].max(axis=1))
-    return c3 / rmax**3
+def pair_r2(positions: np.ndarray) -> np.ndarray:
+    """Squared pair distances, (m, n_pairs), pairs in row-major (i < j) order."""
+    m, n, _ = positions.shape
+    pos = np.ascontiguousarray(positions.transpose(2, 0, 1))    # (3, m, n)
+    r2 = np.empty((m, n * (n - 1) // 2))
+    col = 0
+    for i in range(n - 1):
+        d = pos[:, :, i + 1:] - pos[:, :, i : i + 1]
+        d *= d
+        r2[:, col : col + n - 1 - i] = d.sum(axis=0)
+        col += n - 1 - i
+    return r2
 
 
-def all_pair_kappa_numpy(positions: np.ndarray, c3: float) -> np.ndarray:
-    """All pair couplings c3/r^3, flattened over configurations.
-
-    Returns (n_configs * n_pairs,) with pairs in row-major (i<j) order.
-    """
-    diff = positions[:, :, None, :] - positions[:, None, :, :]
-    r2 = (diff * diff).sum(axis=-1)
-    iu, ju = np.triu_indices(positions.shape[1], 1)
-    r = np.sqrt(r2[:, iu, ju])
-    return (c3 / r**3).ravel()
+def min_pair_kappa(positions: np.ndarray, c3: float) -> np.ndarray:
+    """Smallest pair coupling c3/r^3 per configuration (the most distant pair)."""
+    return c3 / pair_r2(positions).max(axis=1) ** 1.5
 
 
-def strang_apply_numpy(evecs, phases, decay_half, psi, n_steps):
-    """Apply n_steps of exp(-decay/2) exp(-iH h) exp(-decay/2) to psi.
-
-    evecs/phases: eigendecomposition of the Hermitian part for one step of
-    size h (phases = exp(-i w h)); decay_half = exp(-k h / 2) per basis state.
-    """
-    out = psi.copy()
-    for _ in range(n_steps):
-        out *= decay_half
-        out = evecs @ (phases * (evecs.conj().T @ out))
-        out *= decay_half
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _min_pair_kappa_nb(positions, c3):
-        n_configs, n_atoms, _ = positions.shape
-        out = np.empty(n_configs)
-        for k in range(n_configs):
-            r2max = 0.0
-            for i in range(n_atoms):
-                for j in range(i + 1, n_atoms):
-                    dx = positions[k, i, 0] - positions[k, j, 0]
-                    dy = positions[k, i, 1] - positions[k, j, 1]
-                    dz = positions[k, i, 2] - positions[k, j, 2]
-                    r2 = dx * dx + dy * dy + dz * dz
-                    if r2 > r2max:
-                        r2max = r2
-            out[k] = c3 / np.sqrt(r2max) ** 3
-        return out
-
-    @njit(cache=True)
-    def _all_pair_kappa_nb(positions, c3):
-        n_configs, n_atoms, _ = positions.shape
-        n_pairs = n_atoms * (n_atoms - 1) // 2
-        out = np.empty(n_configs * n_pairs)
-        for k in range(n_configs):
-            m = 0
-            for i in range(n_atoms):
-                for j in range(i + 1, n_atoms):
-                    dx = positions[k, i, 0] - positions[k, j, 0]
-                    dy = positions[k, i, 1] - positions[k, j, 1]
-                    dz = positions[k, i, 2] - positions[k, j, 2]
-                    r = np.sqrt(dx * dx + dy * dy + dz * dz)
-                    out[k * n_pairs + m] = c3 / r**3
-                    m += 1
-        return out
-
-    @njit(cache=True)
-    def _strang_apply_nb(evecs, phases, decay_half, psi, n_steps):
-        out = psi.copy()
-        for _ in range(n_steps):
-            out = out * decay_half
-            out = evecs @ (phases * (evecs.conj().T @ out))
-            out = out * decay_half
-        return out
-
-    def min_pair_kappa(positions, c3):
-        return _min_pair_kappa_nb(np.ascontiguousarray(positions), c3)
-
-    def all_pair_kappa(positions, c3):
-        return _all_pair_kappa_nb(np.ascontiguousarray(positions), c3)
-
-    def strang_apply(evecs, phases, decay_half, psi, n_steps):
-        return _strang_apply_nb(
-            np.ascontiguousarray(evecs), phases, decay_half, psi, n_steps
-        )
-
-else:
-    min_pair_kappa = min_pair_kappa_numpy
-    all_pair_kappa = all_pair_kappa_numpy
-    strang_apply = strang_apply_numpy
+def all_pair_kappa(positions: np.ndarray, c3: float) -> np.ndarray:
+    """All pair couplings c3/r^3, flattened configuration-major."""
+    return (c3 / pair_r2(positions) ** 1.5).ravel()

@@ -22,7 +22,7 @@ import copy
 import csv
 import json
 import sys
-from math import pi, sqrt
+from math import isfinite, pi, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -136,12 +136,25 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON true/false are not counts)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and isfinite(value)
+
+
 def _freq_ok(value, positive=True) -> bool:
+    if isinstance(value, bool):
+        return False
     try:
         v = units.parse_frequency(value)
     except (ValueError, TypeError):
         return False
-    return v > 0 if positive else v >= 0
+    return isfinite(v) and (v > 0 if positive else v >= 0)
 
 
 def _amplitude(entry) -> complex:
@@ -156,6 +169,9 @@ def _amplitude(entry) -> complex:
 
 def validate(config: dict) -> list[str]:
     """Schema check; returns an empty list iff the config is runnable."""
+    if not isinstance(config, dict):
+        return [f"config: top level must be a JSON object, "
+                f"not {type(config).__name__}"]
     v: list[str] = []
     exp = config.get("experiment")
     if exp not in EXPERIMENTS:
@@ -165,16 +181,20 @@ def validate(config: dict) -> list[str]:
     for key in sorted(set(config) - known):
         v.append(f"{key}: unknown top-level key")
     seed = config.get("seed")
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         v.append("seed: must be a non-negative integer")
+    if not isinstance(config.get("out_dir"), str):
+        v.append("out_dir: must be a path string")
     p = config.get("params", {})
+    if not isinstance(p, dict):
+        return v + ["params: must be a JSON object"]
     known_params = set(DEFAULT_PARAMS[exp])
     for key in sorted(set(p) - known_params):
         v.append(f"params.{key}: unknown key for experiment {exp}")
 
     def need_pos_int(name, minimum=1):
         val = p.get(name)
-        if not isinstance(val, int) or val < minimum:
+        if not _is_int(val) or val < minimum:
             v.append(f"params.{name}: must be an integer >= {minimum}")
 
     def need_pos_freq(name):
@@ -203,11 +223,11 @@ def validate(config: dict) -> list[str]:
         if (
             not isinstance(box, (list, tuple))
             or len(box) != 3
-            or any(not isinstance(b, (int, float)) or b <= 0 for b in box)
+            or any(not _is_real(b) or b <= 0 for b in box)
         ):
-            v.append("params.box: must be three positive lengths")
-        if not isinstance(p.get("c3"), (int, float)) or p["c3"] <= 0:
-            v.append("params.c3: must be positive")
+            v.append("params.box: must be three positive finite lengths")
+        if not _is_real(p.get("c3")) or p["c3"] <= 0:
+            v.append("params.c3: must be positive and finite")
         if p.get("statistic") not in ("min-pair", "all-pairs"):
             v.append('params.statistic: must be "min-pair" or "all-pairs"')
         need_pos_int("bins")
@@ -215,6 +235,7 @@ def validate(config: dict) -> list[str]:
         if (
             not isinstance(win, (list, tuple))
             or len(win) != 2
+            or not all(_is_real(w) for w in win)
             or win[0] <= 0
             or win[1] <= win[0]
         ):
@@ -227,22 +248,22 @@ def validate(config: dict) -> list[str]:
         need_convention()
         need_pos_int("n_max")
         if (
-            isinstance(p.get("n_max"), int)
-            and isinstance(p.get("n_atoms"), int)
+            _is_int(p.get("n_max"))
+            and _is_int(p.get("n_atoms"))
             and p["n_max"] > p["n_atoms"]
         ):
             v.append(
                 f"params.n_max ({p['n_max']}) exceeds params.n_atoms "
                 f"({p['n_atoms']})"
             )
-        if not isinstance(p.get("periods"), (int, float)) or p["periods"] <= 0:
+        if not _is_real(p.get("periods")) or p["periods"] <= 0:
             v.append("params.periods: must be positive")
         need_pos_int("samples_per_period", 4)
     elif exp == "fock":
         need_pos_int("n_atoms", 2)
-        if not isinstance(p.get("n_target"), int) or p["n_target"] < 0:
+        if not _is_int(p.get("n_target")) or p["n_target"] < 0:
             v.append("params.n_target: must be an integer >= 0")
-        elif isinstance(p.get("n_atoms"), int) and p["n_target"] > p["n_atoms"]:
+        elif _is_int(p.get("n_atoms")) and p["n_target"] > p["n_atoms"]:
             v.append(
                 f"params.n_target ({p['n_target']}) exceeds params.n_atoms "
                 f"({p['n_atoms']})"
@@ -253,14 +274,14 @@ def validate(config: dict) -> list[str]:
         need_nonneg_freq("gamma_r")
         need_convention()
         if p.get("pulse_duration") is not None and (
-            not isinstance(p["pulse_duration"], (int, float))
+            not _is_real(p["pulse_duration"])
             or p["pulse_duration"] <= 0
         ):
             v.append("params.pulse_duration: must be positive or null")
         if p.get("n_max") is not None:
-            if not isinstance(p["n_max"], int) or p["n_max"] < 1:
+            if not _is_int(p["n_max"]) or p["n_max"] < 1:
                 v.append("params.n_max: must be an integer >= 1 or null")
-            elif isinstance(p.get("n_atoms"), int) and p["n_max"] > p["n_atoms"]:
+            elif _is_int(p.get("n_atoms")) and p["n_max"] > p["n_atoms"]:
                 v.append(
                     f"params.n_max ({p['n_max']}) exceeds params.n_atoms "
                     f"({p['n_atoms']})"
@@ -278,12 +299,12 @@ def validate(config: dict) -> list[str]:
                 # runner normalizes; only a null vector is hopeless
                 if (np.abs(vec) ** 2).sum() < 1e-12:
                     v.append("params.amplitudes: must not all vanish")
-                if isinstance(p.get("n_atoms"), int) and len(vec) - 1 > p["n_atoms"]:
+                if _is_int(p.get("n_atoms")) and len(vec) - 1 > p["n_atoms"]:
                     v.append(
                         f"params.amplitudes: highest rung {len(vec) - 1} "
                         f"exceeds params.n_atoms ({p['n_atoms']})"
                     )
-            except ValueError:
+            except (ValueError, TypeError):
                 v.append("params.amplitudes: entries must be numbers or [re, im]")
     elif exp == "gate":
         need_pos_int("n_atoms", 2)
@@ -298,8 +319,8 @@ def validate(config: dict) -> list[str]:
         need_nonneg_freq("gamma_r")
         kt = p.get("kappa_T")
         if isinstance(kt, dict):
-            if not all(isinstance(kt.get(k), (int, float)) for k in ("start", "stop")) \
-                    or not isinstance(kt.get("points"), int) \
+            if not all(_is_real(kt.get(k)) for k in ("start", "stop")) \
+                    or not _is_int(kt.get("points")) \
                     or kt.get("points", 0) < 5 \
                     or not (5.0 <= kt.get("start", 0) < kt.get("stop", 0)):
                 v.append(
@@ -307,20 +328,20 @@ def validate(config: dict) -> list[str]:
                 )
         elif isinstance(kt, (list, tuple)):
             if len(kt) < 5 or any(
-                not isinstance(x, (int, float)) or x < 5 for x in kt
+                not _is_real(x) or x < 5 for x in kt
             ):
                 v.append("params.kappa_T: need >= 5 grid values, all >= 5")
         else:
             v.append("params.kappa_T: must be a list or {start, stop, points}")
     elif exp == "oracle-check":
         n = p.get("n_atoms")
-        if not isinstance(n, int) or not 2 <= n <= 5:
+        if not _is_int(n) or not 2 <= n <= 5:
             v.append("params.n_atoms: must be an integer in [2, 5]")
         need_pos_freq("kappa")
         need_pos_freq("omega")
         need_pos_freq("omega_q")
         if p.get("n_max") is not None and (
-            not isinstance(p["n_max"], int) or p["n_max"] < 1
+            not _is_int(p["n_max"]) or p["n_max"] < 1
         ):
             v.append("params.n_max: must be an integer >= 1 or null")
         need_pos_int("samples_per_schedule", 4)
@@ -806,13 +827,21 @@ _PARAM_KEYS = {exp: set(DEFAULT_PARAMS[exp]) for exp in EXPERIMENTS}
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """defaults <- config file <- command-line flags."""
+    """defaults <- config file <- command-line flags.
+
+    A file whose top level, or whose ``params``, is not a JSON object is
+    returned unmerged for ``validate`` to reject.
+    """
     config = default_config(args.experiment)
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            return loaded
         loaded.setdefault("experiment", args.experiment)
         config = _deep_merge(config, loaded)
+        if not isinstance(config["params"], dict):
+            return config
     if args.seed is not None:
         config["seed"] = args.seed
     if args.out_dir is not None:

@@ -17,7 +17,6 @@ from math import sqrt
 
 import numpy as np
 
-from . import _kernels
 from .hilbert import Basis, drive_term
 
 
@@ -235,6 +234,20 @@ def _segment_targets(t0: float, duration: float, grid: np.ndarray) -> np.ndarray
     return np.concatenate([inside, [t1]])
 
 
+def _strang_apply(evecs, phases, decay_half, psi, n_steps):
+    """Apply n_steps of exp(-decay/2) exp(-iH h) exp(-decay/2) to psi.
+
+    evecs/phases: eigendecomposition of the Hermitian part for one step of
+    size h (phases = exp(-i w h)); decay_half = exp(-k h / 2) per basis state.
+    """
+    out = psi.copy()
+    for _ in range(n_steps):
+        out *= decay_half
+        out = evecs @ (phases * (evecs.conj().T @ out))
+        out *= decay_half
+    return out
+
+
 def _propagate_constant(h, k, psi, dt_list):
     """States at cumulative offsets dt_list (sorted, > 0) under H - i k."""
     w, u = np.linalg.eigh(h)
@@ -253,7 +266,7 @@ def _propagate_constant(h, k, psi, dt_list):
         h_step = span / n_steps
         phases = np.exp(-1j * w * h_step)
         decay_half = np.exp(-0.5 * k * h_step)
-        cur = _kernels.strang_apply(u, phases, decay_half, cur, n_steps)
+        cur = _strang_apply(u, phases, decay_half, cur, n_steps)
         out.append(cur)
         prev = dt
     return out

@@ -22,7 +22,8 @@ from math import pi, sqrt
 import numpy as np
 
 from .dynamics import Schedule, Wait, evolve, fidelity
-from .geometry import CouplingMatrix
+from ._kernels import pair_r2
+from .geometry import CouplingMatrix, _position_chunks
 from .hilbert import dephasing_term, enumerate_basis
 from .protocols import rabi_pulse, register_basis
 
@@ -72,17 +73,15 @@ def geometry_factor(
     Mean over configurations of (1/N^2) sum_{i != j} (kappa_bar/kappa_ij)^2
     = (1/N^2) sum (r_ij^3 / V)^2: the pair-sum estimator equals
     factor / (kappa_bar T)^2, to be compared with the closed form's 1/(4 pi).
-    The coupling constant cancels.
+    The coupling constant cancels.  Configurations and pair distances come
+    from the same chunked sampler as ``geometry.splitting_distribution``.
     """
-    from .geometry import _config_positions
-
-    positions = _config_positions(n_configs, n_atoms, box, seed)
     vol = float(np.prod(box))
-    diff = positions[:, :, None, :] - positions[:, None, :, :]
-    r2 = (diff * diff).sum(axis=-1)
-    iu, ju = np.triu_indices(n_atoms, 1)
-    u = r2[:, iu, ju] ** 1.5 / vol
-    return float(2.0 * (u**2).sum(axis=1).mean() / n_atoms**2)
+    u2 = np.concatenate([
+        (pair_r2(pos) ** 3).sum(axis=1)
+        for pos in _position_chunks(n_configs, n_atoms, box, seed)
+    ])
+    return float(2.0 * u2.mean() / (n_atoms**2 * vol**2))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,12 @@ Units: lengths in um, volumes in um^3, couplings in rad/us.  A pair at
 distance r couples with kappa = c3 / r^3; the volume-scale coupling
 kappa_bar = c3 / V sets the minimum splitting scale of the doubly-excited
 manifold for an ensemble confined to volume V.
+
+Monte-Carlo statistics draw configuration k from counter block k of one
+``Philox(key=seed)`` stream (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11), so any chunk of configurations is reached
+directly and reproduces the serial run.  Pair distances are reduced one
+chunk of configurations at a time over the upper-triangle pairs only.
 """
 
 from __future__ import annotations
@@ -138,19 +144,48 @@ def min_pair_splitting(cm: CouplingMatrix) -> float:
     return float(cm.kappa[iu, ju].min())
 
 
-def _config_positions(n_configs: int, n_atoms: int, box, seed: int) -> np.ndarray:
-    """Batch of uniform configurations, one spawned child seed per config.
+# Doubles one chunk of configurations may hold: its draws, its positions and
+# its squared pair distances.  Bounds the memory of a Monte-Carlo run.
+_CHUNK_DOUBLES = 1 << 20
 
-    Child seeds make the sample order-independent: configuration k is a pure
-    function of (seed, k), so chunked or parallel evaluation reproduces the
-    serial result.
+
+def _counter_block(n_atoms: int) -> int:
+    """Philox counters owned by one configuration: ceil(3 n_atoms / 4)."""
+    return -(-3 * n_atoms // 4)
+
+
+def _config_positions(
+    n_configs: int, n_atoms: int, box, seed: int, first: int = 0
+) -> np.ndarray:
+    """Uniform configurations first .. first + n_configs - 1 of one stream.
+
+    All configurations come from a single ``Philox(key=seed)`` stream.
+    Configuration k owns counter block k: ``_counter_block(n_atoms)``
+    counters, i.e. 4x that many doubles, of which the first 3 n_atoms are
+    its coordinates (atom-major).  Reaching ``first`` is one ``advance``, so
+    configuration k is a pure function of (seed, k, n_atoms) and a chunked
+    run reproduces the serial batch bit for bit.
     """
-    children = np.random.SeedSequence(seed).spawn(n_configs)
-    box = np.asarray(box, dtype=float)
-    out = np.empty((n_configs, n_atoms, 3))
-    for k, child in enumerate(children):
-        out[k] = np.random.default_rng(child).uniform(0.0, 1.0, size=(n_atoms, 3))
-    return out * box
+    block = _counter_block(n_atoms)
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(first * block)
+    u = np.random.Generator(bitgen).random((n_configs, 4 * block))
+    pts = u[:, : 3 * n_atoms].reshape(n_configs, n_atoms, 3)
+    return pts * np.asarray(box, dtype=float)
+
+
+def _position_chunks(n_configs: int, n_atoms: int, box, seed: int):
+    """Configurations 0 .. n_configs - 1 in consecutive chunks.
+
+    A chunk, together with the pair arrays a kernel builds from it, holds
+    about ``_CHUNK_DOUBLES`` doubles, so memory does not grow with
+    configs x atoms^2.
+    """
+    n_pairs = n_atoms * (n_atoms - 1) // 2
+    per_config = 4 * _counter_block(n_atoms) + 6 * n_atoms + n_pairs
+    step = max(1, _CHUNK_DOUBLES // per_config)
+    for k0 in range(0, n_configs, step):
+        yield _config_positions(min(step, n_configs - k0), n_atoms, box, seed, k0)
 
 
 def splitting_distribution(
@@ -169,19 +204,22 @@ def splitting_distribution(
     configuration (the blockade-limiting splitting); "all-pairs" records
     every pair.  Bins are geometric; by default they span the full sample
     range so the counts sum to the sample count, an explicit window crops
-    them (samples stay available in ``samples`` either way).
+    them (samples stay available in ``samples`` either way).  Configuration
+    k is a pure function of (seed, k, n_atoms); see ``_config_positions``.
     """
     if n_configs < 1:
         raise ValueError(f"n_configs must be >= 1, got {n_configs}")
+    if n_atoms < 2:
+        raise ValueError(f"need at least 2 atoms, got {n_atoms}")
     if statistic not in ("min-pair", "all-pairs"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    positions = _config_positions(n_configs, n_atoms, box, seed)
     kb = kappa_bar(float(np.prod(box)), c3)
     if statistic == "min-pair":
-        kap = _kernels.min_pair_kappa(positions, c3)
+        kernel = _kernels.min_pair_kappa
     else:
-        kap = _kernels.all_pair_kappa(positions, c3)
-    x = kap / kb
+        kernel = _kernels.all_pair_kappa
+    chunks = _position_chunks(n_configs, n_atoms, box, seed)
+    x = np.concatenate([kernel(pos, c3) for pos in chunks]) / kb
     if window is None:
         lo = x.min() * (1.0 - 1e-12)
         hi = x.max() * (1.0 + 1e-12)

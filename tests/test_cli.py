@@ -228,3 +228,64 @@ def test_io_failure_exit_code(tmp_path, monkeypatch):
 def test_missing_config_file():
     assert run_cli("gate", "--config", "/nonexistent/cfg.json") == \
         cli.EXIT_CONFIG
+
+
+def _rejected(capsys, tmp_path, *argv):
+    """Exit 2 with a config violation, nothing written to the out dir."""
+    out = tmp_path / "out"
+    code = run_cli(*argv, "--out-dir", str(out))
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert "config violation:" in err
+    assert not out.exists()
+    return err
+
+
+def test_non_numeric_window_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"window": ["a", "b"], "configs": 100}}))
+    err = _rejected(capsys, tmp_path, "splitting-stats", "--config", str(cfg))
+    assert "params.window" in err
+
+
+def test_top_level_json_list_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)          # the default out_dir is "."
+    cases = (
+        ("[1, 2]", "config: top level must be a JSON object"),
+        ('{"params": [1, 2]}', "params: must be a JSON object"),
+        ('{"out_dir": 5}', "out_dir: must be a path string"),
+    )
+    for content, message in cases:
+        (tmp_path / "cfg.json").write_text(content)
+        code = run_cli("rabi", "--config", "cfg.json")
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG and f"config violation: {message}" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_non_finite_numbers_rejected(tmp_path, capsys):
+    for value in ("inf", "nan"):
+        err = _rejected(capsys, tmp_path, "splitting-stats", "--c3", value,
+                        "--configs", "200")
+        assert "params.c3" in err
+        err = _rejected(capsys, tmp_path, "splitting-stats",
+                        "--box", f"10,{value},10", "--configs", "200")
+        assert "params.box" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"params": {"omega": Infinity, "periods": NaN}}')
+    err = _rejected(capsys, tmp_path, "rabi", "--config", str(cfg))
+    assert "params.omega" in err and "params.periods" in err
+
+
+def test_bool_is_not_an_integer(tmp_path, capsys):
+    cases = (
+        ("splitting-stats", {"params": {"atoms": True}}, "params.atoms"),
+        ("fock", {"params": {"n_target": True}}, "params.n_target"),
+        ("rabi", {"seed": False}, "seed"),
+        ("rabi", {"params": {"omega": True}}, "params.omega"),
+    )
+    for experiment, content, name in cases:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        err = _rejected(capsys, tmp_path, experiment, "--config", str(cfg))
+        assert f"config violation: {name}:" in err

@@ -1,7 +1,12 @@
+import tracemalloc
+from functools import partial
+from math import sqrt
+
 import numpy as np
 import pytest
 
 from blockadesim import geometry
+from blockadesim.errors import geometry_factor
 from blockadesim.geometry import (
     GeometryError,
     analytic_splitting_pdf,
@@ -12,6 +17,8 @@ from blockadesim.geometry import (
     splitting_distribution,
     splitting_ks,
 )
+
+from .reference import box_splitting_cdf, window_ks
 
 
 def test_positions_inside_box():
@@ -173,12 +180,65 @@ def test_histogram_reproducible():
 
 
 def test_config_samples_are_pure_in_seed_and_index():
-    # configuration k is a pure function of (seed, k): evaluating a chunk
-    # or a single spawned child reproduces the serial batch
-    batch = geometry._config_positions(10, 3, (4, 4, 4), seed=77)
-    child7 = np.random.SeedSequence(77).spawn(10)[7]
-    alone = np.random.default_rng(child7).uniform(0, 1, size=(3, 3)) * 4.0
-    np.testing.assert_array_equal(batch[7], alone)
+    # configuration k is counter block k of one Philox(key=seed) stream:
+    # ceil(3n/4) counters, i.e. 4x as many doubles, of which the first 3n
+    # are its coordinates; a slice k0..k1 is rows k0..k1 of the serial batch
+    box = np.array([4.0, 3.0, 2.0])
+    for n in (2, 5):
+        block = -(-3 * n // 4)
+        batch = geometry._config_positions(10, n, box, seed=77)
+        for k in (0, 3, 9):
+            bitgen = np.random.Philox(key=77)
+            bitgen.advance(k * block)
+            u = np.random.Generator(bitgen).random(4 * block)
+            np.testing.assert_array_equal(batch[k], u[: 3 * n].reshape(n, 3) * box)
+        sliced = geometry._config_positions(4, n, box, seed=77, first=5)
+        np.testing.assert_array_equal(sliced, batch[5:9])
+
+
+def test_chunked_runs_reproduce_the_serial_run(monkeypatch):
+    box = (5.0, 4.0, 3.0)
+    serial = {
+        stat: splitting_distribution(50, 6, box, c3=10.0, seed=9,
+                                     statistic=stat).samples
+        for stat in ("min-pair", "all-pairs")
+    }
+    factor = geometry_factor(6, box, seed=9, n_configs=50)
+    # 6 atoms take 4*5 + 36 + 15 = 71 doubles each: chunks of 21, 21 and 8
+    monkeypatch.setattr(geometry, "_CHUNK_DOUBLES", 1500)
+    sizes = [len(pos) for pos in geometry._position_chunks(50, 6, box, 9)]
+    assert sizes == [21, 21, 8]
+    for stat, samples in serial.items():
+        chunked = splitting_distribution(50, 6, box, c3=10.0, seed=9,
+                                         statistic=stat).samples
+        np.testing.assert_array_equal(chunked, samples)
+    assert geometry_factor(6, box, seed=9, n_configs=50) == factor
+
+
+def test_sampler_matches_exact_box_distribution():
+    # two uniform atoms in a cube against the exact distribution of
+    # x = V / r^3 (quadrature, no sampling): KS below the 1% critical value
+    box = (10.0, 10.0, 10.0)
+    window = (0.2, 20.0)
+    samples = splitting_distribution(30000, 2, box, c3=1000.0, seed=2024).samples
+    n_in = int(((samples >= window[0]) & (samples <= window[1])).sum())
+    ks = window_ks(samples, partial(box_splitting_cdf, box=box), window)
+    critical = 1.63 / sqrt(n_in)
+    print(f"KS {ks:.4f} on {n_in} in-window samples, 1% critical {critical:.4f}")
+    assert ks < critical
+
+
+def test_min_pair_memory_is_bounded_by_the_chunk():
+    # a full (configs, n, n, 3) difference array would take ~480 MB here
+    tracemalloc.start()
+    try:
+        splitting_distribution(2000, 100, (10.0, 10.0, 10.0), c3=1000.0,
+                               seed=3, statistic="min-pair")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"peak traced memory {peak / 2**20:.1f} MB")
+    assert peak < 64 * 2**20
 
 
 def test_single_config_histogram():
