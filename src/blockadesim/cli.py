@@ -1,18 +1,21 @@
 """Command-line experiment runner.
 
 Subcommands: splitting-stats, rabi, fock, superpose, gate, error-budget,
-oracle-check.  Each run validates its configuration, executes, and writes
+oracle-check.  Each run validates its configuration, executes, and returns
 a CSV table, a JSON summary (resolved config echoed, key scalars, built-in
-check results) and, for compiled protocols, a plain-text schedule dump.
-Identical configurations produce byte-identical artifacts; nothing is
-written when validation fails.
+check results) and, for compiled protocols, a plain-text schedule dump;
+``main`` writes them only after the run succeeds.  Identical configurations
+produce byte-identical artifacts.
 
-Configuration is a JSON file (``--config``) deep-merged over per-experiment
-defaults; command-line flags override file values.  Frequencies accept unit
-suffixes (``100MHz``, ``0.6Mrad/s``); bare numbers are rad/us.
+One table (``_TABLE``: name, default, kind) generates the defaults, the
+checks, the flags (``n_atoms`` -> ``--n-atoms``; ``kappa_T`` alone uses
+``--kt-start/--kt-stop/--kt-points``) and the flag merge.  A JSON file
+(``--config``) is deep-merged over the defaults and must not name another
+experiment; flags override it.  Frequencies accept unit suffixes
+(``100MHz``, ``0.6Mrad/s``); bare numbers are rad/us.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O error.
+4 I/O error.  Exits 2 and 3 write nothing.
 """
 
 from __future__ import annotations
@@ -20,10 +23,12 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import io
 import json
 import sys
 from math import isfinite, pi, sqrt
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -40,76 +45,236 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
-EXPERIMENTS = (
-    "splitting-stats",
-    "rabi",
-    "fock",
-    "superpose",
-    "gate",
-    "error-budget",
-    "oracle-check",
+
+# ---------------------------------------------------------------------------
+# the parameter table
+# ---------------------------------------------------------------------------
+
+class Kind(NamedTuple):
+    """The values a parameter takes and how its ``--flag`` parses them."""
+
+    parse: Callable[[object], object]   # config value -> run value
+    flag: dict | None                   # add_argument keywords
+
+
+class Param(NamedTuple):
+    name: str
+    default: object
+    kind: Kind
+    capped: bool = False    # its highest rung may not exceed params.n_atoms
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (JSON true/false are not counts)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A finite int or float that is not a bool and fits in a float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
+
+
+def _kind(ok, must: str, nullable=False, **flag) -> Kind:
+    """Values passing ``ok`` (or null, if ``nullable``), used as given."""
+    message = f"must be {must}" + (" or null" if nullable else "")
+
+    def parse(value):
+        if not (nullable and value is None) and not ok(value):
+            raise ValueError(message)
+        return value
+
+    return Kind(parse, flag)
+
+
+def _count(low: int, high: int | None = None, nullable=False) -> Kind:
+    span = f">= {low}" if high is None else f"in [{low}, {high}]"
+    return _kind(
+        lambda v: _is_int(v) and low <= v and (high is None or v <= high),
+        f"an integer {span}", nullable, type=int,
+    )
+
+
+def _positive(nullable=False) -> Kind:
+    return _kind(lambda v: _is_real(v) and v > 0, "positive and finite",
+                 nullable, type=float)
+
+
+def _choice(*options: str) -> Kind:
+    return _kind(lambda v: v in options,
+                 " or ".join(f'"{o}"' for o in options), choices=options)
+
+
+def _frequency(*modes: str, positive=True) -> Kind:
+    """A frequency, parsed to rad/us, or one of the blockade ``modes``."""
+    sign = "positive" if positive else "non-negative"
+    words = [f'"{m}"' for m in modes] + [f"a {sign} frequency"]
+    message = "must be " + ", ".join(words[:-2] + [" or ".join(words[-2:])])
+
+    def parse(value):
+        if value in modes:
+            return value
+        try:
+            v = units.parse_frequency(value)
+        except (ValueError, TypeError, OverflowError):
+            raise ValueError(message) from None
+        if isinstance(value, bool) or not isfinite(v) \
+                or not (v > 0 if positive else v >= 0):
+            raise ValueError(message)
+        return v
+
+    return Kind(parse, {"type": str})
+
+
+def _reals(value, count: int) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == count \
+        and all(_is_real(x) for x in value)
+
+
+def _numbers_arg(text: str) -> list[float]:
+    """A ``--flag`` type: comma-separated numbers (the kind checks how many)."""
+    return [float(x) for x in text.split(",")]
+
+
+def _amplitude(entry) -> complex:
+    if isinstance(entry, (list, tuple)) and len(entry) == 2:
+        return complex(entry[0], entry[1])
+    if isinstance(entry, (int, float, str)):
+        return complex(entry)
+    raise ValueError(f"bad amplitude entry {entry!r}")
+
+
+def _amplitudes(amps) -> tuple:
+    """Amplitude entries -> the normalized complex vector."""
+    if not isinstance(amps, (list, tuple)) or not amps:
+        raise ValueError("must be a non-empty list")
+    try:
+        raw = np.array([_amplitude(a) for a in amps])
+    except (ValueError, TypeError, OverflowError):
+        raise ValueError("entries must be numbers or [re, im]") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm2 = (np.abs(raw) ** 2).sum()
+    if not isfinite(norm2):
+        raise ValueError("entries must be finite, with a finite norm")
+    # unnormalized input is scaled; only a null vector is hopeless
+    if norm2 < 1e-12:
+        raise ValueError("must not all vanish")
+    return tuple(raw / np.sqrt(norm2))
+
+
+def _amplitudes_arg(text: str) -> list:
+    """``0.7,0.5+0.5j`` -> ``[[0.7, 0.0], [0.5, 0.5]]`` (JSON has no complex)."""
+    return [[a.real, a.imag] for a in map(complex, text.split(","))]
+
+
+_KT_FIELDS = {"start": float, "stop": float, "points": int}
+
+
+def _kappa_t(kt):
+    """A {start, stop, points} geometric grid or a list of grid values."""
+    if isinstance(kt, dict):
+        start, stop, points = (kt.get(field) for field in _KT_FIELDS)
+        if not (_is_real(start) and _is_real(stop) and _is_int(points)
+                and points >= 5 and 5.0 <= start < stop):
+            raise ValueError("need 5 <= start < stop and integer points >= 5")
+    elif isinstance(kt, (list, tuple)):
+        if len(kt) < 5 or not all(_is_real(x) and x >= 5 for x in kt):
+            raise ValueError("need >= 5 grid values, all >= 5")
+    else:
+        raise ValueError("must be a list or {start, stop, points}")
+    return kt
+
+
+_PATH = _kind(lambda v: isinstance(v, str), "a path string", type=str)
+_CONVENTION = _choice("split", "eq1")
+
+# top-level keys besides "experiment" and "params"
+_TOP = (
+    Param("seed", 0, _count(0)),
+    Param("out_dir", ".", _PATH),
 )
 
+# experiment -> (subcommand help, parameters)
+_TABLE = {
+    "splitting-stats": ("pair-splitting Monte Carlo", (
+        Param("configs", 30000, _count(1)),
+        Param("atoms", 2, _count(2)),
+        Param("box", [10.0, 10.0, 10.0], _kind(
+            lambda v: _reals(v, 3) and min(v) > 0,
+            "three positive finite lengths",
+            type=_numbers_arg, metavar="LX,LY,LZ")),
+        Param("c3", 1000.0, _positive()),
+        Param("statistic", "min-pair", _choice("min-pair", "all-pairs")),
+        Param("bins", 60, _count(1)),
+        Param("window", [0.2, 20.0], _kind(
+            lambda v: _reals(v, 2) and 0 < v[0] < v[1], "0 < lo < hi",
+            type=_numbers_arg, metavar="LO,HI")),
+        Param("out", None, _kind(
+            lambda v: isinstance(v, str), "a path string", nullable=True,
+            type=str, metavar="FILE")),
+    )),
+    "rabi": ("collective Rabi oscillation", (
+        Param("n_atoms", 10, _count(2)),
+        Param("omega", 1.0, _frequency()),
+        Param("kappa_bar", "ideal", _frequency("ideal")),
+        Param("gamma_r", 0.0, _frequency(positive=False)),
+        Param("convention", "split", _CONVENTION),
+        Param("n_max", 2, _count(1), capped=True),
+        Param("periods", 3.0, _positive()),
+        Param("samples_per_period", 32, _count(4)),
+    )),
+    "fock": ("storage-rung ladder synthesis", (
+        Param("n_atoms", 20, _count(2)),
+        Param("n_target", 3, _count(0), capped=True),
+        Param("omega", 1.0, _frequency()),
+        Param("omega_q", 1.0, _frequency()),
+        Param("kappa_bar", "ideal", _frequency("ideal")),
+        Param("gamma_r", 0.0, _frequency(positive=False)),
+        Param("convention", "split", _CONVENTION),
+        Param("pulse_duration", None, _positive(nullable=True)),
+        Param("n_max", None, _count(1, nullable=True), capped=True),
+    )),
+    "superpose": ("arbitrary superposition synthesis", (
+        Param("n_atoms", 10, _count(2)),
+        Param("omega", 1.0, _frequency()),
+        Param("omega_q", 1.0, _frequency()),
+        Param("amplitudes", [0.5773502691896258, 0.5773502691896258,
+                             0.5773502691896258], Kind(_amplitudes, {
+            "type": _amplitudes_arg, "metavar": "A0,A1,...",
+            "help": "complex entries, e.g. 0.707,0.5+0.5j "
+                    "(normalized before use)",
+        }), capped=True),
+    )),
+    "gate": ("conditional phase gate truth table", (
+        Param("n_atoms", 10, _count(2)),
+        Param("omega_plus", 1.0, _frequency()),
+        Param("omega_minus", 1.0, _frequency()),
+        Param("kappa_bar", "ideal", _frequency("ideal", "off")),
+        Param("gamma_r", 0.0, _frequency(positive=False)),
+        Param("convention", "split", _CONVENTION),
+    )),
+    "error-budget": ("leakage and dephasing scaling", (
+        Param("n_atoms", 10, _count(2)),
+        Param("convention", "eq1", _CONVENTION),
+        Param("gamma_r", 0.001, _frequency(positive=False)),
+        Param("kappa_T", {"start": 10.0, "stop": 1000.0, "points": 13},
+              Kind(_kappa_t, None)),
+    )),
+    "oracle-check": ("symmetric vs brute-force modes", (
+        Param("n_atoms", 3, _count(2, 5)),
+        Param("kappa", 40.0, _frequency()),
+        Param("omega", 1.0, _frequency()),
+        Param("omega_q", 1.0, _frequency()),
+        Param("n_max", None, _count(1, nullable=True)),
+        Param("samples_per_schedule", 24, _count(4)),
+    )),
+}
+
+EXPERIMENTS = tuple(_TABLE)
+
 DEFAULT_PARAMS = {
-    "splitting-stats": {
-        "configs": 30000,
-        "atoms": 2,
-        "box": [10.0, 10.0, 10.0],
-        "c3": 1000.0,
-        "statistic": "min-pair",
-        "bins": 60,
-        "window": [0.2, 20.0],
-        "out": None,
-    },
-    "rabi": {
-        "n_atoms": 10,
-        "omega": 1.0,
-        "kappa_bar": "ideal",
-        "gamma_r": 0.0,
-        "convention": "split",
-        "n_max": 2,
-        "periods": 3.0,
-        "samples_per_period": 32,
-    },
-    "fock": {
-        "n_atoms": 20,
-        "n_target": 3,
-        "omega": 1.0,
-        "omega_q": 1.0,
-        "kappa_bar": "ideal",
-        "gamma_r": 0.0,
-        "convention": "split",
-        "pulse_duration": None,
-        "n_max": None,
-    },
-    "superpose": {
-        "n_atoms": 10,
-        "omega": 1.0,
-        "omega_q": 1.0,
-        "amplitudes": [0.5773502691896258, 0.5773502691896258, 0.5773502691896258],
-    },
-    "gate": {
-        "n_atoms": 10,
-        "omega_plus": 1.0,
-        "omega_minus": 1.0,
-        "kappa_bar": "ideal",
-        "gamma_r": 0.0,
-        "convention": "split",
-    },
-    "error-budget": {
-        "n_atoms": 10,
-        "convention": "eq1",
-        "gamma_r": 0.001,
-        "kappa_T": {"start": 10.0, "stop": 1000.0, "points": 13},
-    },
-    "oracle-check": {
-        "n_atoms": 3,
-        "kappa": 40.0,
-        "omega": 1.0,
-        "omega_q": 1.0,
-        "n_max": None,
-        "samples_per_schedule": 24,
-    },
+    exp: {param.name: param.default for param in params}
+    for exp, (_, params) in _TABLE.items()
 }
 
 
@@ -118,12 +283,10 @@ DEFAULT_PARAMS = {
 # ---------------------------------------------------------------------------
 
 def default_config(experiment: str) -> dict:
-    return {
-        "experiment": experiment,
-        "seed": 0,
-        "out_dir": ".",
-        "params": copy.deepcopy(DEFAULT_PARAMS.get(experiment, {})),
-    }
+    config = {"experiment": experiment}
+    config.update((param.name, param.default) for param in _TOP)
+    config["params"] = copy.deepcopy(DEFAULT_PARAMS.get(experiment, {}))
+    return config
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -136,35 +299,21 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _is_int(value) -> bool:
-    """An integer that is not a bool (JSON true/false are not counts)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A finite int or float that is not a bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and isfinite(value)
-
-
-def _freq_ok(value, positive=True) -> bool:
-    if isinstance(value, bool):
-        return False
-    try:
-        v = units.parse_frequency(value)
-    except (ValueError, TypeError):
-        return False
-    return isfinite(v) and (v > 0 if positive else v >= 0)
-
-
-def _amplitude(entry) -> complex:
-    if isinstance(entry, (int, float)):
-        return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2:
-        return complex(entry[0], entry[1])
-    if isinstance(entry, str):
-        return complex(entry)
-    raise ValueError(f"bad amplitude entry {entry!r}")
+def _check(values: dict, params, prefix: str) -> list[str]:
+    """One violation per parameter whose kind rejects its value."""
+    n_atoms = values.get("n_atoms")
+    out = []
+    for param in params:
+        try:
+            value = param.kind.parse(values.get(param.name))
+            if param.capped and value is not None and _is_int(n_atoms):
+                rung = len(value) - 1 if isinstance(value, tuple) else value
+                if rung > n_atoms:
+                    raise ValueError(f"highest rung {rung} exceeds "
+                                     f"params.n_atoms ({n_atoms})")
+        except ValueError as exc:
+            out.append(f"{prefix}{param.name}: {exc}")
+    return out
 
 
 def validate(config: dict) -> list[str]:
@@ -172,184 +321,30 @@ def validate(config: dict) -> list[str]:
     if not isinstance(config, dict):
         return [f"config: top level must be a JSON object, "
                 f"not {type(config).__name__}"]
-    v: list[str] = []
     exp = config.get("experiment")
     if exp not in EXPERIMENTS:
-        v.append(f"experiment: unknown kind {exp!r}")
-        return v
-    known = {"experiment", "seed", "out_dir", "params"}
-    for key in sorted(set(config) - known):
-        v.append(f"{key}: unknown top-level key")
-    seed = config.get("seed")
-    if not _is_int(seed) or seed < 0:
-        v.append("seed: must be a non-negative integer")
-    if not isinstance(config.get("out_dir"), str):
-        v.append("out_dir: must be a path string")
+        return [f"experiment: unknown kind {exp!r}"]
+    known = {"experiment", "params"} | {param.name for param in _TOP}
+    v = [f"{key}: unknown top-level key" for key in sorted(set(config) - known)]
+    v += _check(config, _TOP, "")
     p = config.get("params", {})
     if not isinstance(p, dict):
         return v + ["params: must be a JSON object"]
-    known_params = set(DEFAULT_PARAMS[exp])
-    for key in sorted(set(p) - known_params):
+    for key in sorted(set(p) - set(DEFAULT_PARAMS[exp])):
         v.append(f"params.{key}: unknown key for experiment {exp}")
+    return v + _check(p, _TABLE[exp][1], "params.")
 
-    def need_pos_int(name, minimum=1):
-        val = p.get(name)
-        if not _is_int(val) or val < minimum:
-            v.append(f"params.{name}: must be an integer >= {minimum}")
 
-    def need_pos_freq(name):
-        if not _freq_ok(p.get(name)):
-            v.append(f"params.{name}: must be a positive frequency")
-
-    def need_nonneg_freq(name):
-        if not _freq_ok(p.get(name), positive=False):
-            v.append(f"params.{name}: must be a non-negative frequency")
-
-    def need_blockade(name="kappa_bar", allow_off=False):
-        val = p.get(name)
-        ok = val == "ideal" or (allow_off and val == "off") or _freq_ok(val)
-        if not ok:
-            modes = '"ideal", "off" or' if allow_off else '"ideal" or'
-            v.append(f"params.{name}: must be {modes} a positive frequency")
-
-    def need_convention():
-        if p.get("convention") not in ("split", "eq1"):
-            v.append('params.convention: must be "split" or "eq1"')
-
-    if exp == "splitting-stats":
-        need_pos_int("configs")
-        need_pos_int("atoms", 2)
-        box = p.get("box")
-        if (
-            not isinstance(box, (list, tuple))
-            or len(box) != 3
-            or any(not _is_real(b) or b <= 0 for b in box)
-        ):
-            v.append("params.box: must be three positive finite lengths")
-        if not _is_real(p.get("c3")) or p["c3"] <= 0:
-            v.append("params.c3: must be positive and finite")
-        if p.get("statistic") not in ("min-pair", "all-pairs"):
-            v.append('params.statistic: must be "min-pair" or "all-pairs"')
-        need_pos_int("bins")
-        win = p.get("window")
-        if (
-            not isinstance(win, (list, tuple))
-            or len(win) != 2
-            or not all(_is_real(w) for w in win)
-            or win[0] <= 0
-            or win[1] <= win[0]
-        ):
-            v.append("params.window: must be 0 < lo < hi")
-    elif exp == "rabi":
-        need_pos_int("n_atoms", 2)
-        need_pos_freq("omega")
-        need_blockade()
-        need_nonneg_freq("gamma_r")
-        need_convention()
-        need_pos_int("n_max")
-        if (
-            _is_int(p.get("n_max"))
-            and _is_int(p.get("n_atoms"))
-            and p["n_max"] > p["n_atoms"]
-        ):
-            v.append(
-                f"params.n_max ({p['n_max']}) exceeds params.n_atoms "
-                f"({p['n_atoms']})"
-            )
-        if not _is_real(p.get("periods")) or p["periods"] <= 0:
-            v.append("params.periods: must be positive")
-        need_pos_int("samples_per_period", 4)
-    elif exp == "fock":
-        need_pos_int("n_atoms", 2)
-        if not _is_int(p.get("n_target")) or p["n_target"] < 0:
-            v.append("params.n_target: must be an integer >= 0")
-        elif _is_int(p.get("n_atoms")) and p["n_target"] > p["n_atoms"]:
-            v.append(
-                f"params.n_target ({p['n_target']}) exceeds params.n_atoms "
-                f"({p['n_atoms']})"
-            )
-        need_pos_freq("omega")
-        need_pos_freq("omega_q")
-        need_blockade()
-        need_nonneg_freq("gamma_r")
-        need_convention()
-        if p.get("pulse_duration") is not None and (
-            not _is_real(p["pulse_duration"])
-            or p["pulse_duration"] <= 0
-        ):
-            v.append("params.pulse_duration: must be positive or null")
-        if p.get("n_max") is not None:
-            if not _is_int(p["n_max"]) or p["n_max"] < 1:
-                v.append("params.n_max: must be an integer >= 1 or null")
-            elif _is_int(p.get("n_atoms")) and p["n_max"] > p["n_atoms"]:
-                v.append(
-                    f"params.n_max ({p['n_max']}) exceeds params.n_atoms "
-                    f"({p['n_atoms']})"
-                )
-    elif exp == "superpose":
-        need_pos_int("n_atoms", 2)
-        need_pos_freq("omega")
-        need_pos_freq("omega_q")
-        amps = p.get("amplitudes")
-        if not isinstance(amps, (list, tuple)) or not amps:
-            v.append("params.amplitudes: must be a non-empty list")
-        else:
-            try:
-                vec = np.array([_amplitude(a) for a in amps])
-                # runner normalizes; only a null vector is hopeless
-                if (np.abs(vec) ** 2).sum() < 1e-12:
-                    v.append("params.amplitudes: must not all vanish")
-                if _is_int(p.get("n_atoms")) and len(vec) - 1 > p["n_atoms"]:
-                    v.append(
-                        f"params.amplitudes: highest rung {len(vec) - 1} "
-                        f"exceeds params.n_atoms ({p['n_atoms']})"
-                    )
-            except (ValueError, TypeError):
-                v.append("params.amplitudes: entries must be numbers or [re, im]")
-    elif exp == "gate":
-        need_pos_int("n_atoms", 2)
-        need_pos_freq("omega_plus")
-        need_pos_freq("omega_minus")
-        need_blockade(allow_off=True)
-        need_nonneg_freq("gamma_r")
-        need_convention()
-    elif exp == "error-budget":
-        need_pos_int("n_atoms", 2)
-        need_convention()
-        need_nonneg_freq("gamma_r")
-        kt = p.get("kappa_T")
-        if isinstance(kt, dict):
-            if not all(_is_real(kt.get(k)) for k in ("start", "stop")) \
-                    or not _is_int(kt.get("points")) \
-                    or kt.get("points", 0) < 5 \
-                    or not (5.0 <= kt.get("start", 0) < kt.get("stop", 0)):
-                v.append(
-                    "params.kappa_T: need 5 <= start < stop and integer points >= 5"
-                )
-        elif isinstance(kt, (list, tuple)):
-            if len(kt) < 5 or any(
-                not _is_real(x) or x < 5 for x in kt
-            ):
-                v.append("params.kappa_T: need >= 5 grid values, all >= 5")
-        else:
-            v.append("params.kappa_T: must be a list or {start, stop, points}")
-    elif exp == "oracle-check":
-        n = p.get("n_atoms")
-        if not _is_int(n) or not 2 <= n <= 5:
-            v.append("params.n_atoms: must be an integer in [2, 5]")
-        need_pos_freq("kappa")
-        need_pos_freq("omega")
-        need_pos_freq("omega_q")
-        if p.get("n_max") is not None and (
-            not _is_int(p["n_max"]) or p["n_max"] < 1
-        ):
-            v.append("params.n_max: must be an integer >= 1 or null")
-        need_pos_int("samples_per_schedule", 4)
-    return v
+def _params(config: dict) -> dict:
+    """A valid config's parameters as its run uses them: frequencies in
+    rad/us and amplitudes as the normalized complex vector."""
+    p = config["params"]
+    return {param.name: param.kind.parse(p[param.name])
+            for param in _TABLE[config["experiment"]][1]}
 
 
 # ---------------------------------------------------------------------------
-# deterministic writers
+# deterministic formatters
 # ---------------------------------------------------------------------------
 
 def _fmt(x) -> str:
@@ -362,46 +357,54 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+def _csv_text(header: list[str], rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(x) for x in row])
+    return buf.getvalue()
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
-def _write_json(path: Path, obj: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+def _json_text(obj: dict) -> str:
+    # numpy scalars and arrays become Python numbers and lists
+    return json.dumps(obj, sort_keys=True, indent=2,
+                      default=lambda o: o.tolist()) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# experiment implementations
+# experiment implementations: each returns its artifacts as {path: text}
 # ---------------------------------------------------------------------------
 
-def _blockade_arg(value):
-    if value in ("ideal", "off"):
-        return value
-    return units.parse_frequency(value)
+def _artifacts(config, out_dir: Path, header, rows, results, checks,
+               schedule=None, table_path=None) -> dict:
+    """The CSV table, optional schedule dump and JSON summary of one run,
+    named after the experiment."""
+    stem = config["experiment"].replace("-", "_")
+    files = {table_path or out_dir / f"{stem}.csv": _csv_text(header, rows)}
+    if schedule is not None:
+        files[out_dir / f"{stem}_schedule.txt"] = schedule.to_text()
+    summary = {"experiment": config["experiment"], "config": config,
+               "results": results, "checks": checks}
+    files[out_dir / f"{stem}_summary.json"] = _json_text(summary)
+    return files
 
 
-def _run_splitting(config, out_dir: Path):
-    p = config["params"]
+def _register(p: dict, n_max: int, **extra):
+    """The run's register basis and static terms at its blockade,
+    convention and decay rate."""
+    return protocols.register_basis(
+        p["n_atoms"],
+        n_max=n_max,
+        blockade=p["kappa_bar"],
+        convention=p["convention"],
+        gamma_r=p["gamma_r"],
+        **extra,
+    )
+
+
+def _run_splitting(config, out_dir: Path) -> dict:
+    p = _params(config)
     hist = geometry.splitting_distribution(
         n_configs=p["configs"],
         n_atoms=p["atoms"],
@@ -424,25 +427,19 @@ def _run_splitting(config, out_dir: Path):
         )
         for i in range(len(hist.counts))
     ]
-    csv_path = Path(p["out"]) if p.get("out") else out_dir / "splitting_stats.csv"
-    _write_csv(
-        csv_path,
-        ["x_left", "x_right", "count", "density", "analytic_density"],
-        rows,
-    )
     kb = geometry.kappa_bar(float(np.prod(p["box"])), float(p["c3"]))
-    summary = {
-        "experiment": "splitting-stats",
-        "config": config,
-        "results": {
+    return _artifacts(
+        config, out_dir,
+        ["x_left", "x_right", "count", "density", "analytic_density"], rows,
+        results={
             "kappa_bar": kb,
             "ks_distance": ks,
             "n_samples": hist.n_samples,
             "in_window": int(hist.counts.sum()),
         },
-        "checks": {"ks_below_0.05": bool(ks < 0.05)},
-    }
-    _write_json(out_dir / "splitting_stats_summary.json", summary)
+        checks={"ks_below_0.05": bool(ks < 0.05)},
+        table_path=Path(p["out"]) if p.get("out") else None,
+    )
 
 
 def _rabi_fit(times, pops, freq_guess):
@@ -455,18 +452,11 @@ def _rabi_fit(times, pops, freq_guess):
     return float(abs(popt[0]))
 
 
-def _run_rabi(config, out_dir: Path):
-    p = config["params"]
+def _run_rabi(config, out_dir: Path) -> dict:
+    p = _params(config)
     n = p["n_atoms"]
-    omega = units.parse_frequency(p["omega"])
-    gamma = units.parse_frequency(p["gamma_r"])
-    basis, static = protocols.register_basis(
-        n,
-        n_max=p["n_max"],
-        blockade=_blockade_arg(p["kappa_bar"]),
-        convention=p["convention"],
-        gamma_r=gamma,
-    )
+    omega = p["omega"]
+    basis, static = _register(p, p["n_max"])
     period = 2.0 * pi / (sqrt(n) * omega)
     duration = p["periods"] * period
     sched = Schedule((protocols.Pulse(("g", "r"), omega, duration),))
@@ -480,43 +470,29 @@ def _run_rabi(config, out_dir: Path):
     fitted = _rabi_fit(res.times, p_r, sqrt(n) * omega)
     expected = sqrt(n) * omega
     rows = list(zip(res.times, p_g, p_r, p_leak, res.norm2))
-    _write_csv(
-        out_dir / "rabi.csv",
-        ["time", "p_ground", "p_single", "p_leak", "norm2"],
-        rows,
-    )
     rel_err = abs(fitted - expected) / expected
-    summary = {
-        "experiment": "rabi",
-        "config": config,
-        "results": {
+    return _artifacts(
+        config, out_dir, ["time", "p_ground", "p_single", "p_leak", "norm2"],
+        rows,
+        results={
             "fitted_frequency": fitted,
             "collective_frequency": expected,
             "relative_error": rel_err,
             "final_norm2": float(res.norm2[-1]),
         },
-        "checks": {"collective_enhancement_1pct": bool(rel_err < 0.01)},
-    }
-    _write_json(out_dir / "rabi_summary.json", summary)
+        checks={"collective_enhancement_1pct": bool(rel_err < 0.01)},
+    )
 
 
-def _run_fock(config, out_dir: Path):
-    p = config["params"]
+def _run_fock(config, out_dir: Path) -> dict:
+    p = _params(config)
     n = p["n_atoms"]
     n_target = p["n_target"]
-    omega = units.parse_frequency(p["omega"])
-    omega_q = units.parse_frequency(p["omega_q"])
-    gamma = units.parse_frequency(p["gamma_r"])
     n_max = p["n_max"] if p["n_max"] is not None else min(n, n_target + 1)
-    basis, static = protocols.register_basis(
-        n,
-        n_max=n_max,
-        blockade=_blockade_arg(p["kappa_bar"]),
-        convention=p["convention"],
-        gamma_r=gamma,
-    )
+    basis, static = _register(p, n_max)
     sched = protocols.fock_ladder(
-        n, n_target, omega, omega_q, pulse_duration=p["pulse_duration"]
+        n, n_target, p["omega"], p["omega_q"],
+        pulse_duration=p["pulse_duration"],
     )
     durations = [ev.duration for ev in sched.events] or [1.0]
     res = evolve(
@@ -531,31 +507,25 @@ def _run_fock(config, out_dir: Path):
     q_pops = [res.population({"q": m}) for m in range(n_target + 1)]
     p_exc = res.norm2 - sum(q_pops)
     rows = list(zip(res.times, *q_pops, p_exc, res.norm2))
-    _write_csv(out_dir / "fock.csv", header, rows)
-    (out_dir / "fock_schedule.txt").write_text(sched.to_text())
-    summary = {
-        "experiment": "fock",
-        "config": config,
-        "results": {
+    return _artifacts(
+        config, out_dir, header, rows,
+        results={
             "fidelity": fid,
             "infidelity": 1.0 - fid,
             "total_duration": sched.total_duration,
             "n_pulses": len(sched.events),
         },
-        "checks": {"fidelity_above_0.999": bool(fid > 0.999)},
-    }
-    _write_json(out_dir / "fock_summary.json", summary)
+        checks={"fidelity_above_0.999": bool(fid > 0.999)},
+        schedule=sched,
+    )
 
 
-def _run_superpose(config, out_dir: Path):
-    p = config["params"]
+def _run_superpose(config, out_dir: Path) -> dict:
+    p = _params(config)
     n = p["n_atoms"]
-    omega = units.parse_frequency(p["omega"])
-    omega_q = units.parse_frequency(p["omega_q"])
-    raw = np.array([_amplitude(a) for a in p["amplitudes"]])
-    amps = tuple(raw / np.sqrt((np.abs(raw) ** 2).sum()))
+    amps = p["amplitudes"]
     target = protocols.TargetSuperposition(amplitudes=amps, n_atoms=n)
-    sched = protocols.superposition_schedule(target, omega, omega_q)
+    sched = protocols.superposition_schedule(target, p["omega"], p["omega_q"])
     n_top = target.n_highest
     basis, static = protocols.register_basis(
         n, n_max=max(n_top, 1), blockade="ideal"
@@ -572,77 +542,55 @@ def _run_superpose(config, out_dir: Path):
         a_t = amps[m] if m < len(amps) else 0.0
         a_got = res.final_state[basis.state_index({"q": m})]
         rows.append((m, a_t.real, a_t.imag, a_got.real, a_got.imag, abs(a_got) ** 2))
-    _write_csv(
-        out_dir / "superpose.csv",
+    return _artifacts(
+        config, out_dir,
         ["m", "target_re", "target_im", "achieved_re", "achieved_im", "population"],
         rows,
-    )
-    (out_dir / "superpose_schedule.txt").write_text(sched.to_text())
-    summary = {
-        "experiment": "superpose",
-        "config": config,
-        "results": {
+        results={
             "fidelity": fid,
             "roundtrip_fidelity": fid_round,
             "n_pulses": len(sched.events),
         },
-        "checks": {
+        checks={
             "fidelity_above_1e-6": bool(fid > 1.0 - 1e-6),
             "roundtrip_above_1e-8": bool(fid_round > 1.0 - 1e-8),
         },
-    }
-    _write_json(out_dir / "superpose_summary.json", summary)
-
-
-def _run_gate(config, out_dir: Path):
-    p = config["params"]
-    omega_p = units.parse_frequency(p["omega_plus"])
-    omega_m = units.parse_frequency(p["omega_minus"])
-    gamma = units.parse_frequency(p["gamma_r"])
-    basis, static = protocols.register_basis(
-        p["n_atoms"],
-        n_max=2,
-        blockade=_blockade_arg(p["kappa_bar"]),
-        convention=p["convention"],
-        gamma_r=gamma,
-        gate=True,
+        schedule=sched,
     )
-    sched = protocols.phase_gate_schedule(omega_m, omega_p)
+
+
+def _run_gate(config, out_dir: Path) -> dict:
+    p = _params(config)
+    basis, static = _register(p, 2, gate=True)
+    sched = protocols.phase_gate_schedule(p["omega_minus"], p["omega_plus"])
     table = protocols.gate_truth_table(sched, basis, static)
     ideal = {"g": 0.0, "q+": pi, "q-": pi, "q+q-": pi}
     rows = [
         (name, table.phases[name], ideal[name], table.fidelities[name])
         for name in ("g", "q+", "q-", "q+q-")
     ]
-    _write_csv(
-        out_dir / "gate.csv",
-        ["input", "phase", "ideal_phase", "fidelity"],
-        rows,
-    )
-    (out_dir / "gate_schedule.txt").write_text(sched.to_text())
     phase_err = max(
         abs(protocols.wrap_phase(table.phases[k] - ideal[k])) for k in ideal
     )
-    summary = {
-        "experiment": "gate",
-        "config": config,
-        "results": {
+    return _artifacts(
+        config, out_dir, ["input", "phase", "ideal_phase", "fidelity"], rows,
+        results={
             "phases": table.phases,
             "fidelities": table.fidelities,
             "conditional_phase": table.conditional_phase(),
             "max_phase_error": phase_err,
         },
-        "checks": {
+        checks={
             "phases_within_1e-2": bool(phase_err < 1e-2),
         },
-    }
-    _write_json(out_dir / "gate_summary.json", summary)
+        schedule=sched,
+    )
 
 
-def _run_error_budget(config, out_dir: Path):
-    p = config["params"]
+def _run_error_budget(config, out_dir: Path) -> dict:
+    p = _params(config)
     n = p["n_atoms"]
-    gamma = units.parse_frequency(p["gamma_r"])
+    gamma = p["gamma_r"]
     kt = p["kappa_T"]
     if isinstance(kt, dict):
         grid = np.geomspace(kt["start"], kt["stop"], kt["points"])
@@ -658,20 +606,16 @@ def _run_error_budget(config, out_dir: Path):
         (kt_i, est, sim, p_deph_est, p_deph_sim, result.slope)
         for kt_i, sim, est in zip(result.kappa_T, result.p_sim, result.p_est)
     ]
-    _write_csv(
-        out_dir / "error_budget.csv",
-        ["kappaT", "p_doub_est", "p_doub_sim", "p_deph_est", "p_deph_sim",
-         "slope_fit"],
-        rows,
-    )
     closed_form = 1.0 / (4.0 * pi)
     geom_factor = errmod.geometry_factor(
         8, (10.0, 10.0, 10.0), seed=config["seed"]
     )
-    summary = {
-        "experiment": "error-budget",
-        "config": config,
-        "results": {
+    return _artifacts(
+        config, out_dir,
+        ["kappaT", "p_doub_est", "p_doub_sim", "p_deph_est", "p_deph_sim",
+         "slope_fit"],
+        rows,
+        results={
             "slope": result.slope,
             "prefactor": result.prefactor,
             "closed_form_prefactor": closed_form,
@@ -681,35 +625,31 @@ def _run_error_budget(config, out_dir: Path):
             "p_deph_est": p_deph_est,
             "p_deph_sim": p_deph_sim,
         },
-        "checks": {
+        checks={
             "slope_minus2_within_0.1": bool(abs(result.slope + 2.0) < 0.1),
             "prefactor_within_3x_closed_form": bool(
                 closed_form / 3.0 < result.prefactor < 3.0 * closed_form
             ),
         },
-    }
-    _write_json(out_dir / "error_budget_summary.json", summary)
+    )
 
 
-def _run_oracle(config, out_dir: Path):
-    p = config["params"]
+def _run_oracle(config, out_dir: Path) -> dict:
+    p = _params(config)
     rows = oracle.oracle_equivalence(
         p["n_atoms"],
-        units.parse_frequency(p["kappa"]),
-        omega=units.parse_frequency(p["omega"]),
-        omega_q=units.parse_frequency(p["omega_q"]),
+        p["kappa"],
+        omega=p["omega"],
+        omega_q=p["omega_q"],
         n_max=p["n_max"],
         samples_per_schedule=p["samples_per_schedule"],
     )
-    _write_csv(out_dir / "oracle_check.csv", ["schedule", "time", "fidelity"], rows)
     worst = min(r[2] for r in rows)
-    summary = {
-        "experiment": "oracle-check",
-        "config": config,
-        "results": {"min_fidelity": worst, "max_deviation": 1.0 - worst},
-        "checks": {"agreement_1e-8": bool(worst > 1.0 - 1e-8)},
-    }
-    _write_json(out_dir / "oracle_check_summary.json", summary)
+    return _artifacts(
+        config, out_dir, ["schedule", "time", "fidelity"], rows,
+        results={"min_fidelity": worst, "max_deviation": 1.0 - worst},
+        checks={"agreement_1e-8": bool(worst > 1.0 - 1e-8)},
+    )
 
 
 _RUNNERS = {
@@ -727,103 +667,34 @@ _RUNNERS = {
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _box_arg(text: str):
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("box must be LX,LY,LZ")
-    return [float(x) for x in parts]
-
-
-def _amps_arg(text: str):
-    return [complex(x) for x in text.split(",")]
+def _add_flags(parser: argparse.ArgumentParser, params) -> None:
+    for param in params:
+        if param.kind.flag is not None:
+            parser.add_argument("--" + param.name.replace("_", "-"),
+                                **param.kind.flag)
+        else:   # kappa_T: one flag per field of its {start, stop, points}
+            for field, type_ in _KT_FIELDS.items():
+                parser.add_argument(f"--kt-{field}", type=type_,
+                                    dest=f"kt_{field}")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", type=str, default=None, help="JSON config file")
+    _add_flags(common, _TOP)
+    common.add_argument(
+        "--print-config", action="store_true",
+        help="print the resolved config and exit",
+    )
     parser = argparse.ArgumentParser(
         prog="blockadesim",
         description="Collective-excitation simulator for blockaded ensembles",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--config", type=str, default=None, help="JSON config file")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out-dir", type=str, default=None)
-        sp.add_argument(
-            "--print-config", action="store_true",
-            help="print the resolved config and exit",
-        )
-
-    sp = sub.add_parser("splitting-stats", help="pair-splitting Monte Carlo")
-    add_common(sp)
-    sp.add_argument("--configs", type=int, dest="configs")
-    sp.add_argument("--atoms", type=int, dest="atoms")
-    sp.add_argument("--box", type=_box_arg, dest="box", metavar="LX,LY,LZ")
-    sp.add_argument("--c3", type=float, dest="c3")
-    sp.add_argument("--statistic", choices=("min-pair", "all-pairs"))
-    sp.add_argument("--bins", type=int, dest="bins")
-    sp.add_argument("--out", type=str, dest="out", metavar="FILE")
-
-    sp = sub.add_parser("rabi", help="collective Rabi oscillation")
-    add_common(sp)
-    sp.add_argument("--n-atoms", type=int, dest="n_atoms")
-    sp.add_argument("--omega", type=str, dest="omega")
-    sp.add_argument("--kappa-bar", type=str, dest="kappa_bar")
-    sp.add_argument("--gamma-r", type=str, dest="gamma_r")
-    sp.add_argument("--convention", choices=("split", "eq1"))
-    sp.add_argument("--periods", type=float, dest="periods")
-
-    sp = sub.add_parser("fock", help="storage-rung ladder synthesis")
-    add_common(sp)
-    sp.add_argument("--n-atoms", type=int, dest="n_atoms")
-    sp.add_argument("--n-target", type=int, dest="n_target")
-    sp.add_argument("--omega", type=str, dest="omega")
-    sp.add_argument("--omega-q", type=str, dest="omega_q")
-    sp.add_argument("--kappa-bar", type=str, dest="kappa_bar")
-    sp.add_argument("--gamma-r", type=str, dest="gamma_r")
-    sp.add_argument("--convention", choices=("split", "eq1"))
-    sp.add_argument("--pulse-duration", type=float, dest="pulse_duration")
-
-    sp = sub.add_parser("superpose", help="arbitrary superposition synthesis")
-    add_common(sp)
-    sp.add_argument("--n-atoms", type=int, dest="n_atoms")
-    sp.add_argument("--omega", type=str, dest="omega")
-    sp.add_argument("--omega-q", type=str, dest="omega_q")
-    sp.add_argument(
-        "--amplitudes", type=_amps_arg, dest="amplitudes",
-        metavar="A0,A1,...",
-        help="complex entries, e.g. 0.707,0.5+0.5j (normalized before use)",
-    )
-
-    sp = sub.add_parser("gate", help="conditional phase gate truth table")
-    add_common(sp)
-    sp.add_argument("--n-atoms", type=int, dest="n_atoms")
-    sp.add_argument("--omega-plus", type=str, dest="omega_plus")
-    sp.add_argument("--omega-minus", type=str, dest="omega_minus")
-    sp.add_argument("--kappa-bar", type=str, dest="kappa_bar")
-    sp.add_argument("--gamma-r", type=str, dest="gamma_r")
-    sp.add_argument("--convention", choices=("split", "eq1"))
-
-    sp = sub.add_parser("error-budget", help="leakage and dephasing scaling")
-    add_common(sp)
-    sp.add_argument("--n-atoms", type=int, dest="n_atoms")
-    sp.add_argument("--gamma-r", type=str, dest="gamma_r")
-    sp.add_argument("--convention", choices=("split", "eq1"))
-    sp.add_argument("--kt-start", type=float, dest="kt_start")
-    sp.add_argument("--kt-stop", type=float, dest="kt_stop")
-    sp.add_argument("--kt-points", type=int, dest="kt_points")
-
-    sp = sub.add_parser("oracle-check", help="symmetric vs brute-force modes")
-    add_common(sp)
-    sp.add_argument("--n-atoms", type=int, dest="n_atoms")
-    sp.add_argument("--kappa", type=str, dest="kappa")
-    sp.add_argument("--omega", type=str, dest="omega")
-    sp.add_argument("--omega-q", type=str, dest="omega_q")
-
+    for experiment, (help_text, params) in _TABLE.items():
+        _add_flags(sub.add_parser(experiment, help=help_text, parents=[common]),
+                   params)
     return parser
-
-
-_PARAM_KEYS = {exp: set(DEFAULT_PARAMS[exp]) for exp in EXPERIMENTS}
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -842,35 +713,18 @@ def resolve_config(args: argparse.Namespace) -> dict:
         config = _deep_merge(config, loaded)
         if not isinstance(config["params"], dict):
             return config
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.out_dir is not None:
-        config["out_dir"] = args.out_dir
-    overrides = {}
-    for key in _PARAM_KEYS[args.experiment]:
-        flag_key = {"kappa_T": None}.get(key, key)
-        if flag_key and getattr(args, flag_key, None) is not None:
-            overrides[key] = getattr(args, flag_key)
-    if args.experiment == "error-budget":
-        kt = dict(config["params"]["kappa_T"]) if isinstance(
-            config["params"]["kappa_T"], dict) else None
-        touched = False
-        for name, attr in (("start", "kt_start"), ("stop", "kt_stop"),
-                           ("points", "kt_points")):
-            if getattr(args, attr, None) is not None:
-                if kt is None:
-                    kt = dict(DEFAULT_PARAMS["error-budget"]["kappa_T"])
-                kt[name] = getattr(args, attr)
-                touched = True
-        if touched:
-            overrides["kappa_T"] = kt
-    if overrides:
-        config["params"] = _deep_merge(config["params"], overrides)
-    if isinstance(config["params"].get("amplitudes"), list):
-        config["params"]["amplitudes"] = [
-            [a.real, a.imag] if isinstance(a, complex) else a
-            for a in config["params"]["amplitudes"]
-        ]
+    params = config["params"]
+    for table, target in ((_TOP, config), (_TABLE[args.experiment][1], params)):
+        for param in table:
+            if getattr(args, param.name, None) is not None:
+                target[param.name] = getattr(args, param.name)
+    grid = {field: getattr(args, f"kt_{field}") for field in _KT_FIELDS
+            if getattr(args, f"kt_{field}", None) is not None}
+    if grid:
+        kt = params.get("kappa_T")
+        if not isinstance(kt, dict):
+            kt = DEFAULT_PARAMS["error-budget"]["kappa_T"]
+        params["kappa_T"] = {**kt, **grid}
     return config
 
 
@@ -882,21 +736,27 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         config = resolve_config(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # unreadable, or not JSON
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    violations = validate(config)
+    if isinstance(config, dict) and config.get("experiment") != args.experiment:
+        violations = [f"experiment: {args.config} is for "
+                      f"{config['experiment']!r}, not {args.experiment!r}"]
+    else:
+        violations = validate(config)
     if violations:
         for item in violations:
             print(f"config violation: {item}", file=sys.stderr)
         return EXIT_CONFIG
     if args.print_config:
-        print(json.dumps(_jsonable(config), sort_keys=True, indent=2))
+        print(_json_text(config), end="")
         return EXIT_OK
     out_dir = Path(config["out_dir"])
     try:
+        artifacts = _RUNNERS[config["experiment"]](config, out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _RUNNERS[config["experiment"]](config, out_dir)
+        for path, text in artifacts.items():
+            path.write_text(text, newline="")
     except (CompilationError, StiffnessError, GeometryError, BasisError,
             np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

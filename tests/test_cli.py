@@ -1,6 +1,8 @@
 import json
 
 import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blockadesim import cli
 from blockadesim.dynamics import Schedule
@@ -212,8 +214,10 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
         raise CompilationError("synthetic failure")
 
     monkeypatch.setitem(cli._RUNNERS, "gate", boom)
-    code = run_cli("gate", "--out-dir", str(tmp_path))
+    out = tmp_path / "out"
+    code = run_cli("gate", "--out-dir", str(out))
     assert code == cli.EXIT_NUMERICAL
+    assert not out.exists()             # no partial artifacts, no empty dir
 
 
 def test_io_failure_exit_code(tmp_path, monkeypatch):
@@ -272,9 +276,17 @@ def test_non_finite_numbers_rejected(tmp_path, capsys):
                         "--box", f"10,{value},10", "--configs", "200")
         assert "params.box" in err
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"params": {"omega": Infinity, "periods": NaN}}')
-    err = _rejected(capsys, tmp_path, "rabi", "--config", str(cfg))
-    assert "params.omega" in err and "params.periods" in err
+    for omega, periods in (("Infinity", "NaN"), ("9" * 400, "9" * 400)):
+        cfg.write_text('{"params": {"omega": %s, "periods": %s}}'
+                       % (omega, periods))
+        err = _rejected(capsys, tmp_path, "rabi", "--config", str(cfg))
+        assert "params.omega" in err and "params.periods" in err
+    err = _rejected(capsys, tmp_path, "superpose", "--amplitudes", "inf,1")
+    assert "params.amplitudes" in err
+    for entry in ("1e400", "9" * 400):   # overflows to inf / too big for a float
+        cfg.write_text('{"params": {"amplitudes": [%s, 1]}}' % entry)
+        err = _rejected(capsys, tmp_path, "superpose", "--config", str(cfg))
+        assert "params.amplitudes" in err
 
 
 def test_bool_is_not_an_integer(tmp_path, capsys):
@@ -289,3 +301,56 @@ def test_bool_is_not_an_integer(tmp_path, capsys):
         cfg.write_text(json.dumps(content))
         err = _rejected(capsys, tmp_path, experiment, "--config", str(cfg))
         assert f"config violation: {name}:" in err
+
+
+def test_config_file_for_another_experiment_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "gate"}))
+    err = _rejected(capsys, tmp_path, "rabi", "--config", str(cfg),
+                    "--n-atoms", "3")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("config violation: experiment:")
+    assert "'gate'" in lines[0] and "'rabi'" in lines[0]
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.text(max_size=6)
+    | st.sampled_from(["ideal", "off", "split", "1MHz", "inf", "nan", "1e400",
+                       "0.5+0.5j"])
+    | st.integers() | st.integers(min_value=10**300, max_value=10**400)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_any_config_file_exits_0_or_2(tmp_path, monkeypatch, capsys, data):
+    """Whatever JSON a config file holds, --print-config exits 0 or 2 and
+    writes nothing; params keys are mostly the experiment's own, so that
+    the values reach its checks."""
+    experiment = data.draw(st.sampled_from(cli.EXPERIMENTS))
+    names = sorted(cli.DEFAULT_PARAMS[experiment]) + ["bogus"]
+    params = st.dictionaries(st.sampled_from(names), _SCALARS | _JSON,
+                             min_size=1, max_size=4)
+    config = st.fixed_dictionaries({"params": params | _JSON}, optional={
+        "experiment": st.sampled_from(cli.EXPERIMENTS) | _JSON,
+        "seed": _JSON,
+        "out_dir": _JSON,
+    })
+    content = data.draw(_JSON | config)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(content))
+    code = run_cli(experiment, "--config", "cfg.json", "--print-config")
+    out = capsys.readouterr().out
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+    if code == cli.EXIT_OK:
+        assert json.loads(out)["experiment"] == experiment
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
