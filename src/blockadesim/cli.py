@@ -31,7 +31,6 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.optimize
 
 from . import errors as errmod
 from . import geometry, oracle, protocols, units
@@ -95,9 +94,10 @@ def _count(low: int, high: int | None = None, nullable=False) -> Kind:
     )
 
 
-def _positive(nullable=False) -> Kind:
-    return _kind(lambda v: _is_real(v) and v > 0, "positive and finite",
-                 nullable, type=float)
+def _positive(nullable=False, high: float | None = None) -> Kind:
+    must = "positive and finite" if high is None else f"in (0, {high:g}]"
+    return _kind(lambda v: _is_real(v) and v > 0 and (high is None or v <= high),
+                 must, nullable, type=float)
 
 
 def _choice(*options: str) -> Kind:
@@ -168,6 +168,7 @@ def _amplitudes_arg(text: str) -> list:
 
 
 _KT_FIELDS = {"start": float, "stop": float, "points": int}
+_KT_POINTS = 2000       # most grid points of one error-budget scan
 
 
 def _kappa_t(kt):
@@ -175,29 +176,35 @@ def _kappa_t(kt):
     if isinstance(kt, dict):
         start, stop, points = (kt.get(field) for field in _KT_FIELDS)
         if not (_is_real(start) and _is_real(stop) and _is_int(points)
-                and points >= 5 and 5.0 <= start < stop):
-            raise ValueError("need 5 <= start < stop and integer points >= 5")
+                and 5 <= points <= _KT_POINTS and 5.0 <= start < stop):
+            raise ValueError("need 5 <= start < stop and integer points "
+                             f"in [5, {_KT_POINTS}]")
     elif isinstance(kt, (list, tuple)):
-        if len(kt) < 5 or not all(_is_real(x) and x >= 5 for x in kt):
-            raise ValueError("need >= 5 grid values, all >= 5")
+        if not 5 <= len(kt) <= _KT_POINTS \
+                or not all(_is_real(x) and x >= 5 for x in kt):
+            raise ValueError(f"need 5 to {_KT_POINTS} grid values, all >= 5")
     else:
         raise ValueError("must be a list or {start, stop, points}")
     return kt
 
 
-_PATH = _kind(lambda v: isinstance(v, str), "a path string", type=str)
+def _path(nullable=False, **flag) -> Kind:
+    return _kind(lambda v: isinstance(v, str) and "\0" not in v,
+                 "a path string without NUL bytes", nullable, type=str, **flag)
+
+
 _CONVENTION = _choice("split", "eq1")
 
 # top-level keys besides "experiment" and "params"
 _TOP = (
     Param("seed", 0, _count(0)),
-    Param("out_dir", ".", _PATH),
+    Param("out_dir", ".", _path()),
 )
 
 # experiment -> (subcommand help, parameters)
 _TABLE = {
     "splitting-stats": ("pair-splitting Monte Carlo", (
-        Param("configs", 30000, _count(1)),
+        Param("configs", 30000, _count(1, 3_000_000)),
         Param("atoms", 2, _count(2)),
         Param("box", [10.0, 10.0, 10.0], _kind(
             lambda v: _reals(v, 3) and min(v) > 0,
@@ -205,13 +212,11 @@ _TABLE = {
             type=_numbers_arg, metavar="LX,LY,LZ")),
         Param("c3", 1000.0, _positive()),
         Param("statistic", "min-pair", _choice("min-pair", "all-pairs")),
-        Param("bins", 60, _count(1)),
+        Param("bins", 60, _count(1, 10_000)),
         Param("window", [0.2, 20.0], _kind(
             lambda v: _reals(v, 2) and 0 < v[0] < v[1], "0 < lo < hi",
             type=_numbers_arg, metavar="LO,HI")),
-        Param("out", None, _kind(
-            lambda v: isinstance(v, str), "a path string", nullable=True,
-            type=str, metavar="FILE")),
+        Param("out", None, _path(nullable=True, metavar="FILE")),
     )),
     "rabi": ("collective Rabi oscillation", (
         Param("n_atoms", 10, _count(2)),
@@ -220,8 +225,8 @@ _TABLE = {
         Param("gamma_r", 0.0, _frequency(positive=False)),
         Param("convention", "split", _CONVENTION),
         Param("n_max", 2, _count(1), capped=True),
-        Param("periods", 3.0, _positive()),
-        Param("samples_per_period", 32, _count(4)),
+        Param("periods", 3.0, _positive(high=300.0)),
+        Param("samples_per_period", 32, _count(4, 4096)),
     )),
     "fock": ("storage-rung ladder synthesis", (
         Param("n_atoms", 20, _count(2)),
@@ -266,11 +271,13 @@ _TABLE = {
         Param("omega", 1.0, _frequency()),
         Param("omega_q", 1.0, _frequency()),
         Param("n_max", None, _count(1, nullable=True)),
-        Param("samples_per_schedule", 24, _count(4)),
+        Param("samples_per_schedule", 24, _count(4, 4096)),
     )),
 }
 
 EXPERIMENTS = tuple(_TABLE)
+
+_MAX_PAIRS = 10_000_000    # splitting-stats: pairs evaluated (all-pairs: kept)
 
 DEFAULT_PARAMS = {
     exp: {param.name: param.default for param in params}
@@ -332,7 +339,11 @@ def validate(config: dict) -> list[str]:
         return v + ["params: must be a JSON object"]
     for key in sorted(set(p) - set(DEFAULT_PARAMS[exp])):
         v.append(f"params.{key}: unknown key for experiment {exp}")
-    return v + _check(p, _TABLE[exp][1], "params.")
+    v += _check(p, _TABLE[exp][1], "params.")
+    if exp == "splitting-stats" and not v \
+            and p["configs"] * p["atoms"] * (p["atoms"] - 1) // 2 > _MAX_PAIRS:
+        v.append(f"params.configs: configs x atom pairs must be <= {_MAX_PAIRS}")
+    return v
 
 
 def _params(config: dict) -> dict:
@@ -443,6 +454,8 @@ def _run_splitting(config, out_dir: Path) -> dict:
 
 
 def _rabi_fit(times, pops, freq_guess):
+    import scipy.optimize   # deferred: about half the import time of this module
+
     def model(t, w, a):
         return a * np.sin(0.5 * w * t) ** 2
 
@@ -753,15 +766,16 @@ def main(argv=None) -> int:
         return EXIT_OK
     out_dir = Path(config["out_dir"])
     try:
-        artifacts = _RUNNERS[config["experiment"]](config, out_dir)
+        try:
+            artifacts = _RUNNERS[config["experiment"]](config, out_dir)
+        except (CompilationError, StiffnessError, GeometryError, BasisError,
+                np.linalg.LinAlgError, ValueError) as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
         out_dir.mkdir(parents=True, exist_ok=True)
         for path, text in artifacts.items():
             path.write_text(text, newline="")
-    except (CompilationError, StiffnessError, GeometryError, BasisError,
-            np.linalg.LinAlgError, ValueError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OSError as exc:
+    except (OSError, ValueError) as exc:    # ValueError: an unusable path
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

@@ -1,11 +1,12 @@
 """Piecewise pulse-schedule evolution of collective state vectors.
 
-Constant-amplitude segments are propagated by exact Hermitian
-eigendecomposition.  A diagonal anti-Hermitian decay term (norm-loss
-decoherence model) is folded in by second-order symmetric splitting with
-step <= 1/(100 max|H|).  Sampled-envelope pulses are integrated by
-midpoint sub-segmentation with step-doubling until the local error is
-below the requested tolerance.
+Constant-amplitude segments are propagated exactly: by one Hermitian
+eigendecomposition, or, when a diagonal anti-Hermitian decay term (norm-loss
+decoherence model) is present, by ``scipy.linalg.expm`` of the non-normal
+generator -i (H - i k), one exponential per distinct step of the sample
+grid.  Sampled-envelope pulses are integrated by a fourth-order
+two-exponential scheme on sub-intervals, doubled until the final state
+changes by less than the requested tolerance.
 
 Times are in us, angular frequencies in rad/us, phases in rad.
 """
@@ -16,8 +17,9 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
+import scipy.linalg
 
-from .hilbert import Basis, drive_term
+from .hilbert import Basis, collective_op, number_op
 
 
 class StiffnessError(RuntimeError):
@@ -180,9 +182,6 @@ class EvolutionResult:
     def population(self, spec) -> np.ndarray:
         return self.populations[:, self.basis.state_index(spec)]
 
-    def phase(self, spec) -> float:
-        return accumulated_phase(self, spec)
-
     def accumulated_phases(self) -> np.ndarray:
         """Final-time phase per basis state; nan where the amplitude is
         too small to define one."""
@@ -234,53 +233,42 @@ def _segment_targets(t0: float, duration: float, grid: np.ndarray) -> np.ndarray
     return np.concatenate([inside, [t1]])
 
 
-def _strang_apply(evecs, phases, decay_half, psi, n_steps):
-    """Apply n_steps of exp(-decay/2) exp(-iH h) exp(-decay/2) to psi.
-
-    evecs/phases: eigendecomposition of the Hermitian part for one step of
-    size h (phases = exp(-i w h)); decay_half = exp(-k h / 2) per basis state.
-    """
-    out = psi.copy()
-    for _ in range(n_steps):
-        out *= decay_half
-        out = evecs @ (phases * (evecs.conj().T @ out))
-        out *= decay_half
-    return out
-
-
 def _propagate_constant(h, k, psi, dt_list):
-    """States at cumulative offsets dt_list (sorted, > 0) under H - i k."""
-    w, u = np.linalg.eigh(h)
-    out = []
+    """States at cumulative offsets dt_list (sorted, > 0) under H - i k.
+
+    A Hermitian segment (k = 0) takes one eigendecomposition.  A decaying
+    one takes expm(-i (H - i k) span) per step; steps of the uniform sample
+    grid that agree to 1e-12 (relative) share one exponential.
+    """
     if not k.any():
+        w, u = np.linalg.eigh(h)
         coef = u.conj().T @ psi
-        for dt in dt_list:
-            out.append(u @ (np.exp(-1j * w * dt) * coef))
-        return out
-    scale = max(np.abs(w).max(), k.max(), 1e-30)
-    cur = psi
-    prev = 0.0
-    for dt in dt_list:
-        span = dt - prev
-        n_steps = max(1, int(np.ceil(span * scale * 100.0)))
-        h_step = span / n_steps
-        phases = np.exp(-1j * w * h_step)
-        decay_half = np.exp(-0.5 * k * h_step)
-        cur = _strang_apply(u, phases, decay_half, cur, n_steps)
-        out.append(cur)
-        prev = dt
-    return out
+        return [u @ (np.exp(-1j * w * dt) * coef) for dt in dt_list]
+    gen = -1j * (h - 1j * np.diag(k))
+    out, step = [psi], 0.0
+    for span in np.diff(dt_list, prepend=0.0):
+        if abs(span - step) > 1e-12 * span:
+            step, prop = span, scipy.linalg.expm(gen * span)
+        out.append(prop @ out[-1])
+    return out[1:]
 
 
-def _pulse_operators(basis, h_static, pulse):
-    """(base, unit_drive) with H(amp) = base + amp * unit_drive."""
+def _pulse_operators(basis, h_static, pulse, transitions):
+    """(base, unit_drive) with H(amp) = base + amp * unit_drive: the terms
+    of ``hilbert.drive_term`` in its arithmetic order, from the dense
+    collective operator and ``to`` occupancy cached in ``transitions``."""
     frm, to = pulse.transition
-    unit = drive_term(basis, frm, to, 1.0, phase=pulse.phase).dense()
+    if pulse.transition not in transitions:
+        transitions[pulse.transition] = (
+            collective_op(basis, frm, to).dense(),
+            number_op(basis, to).matrix.diagonal(),
+        )
+    sig, occupancy = transitions[pulse.transition]
+    up = 0.5 * np.exp(1j * pulse.phase) * sqrt(basis.n_atoms) * sig
+    unit = up + up.conj().T
     base = h_static
     if pulse.detuning != 0.0:
-        base = base + drive_term(
-            basis, frm, to, 0.0, detuning=pulse.detuning
-        ).dense()
+        base = h_static + np.diag(pulse.detuning * occupancy)
     return base, unit
 
 
@@ -315,6 +303,7 @@ def evolve(
     states = [psi0]
     t0 = 0.0
     psi = psi0
+    transitions = {}
     for i_ev, ev in enumerate(schedule.events):
         if ev.duration == 0.0:
             continue
@@ -322,31 +311,31 @@ def evolve(
         dts = targets - t0
         if isinstance(ev, Wait):
             segs = _propagate_constant(h_static, k, psi, dts)
-        elif not isinstance(ev.omega, SampledEnvelope):
-            base, unit = _pulse_operators(basis, h_static, ev)
-            segs = _propagate_constant(base + ev.omega * unit, k, psi, dts)
         else:
-            segs = _propagate_envelope(
-                basis, h_static, k, ev, psi, dts, tol, i_ev
-            )
+            base, unit = _pulse_operators(basis, h_static, ev, transitions)
+            if isinstance(ev.omega, SampledEnvelope):
+                segs = _propagate_envelope(base, unit, k, ev, psi, dts, tol, i_ev)
+            else:
+                segs = _propagate_constant(base + ev.omega * unit, k, psi, dts)
         times.extend(targets.tolist())
         states.extend(segs)
         psi = segs[-1]
         t0 += ev.duration
 
     arr = np.array(states)
+    populations = np.abs(arr) ** 2
     return EvolutionResult(
         basis=basis,
         times=np.array(times),
-        populations=np.abs(arr) ** 2,
-        norm2=(np.abs(arr) ** 2).sum(axis=1),
+        populations=populations,
+        norm2=populations.sum(axis=1),
         initial_state=psi0,
         final_state=psi,
         states=arr,
     )
 
 
-def _propagate_envelope(basis, h_static, k, pulse, psi, dts, tol, i_ev):
+def _propagate_envelope(base, unit, k, pulse, psi, dts, tol, i_ev):
     """Adaptive sub-segmentation of a sampled-envelope pulse.
 
     Each sub-interval is advanced by the fourth-order commutator-free
@@ -355,7 +344,6 @@ def _propagate_envelope(basis, h_static, k, pulse, psi, dts, tol, i_ev):
     agree within tol.
     """
     env = pulse.omega
-    base, unit = _pulse_operators(basis, h_static, pulse)
     s36 = sqrt(3.0) / 6.0
     node1, node2 = 0.5 - s36, 0.5 + s36
     wa, wb = 0.25 - s36, 0.25 + s36
@@ -376,12 +364,9 @@ def _propagate_envelope(basis, h_static, k, pulse, psi, dts, tol, i_ev):
             amp1 = float(env(a + node1 * h))
             amp2 = float(env(a + node2 * h))
             half = np.array([0.5 * h])
-            cur = _propagate_constant(
-                base + 2.0 * (wb * amp1 + wa * amp2) * unit, k, cur, half
-            )[0]
-            cur = _propagate_constant(
-                base + 2.0 * (wa * amp1 + wb * amp2) * unit, k, cur, half
-            )[0]
+            for w1, w2 in ((wb, wa), (wa, wb)):
+                drive = 2.0 * (w1 * amp1 + w2 * amp2)
+                cur = _propagate_constant(base + drive * unit, k, cur, half)[0]
             while want < len(dts) and abs(b - dts[want]) < 1e-12:
                 out.append(cur)
                 want += 1

@@ -1,6 +1,8 @@
 import json
+import time
 
 import numpy as np
+import scipy.optimize  # noqa: F401  (loaded before the timed rabi run)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -227,6 +229,78 @@ def test_io_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "gate", boom)
     code = run_cli("gate", "--out-dir", str(tmp_path))
     assert code == cli.EXIT_IO
+
+
+def test_write_error_is_an_io_failure(tmp_path, monkeypatch):
+    # a path the file system refuses once the run has succeeded: exit 4
+    monkeypatch.setitem(cli._RUNNERS, "gate",
+                        lambda config, out_dir: {out_dir / "a\0b": "x"})
+    assert run_cli("gate", "--out-dir", str(tmp_path)) == cli.EXIT_IO
+
+
+def test_nul_byte_in_path_rejected(tmp_path, capsys, monkeypatch):
+    # rejected before the run, not reported as a numerical failure after it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"out_dir": "a\u0000b"}))
+    assert run_cli("gate", "--config", "cfg.json") == cli.EXIT_CONFIG
+    assert "config violation: out_dir:" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    err = _rejected(capsys, tmp_path, "splitting-stats", "--out", "t\0.csv",
+                    "--configs", "100")
+    assert "config violation: params.out:" in err
+
+
+def test_rabi_strong_decay_finishes(tmp_path, deadline):
+    start = time.perf_counter()
+    with deadline(1):
+        code = run_cli("rabi", "--gamma-r", "1e6", "--out-dir", str(tmp_path))
+    assert code == cli.EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    summary = json.loads((tmp_path / "rabi_summary.json").read_text())
+    norm2 = summary["results"]["final_norm2"]
+    assert np.isfinite(norm2) and 0.0 <= norm2 <= 1.0
+
+
+def _print_config(capsys, tmp_path, *argv):
+    """Exit code and stderr of a --print-config run; it writes nothing."""
+    code = run_cli(*argv, "--out-dir", str(tmp_path / "out"), "--print-config")
+    assert not (tmp_path / "out").exists()
+    return code, capsys.readouterr().err
+
+
+def test_work_is_bounded(tmp_path, capsys):
+    # each bound is checked through --print-config alone: no oversized run
+    # is ever started
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"kappa_T": [10.0] * 2001}}))
+    too_much = (
+        (("splitting-stats", "--configs", "10000000000000"), "params.configs"),
+        (("splitting-stats", "--configs", "3000001"), "params.configs"),
+        (("splitting-stats", "--bins", "10001"), "params.bins"),
+        (("splitting-stats", "--atoms", "5000", "--configs", "1"),
+         "params.configs"),
+        (("splitting-stats", "--statistic", "all-pairs", "--atoms", "300",
+          "--configs", "1000"), "params.configs"),
+        (("rabi", "--periods", "301"), "params.periods"),
+        (("rabi", "--samples-per-period", "4097"), "params.samples_per_period"),
+        (("oracle-check", "--samples-per-schedule", "4097"),
+         "params.samples_per_schedule"),
+        (("error-budget", "--kt-points", str(10**12)), "params.kappa_T"),
+        (("error-budget", "--config", str(cfg)), "params.kappa_T"),
+    )
+    for argv, name in too_much:
+        code, err = _print_config(capsys, tmp_path, *argv)
+        assert code == cli.EXIT_CONFIG and f"config violation: {name}:" in err
+    at_the_bound = (
+        ("splitting-stats", "--configs", "3000000", "--bins", "10000"),
+        ("splitting-stats", "--statistic", "all-pairs", "--atoms", "16",
+         "--configs", "83333"),
+        ("rabi", "--periods", "300", "--samples-per-period", "4096"),
+        ("oracle-check", "--samples-per-schedule", "4096"),
+        ("error-budget", "--kt-points", "2000"),
+    )
+    for argv in at_the_bound:
+        assert _print_config(capsys, tmp_path, *argv)[0] == cli.EXIT_OK
 
 
 def test_missing_config_file():

@@ -14,9 +14,13 @@ from blockadesim.dynamics import (
 )
 from blockadesim.geometry import CouplingMatrix
 from blockadesim.hilbert import dephasing_term, dipole_term, enumerate_basis
-from blockadesim.protocols import rabi_pulse, register_basis
+from blockadesim.protocols import fock_ladder, rabi_pulse, register_basis
 
-from .reference import rk4_evolve, two_level_propagator
+from .reference import (
+    decaying_two_level_propagator,
+    rk4_evolve,
+    two_level_propagator,
+)
 
 
 def _ideal(n, n_max=1):
@@ -157,6 +161,37 @@ def test_norm_nonincreasing_with_decay():
     res = evolve(Schedule((Pulse(("g", "r"), 1.0, 4.0),)), basis, static,
                  basis.basis_vector({}), sample_dt=0.1)
     assert (np.diff(res.norm2) <= 1e-12).all()
+
+
+def test_decaying_fock_ladder_vs_rk4():
+    # the default fock ladder (N = 20) to |q^6> with gamma_r = 0.01, sampled
+    # as the CLI samples it, so that grid steps share one exponential
+    n, n_target = 20, 6
+    basis, static = register_basis(n, n_max=n_target + 1, gamma_r=0.01)
+    sched = fock_ladder(n, n_target, 1.0, 1.0)
+    psi0 = basis.basis_vector({})
+    res = evolve(sched, basis, static, psi0,
+                 sample_dt=min(ev.duration for ev in sched.events) / 8.0)
+    ref = rk4_evolve(sched, basis, static, psi0)
+    assert np.abs(res.final_state - ref).max() < 1e-9
+
+
+def test_strong_decay_matches_closed_form(deadline):
+    # one atom driven g <-> r while r decays at 1e6 rad/us: the cost does
+    # not grow with the decay rate, and every sample is exact
+    omega, gamma, phase, duration = 1.0, 1e6, 0.3, np.pi
+    basis = enumerate_basis(1, ("r",), 1)
+    static = [dephasing_term(basis, gamma)]
+    sched = Schedule((Pulse(("g", "r"), omega, duration, phase=phase),))
+    g, r = basis.state_index({}), basis.state_index({"r": 1})
+    with deadline(1):
+        res = evolve(sched, basis, static, basis.basis_vector({}),
+                     sample_dt=duration / 16)
+    assert len(res.times) == 17
+    for t, state in zip(res.times, res.states):
+        u = decaying_two_level_propagator(omega, gamma, t, phase)
+        assert abs(state[g] - u[0, 0]) < 1e-10
+        assert abs(state[r] - u[1, 0]) < 1e-10
 
 
 def test_fidelity_definitions():
