@@ -195,9 +195,10 @@ class EvolutionResult:
 
 
 def wrap_phase(a: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
+    """Wrap an angle to (-pi, pi]; within 1e-9 of -pi it reads +pi, so a
+    phase of pi up to rounding keeps one sign."""
     out = (a + np.pi) % (2.0 * np.pi) - np.pi
-    if out <= -np.pi + 1e-15:
+    if out <= -np.pi + 1e-9:
         out = np.pi
     return float(out)
 

@@ -68,6 +68,17 @@ def test_gate_experiment_ideal(tmp_path):
     assert summary["config"]["params"]["n_atoms"] == 5
 
 
+def test_decaying_gate_phases_read_plus_pi(tmp_path):
+    # pi up to rounding is written as +pi, whatever its last bits
+    code = run_cli("gate", "--kappa-bar", "100", "--omega-plus", "40",
+                   "--omega-minus", "40", "--gamma-r", "0.01",
+                   "--out-dir", str(tmp_path))
+    assert code == 0
+    results = json.loads((tmp_path / "gate_summary.json").read_text())["results"]
+    assert abs(results["phases"]["q+q-"] - np.pi) < 1e-9
+    assert abs(results["conditional_phase"] - np.pi) < 1e-9
+
+
 def test_splitting_stats_csv(tmp_path):
     code = run_cli(
         "splitting-stats", "--out-dir", str(tmp_path),

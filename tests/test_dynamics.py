@@ -290,6 +290,10 @@ def test_wrap_phase():
     assert wrap_phase(3 * np.pi) == pytest.approx(np.pi)
     assert wrap_phase(0.3) == pytest.approx(0.3)
     assert wrap_phase(2 * np.pi - 0.1) == pytest.approx(-0.1)
+    # pi up to rounding keeps its sign
+    assert wrap_phase(-np.pi + 3e-14) == np.pi
+    assert wrap_phase(np.pi + 3e-14) == np.pi
+    assert wrap_phase(-np.pi + 1e-6) == pytest.approx(-np.pi + 1e-6)
 
 
 def test_schedule_text_roundtrip():
