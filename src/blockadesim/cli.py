@@ -15,16 +15,18 @@ experiment; flags override it.  Frequencies accept unit suffixes
 (``100MHz``, ``0.6Mrad/s``); bare numbers are rad/us.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 I/O error.  Exits 2 and 3 write nothing.
+4 I/O error.  Exits 2 and 3 write nothing, and exit 4 leaves no artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import io
 import json
+import os
 import sys
 from math import isfinite, pi, sqrt
 from pathlib import Path
@@ -34,7 +36,8 @@ import numpy as np
 
 from . import errors as errmod
 from . import geometry, oracle, protocols, units
-from .dynamics import Schedule, StiffnessError, evolve, fidelity
+from .dynamics import (PhaseUndefinedError, Schedule, StiffnessError, evolve,
+                       fidelity)
 from .geometry import GeometryError
 from .hilbert import BasisError
 from .protocols import CompilationError
@@ -741,6 +744,25 @@ def resolve_config(args: argparse.Namespace) -> dict:
     return config
 
 
+def _write_all(artifacts: dict) -> None:
+    """Write each file under a temporary name beside its target and move
+    them all into place only once every write has succeeded; a failed
+    write leaves none of them behind."""
+    staged = []
+    try:
+        for path, text in artifacts.items():
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            staged.append((tmp, path))
+            tmp.write_text(text, newline="")
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError, ValueError):
+                tmp.unlink(missing_ok=True)
+        raise
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -766,15 +788,17 @@ def main(argv=None) -> int:
         return EXIT_OK
     out_dir = Path(config["out_dir"])
     try:
-        try:
-            artifacts = _RUNNERS[config["experiment"]](config, out_dir)
-        except (CompilationError, StiffnessError, GeometryError, BasisError,
-                np.linalg.LinAlgError, ValueError) as exc:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+        artifacts = _RUNNERS[config["experiment"]](config, out_dir)
+    except (CompilationError, StiffnessError, GeometryError, BasisError,
+            PhaseUndefinedError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for path, text in artifacts.items():
-            path.write_text(text, newline="")
+        _write_all(artifacts)
     except (OSError, ValueError) as exc:    # ValueError: an unusable path
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

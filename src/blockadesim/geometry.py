@@ -273,7 +273,7 @@ def splitting_ks(
     lo, hi = window
     xs = np.sort(samples[(samples >= lo) & (samples <= hi)])
     if len(xs) == 0:
-        raise ValueError("no samples inside the comparison window")
+        raise GeometryError("no samples inside the comparison window")
     fa = analytic_window_cdf(xs, window)
     n = len(xs)
     d_hi = np.abs(np.arange(1, n + 1) / n - fa).max()

@@ -2,6 +2,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 import scipy.optimize  # noqa: F401  (loaded before the timed rabi run)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -247,6 +248,35 @@ def test_write_error_is_an_io_failure(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "gate",
                         lambda config, out_dir: {out_dir / "a\0b": "x"})
     assert run_cli("gate", "--out-dir", str(tmp_path)) == cli.EXIT_IO
+
+
+def test_failed_write_leaves_no_artifacts(tmp_path, monkeypatch):
+    # the first file is written fine, the second cannot be: neither remains
+    first, second = tmp_path / "a.csv", tmp_path / "missing" / "b.csv"
+    monkeypatch.setitem(cli._RUNNERS, "gate",
+                        lambda config, out_dir: {first: "x", second: "y"})
+    assert run_cli("gate", "--out-dir", str(tmp_path)) == cli.EXIT_IO
+    assert not first.exists() and not second.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_runner_value_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
+    # a plain ValueError from a runner is a bug: it surfaces as a traceback
+    def boom(config, out_dir):
+        raise ValueError("synthetic bug")
+
+    monkeypatch.setitem(cli._RUNNERS, "gate", boom)
+    with pytest.raises(ValueError, match="synthetic bug"):
+        run_cli("gate", "--out-dir", str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_splitting_window_is_a_numerical_failure(tmp_path):
+    out = tmp_path / "out"
+    code = run_cli("splitting-stats", "--window", "1000,2000",
+                   "--configs", "100", "--out-dir", str(out))
+    assert code == cli.EXIT_NUMERICAL
+    assert not out.exists()
 
 
 def test_nul_byte_in_path_rejected(tmp_path, capsys, monkeypatch):
