@@ -19,7 +19,7 @@ from math import sqrt
 import numpy as np
 import scipy.linalg
 
-from .hilbert import Basis, collective_op, number_op
+from .hilbert import Basis, collective_op, drive_generator
 
 
 class StiffnessError(RuntimeError):
@@ -254,25 +254,6 @@ def _propagate_constant(h, k, psi, dt_list):
     return out[1:]
 
 
-def _pulse_operators(basis, h_static, pulse, transitions):
-    """(base, unit_drive) with H(amp) = base + amp * unit_drive: the terms
-    of ``hilbert.drive_term`` in its arithmetic order, from the dense
-    collective operator and ``to`` occupancy cached in ``transitions``."""
-    frm, to = pulse.transition
-    if pulse.transition not in transitions:
-        transitions[pulse.transition] = (
-            collective_op(basis, frm, to).dense(),
-            number_op(basis, to).matrix.diagonal(),
-        )
-    sig, occupancy = transitions[pulse.transition]
-    up = 0.5 * np.exp(1j * pulse.phase) * sqrt(basis.n_atoms) * sig
-    unit = up + up.conj().T
-    base = h_static
-    if pulse.detuning != 0.0:
-        base = h_static + np.diag(pulse.detuning * occupancy)
-    return base, unit
-
-
 def evolve(
     schedule: Schedule,
     basis: Basis,
@@ -304,7 +285,7 @@ def evolve(
     states = [psi0]
     t0 = 0.0
     psi = psi0
-    transitions = {}
+    sigmas = {}
     for i_ev, ev in enumerate(schedule.events):
         if ev.duration == 0.0:
             continue
@@ -313,7 +294,16 @@ def evolve(
         if isinstance(ev, Wait):
             segs = _propagate_constant(h_static, k, psi, dts)
         else:
-            base, unit = _pulse_operators(basis, h_static, ev, transitions)
+            # H(amp) = base + amp * unit from the dense collective operator,
+            # built once per transition
+            frm, to = ev.transition
+            if ev.transition not in sigmas:
+                sigmas[ev.transition] = collective_op(basis, frm, to).dense()
+            shift, unit = drive_generator(
+                sigmas[ev.transition], basis.occupations(to), basis.n_atoms,
+                ev.phase, ev.detuning,
+            )
+            base = h_static + np.diag(shift) if ev.detuning != 0.0 else h_static
             if isinstance(ev.omega, SampledEnvelope):
                 segs = _propagate_envelope(base, unit, k, ev, psi, dts, tol, i_ev)
             else:

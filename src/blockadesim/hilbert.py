@@ -33,9 +33,10 @@ same-level channel under either convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import product
-from math import comb, sqrt
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations, product
+from math import sqrt
 
 import numpy as np
 import scipy.sparse as sparse
@@ -82,6 +83,11 @@ def _is_rydberg(level: str) -> bool:
     return level in RYDBERG_LEVELS or is_pair_mode(level)
 
 
+def _weights(levels, counted=lambda lev: True) -> np.ndarray:
+    """Quanta per occupation of each level passing ``counted`` (else 0)."""
+    return np.array([level_weight(lev) * counted(lev) for lev in levels], dtype=int)
+
+
 @dataclass(frozen=True)
 class Basis:
     """Ordered collective basis with dense index lookup.
@@ -89,6 +95,7 @@ class Basis:
     For mode "symmetric" each state is a tuple of occupations aligned with
     ``levels`` (ground occupancy is implicit: N minus the weighted sum).
     For mode "pair-resolved" each state is a length-N tuple of level names.
+    In both modes ``occ[i, a]`` holds the quanta of ``levels[a]`` in state i.
     """
 
     mode: str
@@ -96,35 +103,38 @@ class Basis:
     levels: tuple[str, ...]        # non-ground levels, canonical order
     states: tuple[tuple, ...]
     index: dict
+    occ: np.ndarray = field(compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.states)
 
+    @cached_property
+    def excitation_counts(self) -> np.ndarray:
+        return self.occ @ _weights(self.levels)
+
+    @cached_property
+    def rydberg_counts(self) -> np.ndarray:
+        """Interacting-manifold quanta (pair modes count two)."""
+        return self.occ @ _weights(self.levels, _is_rydberg)
+
+    def occupations(self, level: str) -> np.ndarray:
+        """Occupation of ``level`` in every state."""
+        if level == GROUND:
+            return self.n_atoms - self.excitation_counts
+        if level not in self.levels:
+            return np.zeros(self.dim, dtype=int)
+        return self.occ[:, self.levels.index(level)]
+
     def excitations(self, i: int) -> int:
-        state = self.states[i]
-        if self.mode == "symmetric":
-            return sum(n * level_weight(l) for n, l in zip(state, self.levels))
-        return sum(1 for lev in state if lev != GROUND)
+        return int(self.excitation_counts[i])
 
     def occupation(self, i: int, level: str) -> int:
-        state = self.states[i]
-        if self.mode == "symmetric":
-            if level == GROUND:
-                return self.n_atoms - self.excitations(i)
-            return state[self.levels.index(level)] if level in self.levels else 0
-        return sum(1 for lev in state if lev == level)
+        return int(self.occupations(level)[i])
 
     def rydberg_count(self, i: int) -> int:
         """Interacting-manifold quanta (pair modes count two)."""
-        state = self.states[i]
-        if self.mode == "symmetric":
-            return sum(
-                n * level_weight(l)
-                for n, l in zip(state, self.levels)
-                if _is_rydberg(l)
-            )
-        return sum(1 for lev in state if lev in RYDBERG_LEVELS)
+        return int(self.rydberg_counts[i])
 
     def state_index(self, spec) -> int:
         """Index of a state given as {level: count} (symmetric) or a tuple
@@ -142,20 +152,8 @@ class Basis:
         return self.index[key]
 
     def ground_index(self) -> int:
-        if self.mode == "symmetric":
-            return self.index[tuple(0 for _ in self.levels)]
-        return self.index[tuple(GROUND for _ in range(self.n_atoms))]
-
-    def label(self, i: int) -> str:
-        state = self.states[i]
-        if self.mode == "symmetric":
-            parts = [
-                lev if n == 1 else f"{lev}^{n}"
-                for lev, n in zip(self.levels, state)
-                if n > 0
-            ]
-            return " ".join(parts) if parts else GROUND
-        return ",".join(state)
+        """States are ordered by excitation number: the ground state is first."""
+        return 0
 
     def basis_vector(self, spec) -> np.ndarray:
         psi = np.zeros(self.dim, dtype=complex)
@@ -173,16 +171,15 @@ class Operator:
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    def __add__(self, other: "Operator") -> "Operator":
-        if other.basis is not self.basis and other.basis != self.basis:
-            raise ValueError("operators live on different bases")
-        return Operator(self.basis, (self.matrix + other.matrix).tocsr())
-
 
 def hermiticity_defect(op: Operator) -> float:
     """Largest |H - H^dagger| entry."""
     d = op.matrix - op.matrix.conjugate().transpose()
     return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+
+
+# pair-resolved mode enumerates every per-atom assignment
+N_ORACLE = 5
 
 
 def enumerate_basis(
@@ -191,7 +188,6 @@ def enumerate_basis(
     n_max: int,
     mode: str = "symmetric",
     ryd_max: int | None = None,
-    n_oracle: int = 5,
     max_dim: int = 100_000,
 ) -> Basis:
     """Enumerate all states with at most n_max excitations.
@@ -202,7 +198,11 @@ def enumerate_basis(
     is occupied, holding two atoms and two excitations.  ryd_max, when
     set, additionally caps the interacting-manifold quanta; ryd_max=1
     realizes a perfectly blockaded register.  Pair-resolved mode keeps
-    p'/p'' as literal atom levels and is limited to n_atoms <= n_oracle.
+    p'/p'' as literal atom levels and is limited to n_atoms <= N_ORACLE.
+
+    States are built one choice at a time (a level's quanta, or an atom's
+    level), dropping every partial state that already breaks a cap, and
+    are ordered by excitation number, then state.
     """
     req = set(levels) - {GROUND}
     singles = tuple(lev for lev in LEVEL_ORDER if lev in req)
@@ -216,95 +216,104 @@ def enumerate_basis(
     if n_max < 0:
         raise BasisError("n_max must be non-negative")
 
-    states: list[tuple] = []
     if mode == "symmetric":
-        want_pairs = any(lev in PAIR_LEVELS for lev in singles)
-        singles = tuple(lev for lev in singles if lev not in PAIR_LEVELS)
-        levs = singles
-        if want_pairs:
-            r_present = [lev for lev in singles if lev in R_TYPE_LEVELS]
+        levs = tuple(lev for lev in singles if lev not in PAIR_LEVELS)
+        if len(levs) < len(singles):
+            r_present = [lev for lev in levs if lev in R_TYPE_LEVELS]
             if not r_present:
                 raise BasisError("pair levels require an r-type level")
-            channels = [
+            levs += tuple(
                 pair_mode(a, b)
                 for i, a in enumerate(r_present)
                 for b in r_present[i:]
-            ]
-            levs = singles + tuple(channels)
-        weights = [level_weight(lev) for lev in levs]
-        ranges = [range(n_max // w + 1) for w in weights]
-        for occ in product(*ranges):
-            if sum(n * w for n, w in zip(occ, weights)) > n_max:
-                continue
-            if sum(n for n, l in zip(occ, levs) if is_pair_mode(l)) > 1:
-                continue
-            if ryd_max is not None:
-                ryd = sum(
-                    n * w
-                    for n, w, l in zip(occ, weights, levs)
-                    if _is_rydberg(l)
-                )
-                if ryd > ryd_max:
-                    continue
-            states.append(occ)
-        weighted = {
-            occ: sum(n * w for n, w in zip(occ, weights)) for occ in states
-        }
-        states.sort(key=lambda occ: (weighted[occ], occ))
+            )
+        # a choice per level: its number of quanta
+        unit = np.eye(len(levs), dtype=int)
+        choices = []
+        for a, lev in enumerate(levs):
+            counts = range(n_max // level_weight(lev) + 1)
+            choices.append((counts, np.outer(counts, unit[a])))
     elif mode == "pair-resolved":
-        if n_atoms > n_oracle:
+        if n_atoms > N_ORACLE:
             raise BasisError(
-                f"pair-resolved mode supports n_atoms <= {n_oracle}, got {n_atoms}"
+                f"pair-resolved mode supports n_atoms <= {N_ORACLE}, got {n_atoms}"
             )
         levs = singles
-        atom_levels = (GROUND,) + levs
-        for assignment in product(atom_levels, repeat=n_atoms):
-            n_exc = sum(1 for lev in assignment if lev != GROUND)
-            if n_exc > n_max:
-                continue
-            if ryd_max is not None:
-                if sum(1 for lev in assignment if lev in RYDBERG_LEVELS) > ryd_max:
-                    continue
-            states.append(assignment)
-        states.sort(key=lambda s: (sum(1 for lev in s if lev != GROUND), s))
+        # a choice per atom: its level, listed in the order states sort by
+        names = sorted((GROUND,) + levs)
+        counts = np.array([[lev == name for lev in levs] for name in names], dtype=int)
+        choices = [(names, counts)] * n_atoms
     else:
         raise BasisError(f"unknown basis mode {mode!r}")
 
-    if len(states) > max_dim:
-        raise BasisError(f"basis dimension {len(states)} exceeds cap {max_dim}")
+    weights, ryd = _weights(levs), _weights(levs, _is_rydberg)
+    pairs = np.array([is_pair_mode(lev) for lev in levs], dtype=int)
+    picks = np.zeros((1, 0), dtype=int)
+    occ = np.zeros((1, len(levs)), dtype=int)
+    for labels, counts in choices:
+        n = len(labels)
+        picks = np.column_stack(
+            [np.repeat(picks, n, axis=0), np.tile(np.arange(n), len(picks))]
+        )
+        occ = np.repeat(occ, n, axis=0) + np.tile(counts, (len(occ), 1))
+        keep = (occ @ weights <= n_max) & (occ @ pairs <= 1)
+        if ryd_max is not None:
+            keep &= occ @ ryd <= ryd_max
+        picks, occ = picks[keep], occ[keep]
+        # every kept partial state completes to at least one state
+        if len(occ) > max_dim:
+            raise BasisError(
+                f"basis dimension exceeds cap {max_dim} (at least {len(occ)})"
+            )
+    order = np.lexsort(np.vstack([picks[:, ::-1].T, occ @ weights]))
+    picks, occ = picks[order], occ[order]
+    states = tuple(
+        tuple(labels[k] for (labels, _), k in zip(choices, row))
+        for row in picks.tolist()
+    )
+    occ.flags.writeable = False
     return Basis(
         mode=mode,
         n_atoms=n_atoms,
         levels=levs,
-        states=tuple(states),
+        states=states,
         index={s: i for i, s in enumerate(states)},
+        occ=occ,
     )
 
 
-def _coo(basis, rows, cols, vals) -> Operator:
-    m = sparse.coo_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)),
-        shape=(basis.dim, basis.dim),
-    ).tocsr()
+def _operator(basis, m) -> Operator:
+    """Operator holding m in canonical CSR form."""
+    m = m.tocsr()
     m.sum_duplicates()
     m.sort_indices()
     return Operator(basis, m)
 
 
-def _occ_move(basis, i, occ, frm, to):
-    """Occupation tuple with one atom moved frm -> to, or None if empty."""
-    occ = list(occ)
-    if frm == GROUND:
-        if basis.occupation(i, GROUND) < 1:
-            return None
-    else:
-        k = basis.levels.index(frm)
-        if occ[k] < 1:
-            return None
-        occ[k] -= 1
-    if to != GROUND:
-        occ[basis.levels.index(to)] += 1
-    return tuple(occ)
+def _coo(basis, rows, cols, vals) -> Operator:
+    return _operator(basis, sparse.coo_matrix(
+        (np.asarray(vals, dtype=complex), (rows, cols)),
+        shape=(basis.dim, basis.dim),
+    ))
+
+
+def _plus_hc(up):
+    """up + up^dagger, for a dense array or a sparse matrix."""
+    return up + up.conj().T
+
+
+def _moves(basis, changes):
+    """(rows, cols): changing the occupations of symmetric state cols by
+    ``changes`` ((level, delta) pairs, ground implicit) gives state rows."""
+    delta = np.zeros(len(basis.levels), dtype=int)
+    for lev, d in changes:
+        if lev != GROUND:
+            delta[basis.levels.index(lev)] += d
+    found = np.array(
+        [basis.index.get(tuple(row), -1) for row in (basis.occ + delta).tolist()]
+    )
+    cols = np.flatnonzero(found >= 0)
+    return found[cols], cols
 
 
 def _check_levels(basis, *levels):
@@ -321,45 +330,53 @@ def collective_op(basis: Basis, frm: str, to: str) -> Operator:
     is built.
     """
     _check_levels(basis, frm, to)
-    rows, cols, vals = [], [], []
     rootn = sqrt(basis.n_atoms)
     if basis.mode == "symmetric":
         if is_pair_mode(frm) or is_pair_mode(to):
             raise BasisError("pair quasi-modes are not single-atom levels")
-        for j, occ in enumerate(basis.states):
-            n_frm = basis.occupation(j, frm)
-            if frm == to:
-                if n_frm:
-                    rows.append(j)
-                    cols.append(j)
-                    vals.append(n_frm / rootn)
+        n_frm, n_to = basis.occupations(frm), basis.occupations(to)
+        if frm == to:
+            rows = cols = np.flatnonzero(n_frm)
+            vals = n_frm[cols] / rootn
+        else:
+            rows, cols = _moves(basis, [(frm, -1), (to, 1)])
+            vals = np.sqrt(n_frm[cols] * (n_to[cols] + 1)) / rootn
+        return _coo(basis, rows, cols, vals)
+    rows, cols = [], []
+    for j, state in enumerate(basis.states):
+        for i, lev in enumerate(state):
+            if lev != frm:
                 continue
-            new = _occ_move(basis, j, occ, frm, to)
-            if new is None or new not in basis.index:
-                continue
-            n_to = basis.occupation(j, to)
-            rows.append(basis.index[new])
-            cols.append(j)
-            vals.append(sqrt(n_frm * (n_to + 1)) / rootn)
-    else:
-        for j, state in enumerate(basis.states):
-            for i, lev in enumerate(state):
-                if lev != frm:
-                    continue
-                new = state[:i] + (to,) + state[i + 1:]
-                if new in basis.index:
-                    rows.append(basis.index[new])
-                    cols.append(j)
-                    vals.append(1.0 / rootn)
-    return _coo(basis, rows, cols, vals)
+            new = state[:i] + (to,) + state[i + 1:]
+            if new in basis.index:
+                rows.append(basis.index[new])
+                cols.append(j)
+    return _coo(basis, rows, cols, np.full(len(rows), 1.0 / rootn))
+
+
+def _diagonal(basis, diag) -> Operator:
+    idx = np.arange(basis.dim)
+    return _coo(basis, idx, idx, diag)
 
 
 def number_op(basis: Basis, level: str) -> Operator:
     """Diagonal occupancy of one level."""
     _check_levels(basis, level)
-    diag = [basis.occupation(i, level) for i in range(basis.dim)]
-    idx = list(range(basis.dim))
-    return _coo(basis, idx, idx, diag)
+    return _diagonal(basis, basis.occupations(level))
+
+
+def drive_generator(sig, occupancy, n_atoms: int, phase=0.0, detuning=0.0):
+    """The drive on one transition as H(rabi) = diag(shift) + rabi * unit:
+
+        unit  = (1/2) e^{i phase} sqrt(N) Sigma(to<-frm) + h.c.
+        shift = detuning * (occupancy of `to`)
+
+    so <r^1|H|g> = sqrt(N) rabi / 2 at zero phase, and a single atom
+    reduces to the usual rabi/2 coupling.  ``sig`` is the matrix of
+    ``collective_op(basis, frm, to)``, dense or sparse; ``unit`` has its
+    type.  Returns (shift, unit).
+    """
+    return detuning * occupancy, _plus_hc(0.5 * np.exp(1j * phase) * sqrt(n_atoms) * sig)
 
 
 def drive_term(
@@ -370,23 +387,12 @@ def drive_term(
     phase: float = 0.0,
     detuning: float = 0.0,
 ) -> Operator:
-    """Classical drive on one transition.
-
-    H = (rabi/2) e^{i phase} sqrt(N) Sigma(to<-frm) + h.c.
-        + detuning * (occupancy of `to`)
-
-    so <r^1|H|g> = sqrt(N) rabi / 2 at zero phase, and a single atom
-    reduces to the usual rabi/2 coupling.
-    """
-    sig = collective_op(basis, frm, to)
-    amp = 0.5 * rabi * np.exp(1j * phase) * sqrt(basis.n_atoms)
-    up = amp * sig.matrix
-    h = (up + up.conjugate().transpose()).tocsr()
-    if detuning != 0.0:
-        h = (h + detuning * number_op(basis, to).matrix).tocsr()
-    h.sum_duplicates()
-    h.sort_indices()
-    return Operator(basis, h)
+    """Classical drive on one transition; see ``drive_generator``."""
+    shift, unit = drive_generator(
+        collective_op(basis, frm, to).matrix, basis.occupations(to),
+        basis.n_atoms, phase, detuning,
+    )
+    return _operator(basis, rabi * unit + sparse.diags(shift))
 
 
 def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
@@ -413,21 +419,15 @@ def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
             )
         _check_levels(basis, *PAIR_LEVELS)
         for j, state in enumerate(basis.states):
-            for a in range(basis.n_atoms):
-                if state[a] not in R_TYPE_LEVELS:
-                    continue
-                for b in range(a + 1, basis.n_atoms):
-                    if state[b] not in R_TYPE_LEVELS:
-                        continue
-                    for pa, pb in ((PAIR_LEVELS[0], PAIR_LEVELS[1]),
-                                   (PAIR_LEVELS[1], PAIR_LEVELS[0])):
-                        new = list(state)
-                        new[a], new[b] = pa, pb
-                        new = tuple(new)
-                        if new in basis.index:
-                            rows.append(basis.index[new])
-                            cols.append(j)
-                            vals.append(kappa[a, b])
+            excited = [a for a, lev in enumerate(state) if lev in R_TYPE_LEVELS]
+            for (a, b), pair in product(combinations(excited, 2),
+                                        (PAIR_LEVELS, PAIR_LEVELS[::-1])):
+                new = list(state)
+                new[a], new[b] = pair
+                if tuple(new) in basis.index:
+                    rows.append(basis.index[tuple(new)])
+                    cols.append(j)
+                    vals.append(kappa[a, b])
     else:
         if convention not in ("split", "eq1"):
             raise ValueError(f"unknown splitting convention {convention!r}")
@@ -438,46 +438,21 @@ def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
             raise BasisError("basis has no transfer-pair quasi-modes")
         for tok in channels:
             la, lb = pair_channel(tok)
-            ia = basis.levels.index(la)
-            ib = basis.levels.index(lb)
-            it = basis.levels.index(tok)
-            for j, occ in enumerate(basis.states):
-                n_pair = occ[it]
-                if la == lb:
-                    na = occ[ia]
-                    if na < 2:
-                        continue
-                    elem = s * sqrt(na * (na - 1)) * sqrt(n_pair + 1)
-                else:
-                    na, nb = occ[ia], occ[ib]
-                    if na < 1 or nb < 1:
-                        continue
-                    # cross channels use the same calibrated element
-                    elem = s * sqrt(2.0) * sqrt(na * nb) * sqrt(n_pair + 1)
-                new = list(occ)
-                new[ia] -= 1
-                new[ib] -= 1
-                new[it] += 1
-                new = tuple(new)
-                if new in basis.index:
-                    rows.append(basis.index[new])
-                    cols.append(j)
-                    vals.append(elem)
-    up = sparse.coo_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)),
-        shape=(basis.dim, basis.dim),
-    ).tocsr()
-    h = (up + up.conjugate().transpose()).tocsr()
-    h.sum_duplicates()
-    h.sort_indices()
-    return Operator(basis, h)
+            r, c = _moves(basis, [(la, -1), (lb, -1), (tok, 1)])
+            na, nb = basis.occupations(la)[c], basis.occupations(lb)[c]
+            if la == lb:
+                amp = s * np.sqrt(na * (na - 1))
+            else:   # cross channels use the same calibrated element
+                amp = s * sqrt(2.0) * np.sqrt(na * nb)
+            rows.extend(r)
+            cols.extend(c)
+            vals.extend(amp * np.sqrt(basis.occupations(tok)[c] + 1))
+    return _operator(basis, _plus_hc(_coo(basis, rows, cols, vals).matrix))
 
 
 def rydberg_number(basis: Basis) -> Operator:
     """Total occupancy of the interacting manifold (pair modes count two)."""
-    diag = [basis.rydberg_count(i) for i in range(basis.dim)]
-    idx = list(range(basis.dim))
-    return _coo(basis, idx, idx, diag)
+    return _diagonal(basis, basis.rydberg_counts)
 
 
 def dephasing_term(basis: Basis, gamma_r: float) -> Operator:
@@ -507,51 +482,32 @@ def symmetric_embedding(sym_basis: Basis, pr_basis: Basis) -> np.ndarray:
         raise BasisError("expected (symmetric, pair-resolved) bases")
     if sym_basis.n_atoms != pr_basis.n_atoms:
         raise BasisError("atom numbers differ")
-    n = sym_basis.n_atoms
 
-    # translate each symmetric occupation into per-atom level counts
+    # per-atom level counts of each symmetric state: P[r,r] holds one p'
+    # and one p'' atom; a state in a level the pair-resolved basis lacks
+    # has no counterpart
+    for a, lev in enumerate(sym_basis.levels):
+        cross = is_pair_mode(lev) and len(set(pair_channel(lev))) == 2
+        if cross and sym_basis.occ[:, a].any():
+            raise BasisError("cross-channel pair modes have no literal counterpart")
+    parts = [PAIR_LEVELS if is_pair_mode(lev) else (lev,) for lev in sym_basis.levels]
     pr_levels = pr_basis.levels
-    targets = {}
-    for k, occ in enumerate(sym_basis.states):
-        counts = dict.fromkeys(pr_levels, 0)
-        ok = True
-        for lev, cnt in zip(sym_basis.levels, occ):
-            if cnt == 0:
-                continue
-            if is_pair_mode(lev):
-                a, b = pair_channel(lev)
-                if a != b:
-                    raise BasisError(
-                        "cross-channel pair modes have no literal counterpart"
-                    )
-                if cnt > 1 or PAIR_LEVELS[0] not in counts:
-                    ok = False
-                    break
-                counts[PAIR_LEVELS[0]] += 1
-                counts[PAIR_LEVELS[1]] += 1
-            elif lev in counts:
-                counts[lev] += cnt
-            else:
-                ok = False
-                break
-        if ok:
-            targets[tuple(counts[lev] for lev in pr_levels)] = k
-
-    mult = {}
-    for key, k in targets.items():
-        m = 1
-        remaining = n
-        for cnt in key:
-            m *= comb(remaining, cnt)
-            remaining -= cnt
-        mult[k] = m
-
+    to_pr = np.array([[lev in part for lev in pr_levels] for part in parts],
+                     dtype=int).reshape(len(parts), len(pr_levels))
+    missing = [not set(part) <= set(pr_levels) for part in parts]
+    keep = ~sym_basis.occ[:, missing].any(axis=1)
+    targets = {
+        tuple(counts): k
+        for k, counts in enumerate((sym_basis.occ @ to_pr).tolist())
+        if keep[k]
+    }
+    match = np.array(
+        [targets.get(tuple(counts), -1) for counts in pr_basis.occ.tolist()],
+        dtype=int,
+    )
+    rows = np.flatnonzero(match >= 0)
+    cols = match[rows]
+    # each column is spread evenly over the assignments it matches
     emb = np.zeros((pr_basis.dim, sym_basis.dim))
-    for i, state in enumerate(pr_basis.states):
-        key = tuple(
-            sum(1 for lev in state if lev == l) for l in pr_levels
-        )
-        if key in targets:
-            k = targets[key]
-            emb[i, k] = 1.0 / sqrt(mult[k])
+    emb[rows, cols] = 1.0 / np.sqrt(np.bincount(cols, minlength=sym_basis.dim)[cols])
     return emb

@@ -2,10 +2,12 @@
 
 Kept deliberately simple: a fixed-step RK4 integrator (no eigendecomposition,
 no matrix exponential), the closed-form resonant/detuned two-level propagator
-and its decaying counterpart, and the exact distance distribution of two
+and its decaying counterpart, the exact distance distribution of two
 uniform points in a box by deterministic quadrature (no sampling, no package
-geometry code).
+geometry code), and a state-by-state recount of basis occupations.
 """
+
+from itertools import product
 
 import numpy as np
 
@@ -68,6 +70,56 @@ def rk4_evolve(schedule, basis, static_terms, psi0, steps_per_unit=1000.0):
             psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += dt
     return psi
+
+
+_RYDBERG = {"r", "r+", "r-", "p'", "p''"}
+
+
+def recount(basis, state):
+    """({level: occupation}, excitations, interacting-manifold quanta) of a
+    state of ``basis``, counted from the state itself by plain loops.
+
+    A symmetric state is a tuple of occupations aligned with basis.levels,
+    where a pair quasi-mode "P[...]" holds two atoms; a pair-resolved state
+    is a tuple of per-atom level names.  The ground occupation is included.
+    """
+    occ, excitations, rydberg = {}, 0, 0
+    if basis.mode == "symmetric":
+        for level, n in zip(basis.levels, state):
+            weight = 2 if level.startswith("P[") else 1
+            occ[level] = n
+            excitations += weight * n
+            if level in _RYDBERG or level.startswith("P["):
+                rydberg += weight * n
+        occ["g"] = basis.n_atoms - excitations
+    else:
+        for level in basis.levels + ("g",):
+            occ[level] = 0
+        for level in state:
+            occ[level] += 1
+            if level != "g":
+                excitations += 1
+            if level in _RYDBERG:
+                rydberg += 1
+    return occ, excitations, rydberg
+
+
+def expected_states(basis, n_max, ryd_max):
+    """Every state over basis.levels within the caps (at most n_max
+    excitations, one pair quantum and ryd_max interacting quanta), ordered
+    by excitation number, then state."""
+    if basis.mode == "symmetric":
+        candidates = product(range(n_max + 1), repeat=len(basis.levels))
+    else:
+        candidates = product(("g",) + basis.levels, repeat=basis.n_atoms)
+    kept = []
+    for state in candidates:
+        occ, excitations, rydberg = recount(basis, state)
+        pairs = sum(n for level, n in occ.items() if level.startswith("P["))
+        if excitations <= n_max and pairs <= 1 and (
+                ryd_max is None or rydberg <= ryd_max):
+            kept.append((excitations, state))
+    return [state for _, state in sorted(kept)]
 
 
 def two_level_propagator(omega, delta, t):

@@ -16,6 +16,8 @@ from blockadesim.hilbert import (
     symmetric_embedding,
 )
 
+from .reference import expected_states, recount
+
 
 def test_enumeration_counts():
     assert enumerate_basis(2, ("r",), 2).dim == 3
@@ -53,6 +55,45 @@ def test_enumeration_errors():
         enumerate_basis(4, ("r", "p'"), 2)     # lone pair level
     with pytest.raises(BasisError):
         enumerate_basis(40, ("q", "r"), 12, max_dim=10)
+
+
+RECOUNT_LEVEL_SETS = (("r",), ("q", "r"), ("q", "r", "p'", "p''"),
+                      ("q+", "q-", "r+", "r-"))
+
+
+def _recount_cases():
+    for n_atoms in range(2, 6):
+        for levels in RECOUNT_LEVEL_SETS:
+            for n_max in range(1, min(n_atoms, 4) + 1):
+                for ryd_max in (None, 1, 2):
+                    yield n_atoms, levels, n_max, ryd_max
+
+
+def test_occupation_table_matches_recount():
+    # the same states in the same order as a brute-force listing, and every
+    # count read from the occupation table equals a plain recount
+    for n_atoms, levels, n_max, ryd_max in _recount_cases():
+        bases = [enumerate_basis(n_atoms, levels, n_max, mode=mode,
+                                 ryd_max=ryd_max)
+                 for mode in ("symmetric", "pair-resolved")]
+        for b in bases:
+            case = (b.mode, n_atoms, levels, n_max, ryd_max)
+            assert list(b.states) == expected_states(b, n_max, ryd_max), case
+            assert b.ground_index() == 0, case
+            ryd_diag = rydberg_number(b).matrix.diagonal()
+            number_diags = {lev: number_op(b, lev).matrix.diagonal()
+                            for lev in b.levels + ("g",)}
+            for i, state in enumerate(b.states):
+                occ, excitations, rydberg = recount(b, state)
+                assert b.excitations(i) == excitations, case
+                assert b.rydberg_count(i) == rydberg, case
+                assert ryd_diag[i] == rydberg, case
+                for lev, n in occ.items():
+                    assert b.occupation(i, lev) == n, (case, lev)
+                    assert number_diags[lev][i] == n, (case, lev)
+        sym, prb = bases
+        emb = symmetric_embedding(sym, prb)
+        np.testing.assert_allclose(emb.T @ emb, np.eye(sym.dim), atol=1e-12)
 
 
 def test_index_lookup_dense():
