@@ -246,31 +246,32 @@ def enumerate_basis(
     else:
         raise BasisError(f"unknown basis mode {mode!r}")
 
-    weights, ryd = _weights(levs), _weights(levs, _is_rydberg)
+    # one row per partial state: the choices made so far, then its
+    # occupations; a row that breaks a cap is dropped at once
+    weights = _weights(levs)
     pairs = np.array([is_pair_mode(lev) for lev in levs], dtype=int)
-    picks = np.zeros((1, 0), dtype=int)
-    occ = np.zeros((1, len(levs)), dtype=int)
-    for labels, counts in choices:
-        n = len(labels)
-        picks = np.column_stack(
-            [np.repeat(picks, n, axis=0), np.tile(np.arange(n), len(picks))]
-        )
-        occ = np.repeat(occ, n, axis=0) + np.tile(counts, (len(occ), 1))
-        keep = (occ @ weights <= n_max) & (occ @ pairs <= 1)
-        if ryd_max is not None:
-            keep &= occ @ ryd <= ryd_max
-        picks, occ = picks[keep], occ[keep]
+    caps = np.column_stack([weights, pairs, _weights(levs, _is_rydberg)])
+    limits = [n_max, 1, n_max if ryd_max is None else ryd_max]
+    n_fix = len(choices)
+    table = np.zeros((1, n_fix + len(levs)), dtype=int)
+    for f, (labels, counts) in enumerate(choices):
+        step = np.zeros((len(labels), table.shape[1]), dtype=int)
+        step[:, f] = np.arange(len(labels))
+        step[:, n_fix:] = counts
+        table = (table[:, None, :] + step).reshape(-1, table.shape[1])
+        table = table[(table[:, n_fix:] @ caps <= limits).all(axis=1)]
         # every kept partial state completes to at least one state
-        if len(occ) > max_dim:
+        if len(table) > max_dim:
             raise BasisError(
-                f"basis dimension exceeds cap {max_dim} (at least {len(occ)})"
+                f"basis dimension exceeds cap {max_dim} (at least {len(table)})"
             )
-    order = np.lexsort(np.vstack([picks[:, ::-1].T, occ @ weights]))
+    picks, occ = table[:, :n_fix], table[:, n_fix:]
+    order = np.lexsort([*picks[:, ::-1].T, occ @ weights])
     picks, occ = picks[order], occ[order]
-    states = tuple(
-        tuple(labels[k] for (labels, _), k in zip(choices, row))
-        for row in picks.tolist()
-    )
+    named = np.empty(picks.shape, dtype=object)
+    for f, (labels, _) in enumerate(choices):
+        named[:, f] = np.array(labels, dtype=object)[picks[:, f]]
+    states = tuple(map(tuple, named.tolist()))
     occ.flags.writeable = False
     return Basis(
         mode=mode,
