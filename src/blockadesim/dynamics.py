@@ -285,7 +285,7 @@ def evolve(
     states = [psi0]
     t0 = 0.0
     psi = psi0
-    sigmas = {}
+    transitions = {}
     for i_ev, ev in enumerate(schedule.events):
         if ev.duration == 0.0:
             continue
@@ -297,10 +297,10 @@ def evolve(
             # H(amp) = base + amp * unit from the dense collective operator,
             # built once per transition
             frm, to = ev.transition
-            if ev.transition not in sigmas:
-                sigmas[ev.transition] = collective_op(basis, frm, to).dense()
+            if ev.transition not in transitions:
+                transitions[ev.transition] = collective_op(basis, frm, to).dense()
             shift, unit = drive_generator(
-                sigmas[ev.transition], basis.occupations(to), basis.n_atoms,
+                transitions[ev.transition], basis.occupations(to), basis.n_atoms,
                 ev.phase, ev.detuning,
             )
             base = h_static + np.diag(shift) if ev.detuning != 0.0 else h_static

@@ -377,7 +377,8 @@ def drive_generator(sig, occupancy, n_atoms: int, phase=0.0, detuning=0.0):
     ``collective_op(basis, frm, to)``, dense or sparse; ``unit`` has its
     type.  Returns (shift, unit).
     """
-    return detuning * occupancy, _plus_hc(0.5 * np.exp(1j * phase) * sqrt(n_atoms) * sig)
+    up = 0.5 * np.exp(1j * phase) * sqrt(n_atoms) * sig
+    return detuning * occupancy, _plus_hc(up)
 
 
 def drive_term(

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -57,22 +59,16 @@ def test_enumeration_errors():
         enumerate_basis(40, ("q", "r"), 12, max_dim=10)
 
 
-RECOUNT_LEVEL_SETS = (("r",), ("q", "r"), ("q", "r", "p'", "p''"),
-                      ("q+", "q-", "r+", "r-"))
-
-
-def _recount_cases():
-    for n_atoms in range(2, 6):
-        for levels in RECOUNT_LEVEL_SETS:
-            for n_max in range(1, min(n_atoms, 4) + 1):
-                for ryd_max in (None, 1, 2):
-                    yield n_atoms, levels, n_max, ryd_max
-
-
 def test_occupation_table_matches_recount():
     # the same states in the same order as a brute-force listing, and every
-    # count read from the occupation table equals a plain recount
-    for n_atoms, levels, n_max, ryd_max in _recount_cases():
+    # count read from the occupation table equals a plain recount; n_max
+    # reaches 4 so that the one-pair cap is exercised
+    level_sets = (("r",), ("q", "r"), ("q", "r", "p'", "p''"),
+                  ("q+", "q-", "r+", "r-"))
+    for n_atoms, levels, n_max, ryd_max in product(
+            range(2, 6), level_sets, range(1, 5), (None, 1, 2)):
+        if n_max > n_atoms:
+            continue
         bases = [enumerate_basis(n_atoms, levels, n_max, mode=mode,
                                  ryd_max=ryd_max)
                  for mode in ("symmetric", "pair-resolved")]
