@@ -426,8 +426,9 @@ def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
                                         (PAIR_LEVELS, PAIR_LEVELS[::-1])):
                 new = list(state)
                 new[a], new[b] = pair
-                if tuple(new) in basis.index:
-                    rows.append(basis.index[tuple(new)])
+                i = basis.index.get(tuple(new))
+                if i is not None:
+                    rows.append(i)
                     cols.append(j)
                     vals.append(kappa[a, b])
     else:
