@@ -195,8 +195,7 @@ class EvolutionResult:
 
 
 def wrap_phase(a: float) -> float:
-    """Wrap an angle to (-pi, pi]; within 1e-9 of -pi it reads +pi, so a
-    phase of pi up to rounding keeps one sign."""
+    """Wrap an angle to (-pi, pi]; within 1e-9 of -pi it reads +pi."""
     out = (a + np.pi) % (2.0 * np.pi) - np.pi
     if out <= -np.pi + 1e-9:
         out = np.pi
@@ -299,10 +298,8 @@ def evolve(
             frm, to = ev.transition
             if ev.transition not in transitions:
                 transitions[ev.transition] = collective_op(basis, frm, to).dense()
-            shift, unit = drive_generator(
-                transitions[ev.transition], basis.occupations(to), basis.n_atoms,
-                ev.phase, ev.detuning,
-            )
+            shift, unit = drive_generator(basis, to, transitions[ev.transition],
+                                          ev.phase, ev.detuning)
             base = h_static + np.diag(shift) if ev.detuning != 0.0 else h_static
             if isinstance(ev.omega, SampledEnvelope):
                 segs = _propagate_envelope(base, unit, k, ev, psi, dts, tol, i_ev)

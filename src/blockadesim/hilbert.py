@@ -366,7 +366,7 @@ def number_op(basis: Basis, level: str) -> Operator:
     return _diagonal(basis, basis.occupations(level))
 
 
-def drive_generator(sig, occupancy, n_atoms: int, phase=0.0, detuning=0.0):
+def drive_generator(basis: Basis, to: str, sig, phase=0.0, detuning=0.0):
     """The drive on one transition as H(rabi) = diag(shift) + rabi * unit:
 
         unit  = (1/2) e^{i phase} sqrt(N) Sigma(to<-frm) + h.c.
@@ -377,8 +377,8 @@ def drive_generator(sig, occupancy, n_atoms: int, phase=0.0, detuning=0.0):
     ``collective_op(basis, frm, to)``, dense or sparse; ``unit`` has its
     type.  Returns (shift, unit).
     """
-    up = 0.5 * np.exp(1j * phase) * sqrt(n_atoms) * sig
-    return detuning * occupancy, _plus_hc(up)
+    up = 0.5 * np.exp(1j * phase) * sqrt(basis.n_atoms) * sig
+    return detuning * basis.occupations(to), _plus_hc(up)
 
 
 def drive_term(
@@ -390,10 +390,8 @@ def drive_term(
     detuning: float = 0.0,
 ) -> Operator:
     """Classical drive on one transition; see ``drive_generator``."""
-    shift, unit = drive_generator(
-        collective_op(basis, frm, to).matrix, basis.occupations(to),
-        basis.n_atoms, phase, detuning,
-    )
+    sig = collective_op(basis, frm, to).matrix
+    shift, unit = drive_generator(basis, to, sig, phase, detuning)
     return _operator(basis, rabi * unit + sparse.diags(shift))
 
 
