@@ -180,6 +180,8 @@ def hermiticity_defect(op: Operator) -> float:
 
 # pair-resolved mode enumerates every per-atom assignment
 N_ORACLE = 5
+# candidate rows enumerate_basis holds at once (~2 MB per table column)
+_CANDIDATES = 1 << 18
 
 
 def enumerate_basis(
@@ -227,11 +229,12 @@ def enumerate_basis(
                 for i, a in enumerate(r_present)
                 for b in r_present[i:]
             )
-        # a choice per level: its number of quanta
+        # a choice per level: its number of quanta (more than max_dim + 1
+        # values that pass the caps would break max_dim anyway)
         unit = np.eye(len(levs), dtype=int)
         choices = []
         for a, lev in enumerate(levs):
-            counts = range(n_max // level_weight(lev) + 1)
+            counts = range(min(n_max // level_weight(lev), max_dim) + 1)
             choices.append((counts, np.outer(counts, unit[a])))
     elif mode == "pair-resolved":
         if n_atoms > N_ORACLE:
@@ -253,18 +256,22 @@ def enumerate_basis(
     caps = np.column_stack([weights, pairs, _weights(levs, _is_rydberg)])
     limits = [n_max, 1, n_max if ryd_max is None else ryd_max]
     n_fix = len(choices)
-    table = np.zeros((1, n_fix + len(levs)), dtype=int)
+    width = n_fix + len(levs)
+    table = np.zeros((1, width), dtype=int)
     for f, (labels, counts) in enumerate(choices):
-        step = np.zeros((len(labels), table.shape[1]), dtype=int)
+        step = np.zeros((len(labels), width), dtype=int)
         step[:, f] = np.arange(len(labels))
         step[:, n_fix:] = counts
-        table = (table[:, None, :] + step).reshape(-1, table.shape[1])
-        table = table[(table[:, n_fix:] @ caps <= limits).all(axis=1)]
-        # every kept partial state completes to at least one state
-        if len(table) > max_dim:
-            raise BasisError(
-                f"basis dimension exceeds cap {max_dim} (at least {len(table)})"
-            )
+        # extend a block of rows at a time: at most _CANDIDATES rows at once
+        block = max(1, _CANDIDATES // len(labels))
+        kept = []
+        for lo in range(0, len(table), block):
+            rows = (table[lo:lo + block, None, :] + step).reshape(-1, width)
+            kept.append(rows[(rows[:, n_fix:] @ caps <= limits).all(axis=1)])
+            # every kept partial state completes to at least one state
+            if sum(map(len, kept)) > max_dim:
+                raise BasisError(f"basis dimension exceeds cap {max_dim}")
+        table = np.concatenate(kept)
     picks, occ = table[:, :n_fix], table[:, n_fix:]
     order = np.lexsort([*picks[:, ::-1].T, occ @ weights])
     picks, occ = picks[order], occ[order]
@@ -296,11 +303,6 @@ def _coo(basis, rows, cols, vals) -> Operator:
         (np.asarray(vals, dtype=complex), (rows, cols)),
         shape=(basis.dim, basis.dim),
     ))
-
-
-def _plus_hc(up):
-    """up + up^dagger, for a dense array or a sparse matrix."""
-    return up + up.conj().T
 
 
 def _moves(basis, changes):
@@ -378,7 +380,7 @@ def drive_generator(basis: Basis, to: str, sig, phase=0.0, detuning=0.0):
     type.  Returns (shift, unit).
     """
     up = 0.5 * np.exp(1j * phase) * sqrt(basis.n_atoms) * sig
-    return detuning * basis.occupations(to), _plus_hc(up)
+    return detuning * basis.occupations(to), up + up.conj().T
 
 
 def drive_term(
@@ -448,7 +450,8 @@ def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
             rows.extend(r)
             cols.extend(c)
             vals.extend(amp * np.sqrt(basis.occupations(tok)[c] + 1))
-    return _operator(basis, _plus_hc(_coo(basis, rows, cols, vals).matrix))
+    up = _coo(basis, rows, cols, vals).matrix
+    return _operator(basis, up + up.conj().T)
 
 
 def rydberg_number(basis: Basis) -> Operator:
