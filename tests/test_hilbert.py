@@ -59,6 +59,16 @@ def test_enumeration_errors():
         enumerate_basis(40, ("q", "r"), 12, max_dim=10)
 
 
+def test_oversized_basis_refused_while_built(deadline):
+    # refused once a partial table passes max_dim, without listing every
+    # candidate or holding them all in memory
+    with deadline(2), pytest.raises(BasisError):
+        enumerate_basis(10**8, ("q", "r"), 10**8)
+    with deadline(2), pytest.raises(BasisError):
+        enumerate_basis(10**6, ("q+", "q-", "r+", "r-", "p'", "p''"), 10**6,
+                        ryd_max=2)
+
+
 def test_occupation_table_matches_recount():
     # the same states in the same order as a brute-force listing, and every
     # count read from the occupation table equals a plain recount; n_max
