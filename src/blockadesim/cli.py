@@ -457,7 +457,7 @@ def _run_splitting(config, out_dir: Path) -> dict:
 
 
 def _rabi_fit(times, pops, freq_guess):
-    import scipy.optimize   # deferred: about half the import time of this module
+    import scipy.optimize   # deferred: costs several times this module's import
 
     def model(t, w, a):
         return a * np.sin(0.5 * w * t) ** 2
@@ -623,6 +623,11 @@ def _run_error_budget(config, out_dir: Path) -> dict:
         for kt_i, sim, est in zip(result.kappa_T, result.p_sim, result.p_est)
     ]
     closed_form = 1.0 / (4.0 * pi)
+    adiabatic = errmod.adiabatic_prefactor(n, p["convention"])
+    high = result.kappa_T >= 100.0
+    adiabatic_err = np.abs(
+        result.kappa_T[high] ** 2 * result.p_sim[high] / adiabatic - 1.0
+    )
     geom_factor = errmod.geometry_factor(
         8, (10.0, 10.0, 10.0), seed=config["seed"]
     )
@@ -640,11 +645,15 @@ def _run_error_budget(config, out_dir: Path) -> dict:
             "pulse_duration": T,
             "p_deph_est": p_deph_est,
             "p_deph_sim": p_deph_sim,
+            "adiabatic_prefactor": adiabatic,
         },
         checks={
             "slope_minus2_within_0.1": bool(abs(result.slope + 2.0) < 0.1),
             "prefactor_within_3x_closed_form": bool(
                 closed_form / 3.0 < result.prefactor < 3.0 * closed_form
+            ),
+            "prefactor_within_5pct_adiabatic": bool(
+                high.any() and (adiabatic_err < 0.05).all()
             ),
         },
     )

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
-import scipy.linalg
 
 from .hilbert import Basis, collective_op, drive_generator
 
@@ -244,6 +243,8 @@ def _propagate_constant(h, k, psi, dt_list):
         w, u = np.linalg.eigh(h)
         coef = u.conj().T @ psi
         return [u @ (np.exp(-1j * w * dt) * coef) for dt in dt_list]
+    import scipy.linalg   # deferred: only decaying segments need it
+
     gen = -1j * (h - 1j * np.diag(k))
     out, step = [psi], 0.0
     for span in np.diff(dt_list, prepend=0.0):

@@ -39,6 +39,18 @@ def p_doub_estimate(kappa_bar: float, T: float) -> float:
     return _clamp01(1.0 / (4.0 * pi * (kappa_bar * T) ** 2))
 
 
+def adiabatic_prefactor(n_atoms: int, convention: str = "eq1") -> float:
+    """Prefactor A of the leakage p_doub = A / (kappa_bar T)^2 of a resonant
+    g -> r pi-pulse in the adiabatic-elimination limit kappa_bar T >> 1.
+
+    |r^2> hybridizes into two eigenstates at +-E, with E = sqrt(2) kappa_bar
+    ("eq1") or kappa_bar / 2 ("split"), which gives (N-1)/N pi^2/4 and
+    2 pi^2 (N-1)/N respectively.
+    """
+    factor = {"eq1": pi**2 / 4, "split": 2 * pi**2}[convention]
+    return (n_atoms - 1) / n_atoms * factor
+
+
 def p_deph_estimate(gamma_r: float, T: float) -> float:
     """Dephasing probability gamma_r T, clamped to 1."""
     if gamma_r < 0 or T < 0:
@@ -139,9 +151,9 @@ def blockade_scaling_experiment(
     the <=1-excitation manifold at t = T is recorded.  A log-log fit
     returns slope (the -2 law) and prefactor A of p = A (kappa_bar T)^slope.
 
-    The measured prefactor is (N-1)/N * pi^2/4 under the "eq1" convention
-    (2 pi^2 (N-1)/N under "split"), i.e. about pi^3 (respectively 8 pi^3)
-    times the 1/(4 pi) closed form, which drops those dynamical factors.
+    The measured prefactor is ``adiabatic_prefactor``, about pi^3 ("eq1")
+    or 8 pi^3 ("split") times the 1/(4 pi) closed form, which drops those
+    dynamical factors.
     """
     kts = np.asarray(sorted(kappa_T_values), dtype=float)
     if (kts < 5.0).any():

@@ -37,9 +37,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from math import sqrt
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sparse
+
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 GROUND = "g"
 LEVEL_ORDER = ("q", "q+", "q-", "r", "r+", "r-", "p'", "p''")
@@ -299,6 +302,8 @@ def _operator(basis, m) -> Operator:
 
 
 def _coo(basis, rows, cols, vals) -> Operator:
+    import scipy.sparse as sparse   # deferred: keeps scipy off the import path
+
     return _operator(basis, sparse.coo_matrix(
         (np.asarray(vals, dtype=complex), (rows, cols)),
         shape=(basis.dim, basis.dim),
@@ -392,6 +397,8 @@ def drive_term(
     detuning: float = 0.0,
 ) -> Operator:
     """Classical drive on one transition; see ``drive_generator``."""
+    import scipy.sparse as sparse
+
     sig = collective_op(basis, frm, to).matrix
     shift, unit = drive_generator(basis, to, sig, phase, detuning)
     return _operator(basis, rabi * unit + sparse.diags(shift))

@@ -1,5 +1,8 @@
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,6 +165,45 @@ def test_error_budget_experiment(tmp_path):
     assert len(lines) == 7
     summary = json.loads((tmp_path / "error_budget_summary.json").read_text())
     assert -2.2 < summary["results"]["slope"] < -1.8
+
+
+@pytest.mark.parametrize("convention", ["eq1", "split"])
+def test_error_budget_matches_adiabatic_prefactor(tmp_path, convention):
+    code = run_cli("error-budget", "--out-dir", str(tmp_path),
+                   "--convention", convention)
+    assert code == 0
+    summary = json.loads((tmp_path / "error_budget_summary.json").read_text())
+    assert summary["checks"]["prefactor_within_5pct_adiabatic"] is True
+    assert summary["results"]["adiabatic_prefactor"] > 0
+
+
+_IMPORT_PATH_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+out = sys.argv[2]
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3]
+
+import blockadesim, blockadesim.cli as cli
+assert scipy_modules() == [], scipy_modules()
+assert cli.main(["splitting-stats", "--configs", "200", "--out-dir", out]) == 0
+assert scipy_modules() == [], scipy_modules()
+assert cli.main(["rabi", "--gamma-r", "0.01", "--periods", "0.25",
+                 "--out-dir", out]) == 0
+assert "scipy.linalg" in sys.modules
+"""
+
+
+def test_import_path_loads_no_scipy(tmp_path):
+    """Importing the package and running splitting-stats load no scipy; a
+    decaying run loads scipy.linalg on first use."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PATH_PROBE, src, str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_oracle_check_experiment(tmp_path):

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from blockadesim.dynamics import Pulse, Schedule, evolve
 from blockadesim.errors import (
     atom_number_sensitivity,
     blockade_scaling_experiment,
@@ -13,6 +16,7 @@ from blockadesim.errors import (
     regime_check,
 )
 from blockadesim.geometry import coupling_matrix, sample_positions
+from blockadesim.hilbert import dipole_term, enumerate_basis
 
 
 def test_p_doub_values():
@@ -88,6 +92,33 @@ def test_dephasing_norm_loss_exact():
     gamma, T = 0.05, 1.0
     loss = dephasing_norm_loss(gamma, T)
     assert loss == pytest.approx(p_deph_estimate(gamma, T), rel=0.05)
+
+
+@pytest.mark.parametrize("n_atoms", [3, 4, 5])
+def test_geometry_leakage_matches_pair_sum(n_atoms):
+    """Leakage of a pi-pulse on sampled positions is pi^2/4 p_doub_geometry.
+
+    Each sampled coupling matrix is rescaled so that kappa_min T = 100 and
+    1000; the pair-resolved register (no symmetric projection) then gives
+    the population with >= 2 excitations, and its ratio to the pair-sum
+    estimator is the same dynamical factor pi^2/4 that criterion 2 finds
+    for uniform couplings.
+    """
+    T = np.pi / np.sqrt(n_atoms)
+    basis = enumerate_basis(n_atoms, ("r", "p'", "p''"), 2,
+                            mode="pair-resolved", ryd_max=2)
+    doubles = basis.excitation_counts >= 2
+    psi0 = basis.basis_vector(("g",) * n_atoms)
+    pulse = Schedule((Pulse(("g", "r"), 1.0, T),))
+    for seed in range(6):
+        cm = coupling_matrix(sample_positions(n_atoms, (10, 10, 10), seed), 1.0)
+        kappa_min = cm.kappa[~np.eye(n_atoms, dtype=bool)].min()
+        for kmin_T in (100.0, 1000.0):
+            scaled = replace(cm, kappa=cm.kappa * kmin_T / (kappa_min * T))
+            res = evolve(pulse, basis, [dipole_term(basis, scaled)], psi0)
+            leak = res.populations[-1][doubles].sum()
+            ratio = leak / p_doub_geometry(scaled, T)
+            assert ratio == pytest.approx(np.pi**2 / 4, rel=0.01), (seed, kmin_T)
 
 
 def test_blockade_scaling_slope_and_prefactor():
