@@ -24,6 +24,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import functools
 import io
 import json
 import os
@@ -371,12 +372,24 @@ def _fmt(x) -> str:
     return str(x)
 
 
+# cell types whose column renders without a check per cell: all cells of a
+# column of one of these types are formatted as ``_fmt`` would format them
+_COLUMN_FORMAT = {float: "%.12g".__mod__, np.float64: "%.12g".__mod__, int: str}
+
+
+def _column(cells) -> list[str]:
+    """One table column, rendered as ``_fmt`` renders each cell."""
+    kinds = set(map(type, cells))
+    render = _COLUMN_FORMAT.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(render or _fmt, cells))
+
+
 def _csv_text(header: list[str], rows) -> str:
+    """The CSV table of equally long rows, rendered column by column."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) for x in row])
+    writer.writerows(zip(*map(_column, zip(*rows))))
     return buf.getvalue()
 
 
@@ -722,6 +735,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built once per process (parsing leaves it
+    unchanged)."""
+    return build_parser()
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """defaults <- config file <- command-line flags.
 
@@ -773,9 +793,8 @@ def _write_all(artifacts: dict) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:

@@ -271,11 +271,17 @@ def splitting_ks(
     distance between the empirical cdf and the renormalized analytic cdf.
     """
     lo, hi = window
-    xs = np.sort(samples[(samples >= lo) & (samples <= hi)])
+    # one sort of a float copy of all samples (NaN sorts last); the window
+    # is a slice of it
+    xs = np.sort(np.asarray(samples, dtype=float))
+    xs = xs[np.searchsorted(xs, lo, "left"):np.searchsorted(xs, hi, "right")]
     if len(xs) == 0:
         raise GeometryError("no samples inside the comparison window")
     fa = analytic_window_cdf(xs, window)
     n = len(xs)
-    d_hi = np.abs(np.arange(1, n + 1) / n - fa).max()
-    d_lo = np.abs(np.arange(0, n) / n - fa).max()
+    steps = np.arange(n + 1, dtype=float)
+    steps /= n
+    # the samples are spent: their buffer holds |step - fa| of each side
+    d_hi = np.abs(np.subtract(steps[1:], fa, out=xs), out=xs).max()
+    d_lo = np.abs(np.subtract(steps[:-1], fa, out=xs), out=xs).max()
     return float(max(d_hi, d_lo))

@@ -293,21 +293,40 @@ def enumerate_basis(
     )
 
 
-def _operator(basis, m) -> Operator:
-    """Operator holding m in canonical CSR form."""
-    m = m.tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
+def _coo(basis, rows, cols, vals) -> Operator:
+    """Operator with entries vals at (rows, cols), duplicates summed in
+    input order, in canonical CSR form: rows in order, columns sorted and
+    unique within a row (what ``coo_matrix(...).tocsr()`` gives after
+    ``sum_duplicates`` and ``sort_indices``), without the COO round trip."""
+    import scipy.sparse as sparse   # deferred: keeps scipy off the import path
+
+    dim = basis.dim
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    indptr = np.zeros(dim + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
+    # scipy stores the indices in the smallest integer type that holds them
+    m = sparse.csr_matrix((np.asarray(vals, dtype=complex)[order], cols, indptr),
+                          shape=(dim, dim))
+    if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
+        m.sum_duplicates()
+    else:
+        m.has_canonical_format = True
     return Operator(basis, m)
 
 
-def _coo(basis, rows, cols, vals) -> Operator:
-    import scipy.sparse as sparse   # deferred: keeps scipy off the import path
-
-    return _operator(basis, sparse.coo_matrix(
-        (np.asarray(vals, dtype=complex), (rows, cols)),
-        shape=(basis.dim, basis.dim),
-    ))
+def _sum(basis, *terms) -> Operator:
+    """Sum of duplicate-free (rows, cols, vals) terms, equal bit for bit to
+    what scipy's sparse ``+`` of the terms gives: each entry is the sum of
+    its terms plus a complex zero (as scipy adds the missing operand, which
+    turns -0.0 into 0.0), and an entry that sums to zero is dropped."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
+    m = _coo(basis, rows, cols, vals).matrix
+    m.data += 0
+    if not m.data.all():
+        m.eliminate_zeros()
+    return Operator(basis, m)
 
 
 def _moves(basis, changes):
@@ -397,11 +416,11 @@ def drive_term(
     detuning: float = 0.0,
 ) -> Operator:
     """Classical drive on one transition; see ``drive_generator``."""
-    import scipy.sparse as sparse
-
     sig = collective_op(basis, frm, to).matrix
     shift, unit = drive_generator(basis, to, sig, phase, detuning)
-    return _operator(basis, rabi * unit + sparse.diags(shift))
+    diag = np.arange(basis.dim)
+    rows = np.repeat(diag, np.diff(unit.indptr))
+    return _sum(basis, (rows, unit.indices, rabi * unit.data), (diag, diag, shift))
 
 
 def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
@@ -457,8 +476,8 @@ def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
             rows.extend(r)
             cols.extend(c)
             vals.extend(amp * np.sqrt(basis.occupations(tok)[c] + 1))
-    up = _coo(basis, rows, cols, vals).matrix
-    return _operator(basis, up + up.conj().T)
+    up = np.asarray(vals, dtype=complex)     # up + up^dagger
+    return _sum(basis, (rows, cols, up), (cols, rows, up.conj()))
 
 
 def rydberg_number(basis: Basis) -> Operator:
@@ -475,8 +494,7 @@ def dephasing_term(basis: Basis, gamma_r: float) -> Operator:
     """
     if gamma_r < 0:
         raise ValueError(f"gamma_r must be >= 0, got {gamma_r}")
-    num = rydberg_number(basis)
-    return Operator(basis, (-0.5j * gamma_r) * num.matrix)
+    return _diagonal(basis, (-0.5j * gamma_r) * basis.rydberg_counts)
 
 
 def symmetric_embedding(sym_basis: Basis, pr_basis: Basis) -> np.ndarray:

@@ -1,0 +1,99 @@
+"""Digest of every artifact the CLI writes for a fixed set of runs.
+
+Not a test module (pytest collects only ``test_*.py``).  Given the root of a
+checkout, it runs in process, against that checkout's ``src`` and
+``perfbench``:
+
+* the seven experiments at their defaults (``splitting-stats`` with
+  ``--configs 2000``);
+* every ``cli`` op of ``perfbench.workloads.build_ops`` for both workloads at
+  seeds 1 and 2.
+
+Every run writes into the same out-dir, which is emptied before each run, so
+that the config echoed in a summary is the same for any two checkouts.  Each
+written file prints as ``<run>/<file> <exit code> <sha256>``, and each run's
+captured stdout and stderr as ``<run>:stdout`` / ``<run>:stderr`` lines.
+Comparing two checkouts is one ``diff``:
+
+    python tests/artifact_digest.py PARENT_ROOT > parent.txt
+    python tests/artifact_digest.py .           > change.txt
+    diff parent.txt change.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+DEFAULT_RUNS = (
+    ("splitting-stats", "--configs", "2000"),
+    ("rabi",), ("fock",), ("superpose",), ("gate",), ("error-budget",),
+    ("oracle-check",),
+)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def runs():
+    """(name, argv, input files) of every run, in order."""
+    from perfbench.workloads import WORKLOADS, build_ops
+
+    for argv in DEFAULT_RUNS:
+        yield f"default/{argv[0]}", list(argv), ()
+    for workload in WORKLOADS:
+        for seed in (1, 2):
+            for op in build_ops(workload, seed):
+                if op.kind == "cli":
+                    yield f"{workload}/{seed}/{op.name}", list(op.args), op.files
+
+
+def digest(root: Path, out: Path) -> list[str]:
+    sys.path[:0] = [str(root / "src"), str(root)]
+    from blockadesim import cli
+
+    inputs, run_dir = out / "inputs", out / "run"
+    lines = []
+    for name, argv, files in runs():
+        for path in (inputs, run_dir):
+            shutil.rmtree(path, ignore_errors=True)
+            path.mkdir(parents=True)
+        for fname, text in files:
+            (inputs / fname).write_text(text)
+        argv = [a.replace("{tmp}", str(inputs)) for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            rc = cli.main(argv + ["--out-dir", str(run_dir)])
+        for path in sorted(run_dir.rglob("*")):
+            if path.is_file():
+                rel = path.relative_to(run_dir)
+                lines.append(f"{name}/{rel} {rc} {_sha(path.read_bytes())}")
+        lines.append(f"{name}:stdout {rc} {_sha(stdout.getvalue().encode())}")
+        lines.append(f"{name}:stderr {rc} {_sha(stderr.getvalue().encode())}")
+    shutil.rmtree(out, ignore_errors=True)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("root", type=Path, help="root of the checkout to digest")
+    parser.add_argument(
+        "--out-dir", type=Path,
+        default=Path(tempfile.gettempdir()) / "blockadesim_artifact_digest",
+        help="scratch dir for the runs (emptied; use the same one for both "
+             "checkouts)",
+    )
+    args = parser.parse_args(argv)
+    print("\n".join(digest(args.root.resolve(), args.out_dir.resolve())))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -511,3 +511,72 @@ def test_any_config_file_exits_0_or_2(tmp_path, monkeypatch, capsys, data):
     if code == cli.EXIT_OK:
         assert json.loads(out)["experiment"] == experiment
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+_DEFAULT_RUNS = [[exp] for exp in cli.EXPERIMENTS if exp != "splitting-stats"] \
+    + [["splitting-stats", "--configs", "2000"]]
+
+
+def _default_artifacts(out: Path) -> dict:
+    """Every experiment at its defaults into ``out``: {file: bytes}."""
+    for argv in _DEFAULT_RUNS:
+        assert run_cli(*argv, "--out-dir", str(out)) == 0
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    for p in out.iterdir():
+        p.unlink()
+    return files
+
+
+def test_parser_is_built_once_and_survives_every_outcome(tmp_path, monkeypatch,
+                                                         capsys):
+    """main parses with one parser per process; rejected configs, unknown
+    flags and --help leave it fit for the runs that follow, and every run
+    at defaults writes the same bytes twice."""
+    parser = cli._parser()
+
+    def rebuilt():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    out = tmp_path / "out"
+    assert run_cli("fock", "--n-atoms", "4", "--n-target", "5",
+                   "--out-dir", str(out)) == cli.EXIT_CONFIG
+    assert run_cli("rabi", "--no-such-flag", "1") == cli.EXIT_CONFIG
+    assert run_cli("--help") == cli.EXIT_OK
+    assert "splitting-stats" in capsys.readouterr().out
+    first = _default_artifacts(out)
+    second = _default_artifacts(out)
+    assert len(first) == 2 * len(cli.EXPERIMENTS) + 3    # + 3 schedule dumps
+    assert first == second
+    assert cli._parser() is parser
+    monkeypatch.undo()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_csv_text_renders_each_type():
+    """Floats as %.12g, ints and strings as written, bools as JSON spells
+    them; a column of mixed types renders cell by cell."""
+    py = [float("inf"), float("-inf"), float("nan"), -0.0, 1e-300, 0.1 + 0.2,
+          1.0 / 3.0]
+    rows = zip(
+        py,
+        np.array(py),
+        [0, -1, 2**70, 3, 4, 5, 6],
+        [np.int64(-7), np.int32(8), np.uint8(9), np.int64(0), np.int64(1),
+         np.int64(2), np.int64(3)],
+        [True, False, np.True_, np.False_, True, np.bool_(True), False],
+        ["a", "b,c", 'q"d', "", "x y", "line\nbreak", "z"],
+        [1, 2.5, "s", np.float32(0.5), None, np.bool_(False), 1e20],
+    )
+    assert cli._csv_text(["py", "np", "int", "npint", "bool", "str", "mixed"],
+                         rows) == (
+        "py,np,int,npint,bool,str,mixed\r\n"
+        "inf,inf,0,-7,true,a,1\r\n"
+        '-inf,-inf,-1,8,false,"b,c",2.5\r\n'
+        'nan,nan,1180591620717411303424,9,true,"q""d",s\r\n'
+        "-0,-0,3,0,false,,0.5\r\n"
+        "1e-300,1e-300,4,1,true,x y,None\r\n"
+        '0.3,0.3,5,2,true,"line\nbreak",false\r\n'
+        "0.333333333333,0.333333333333,6,3,false,z,1e+20\r\n"
+    )
+    assert cli._csv_text(["a", "b"], []) == "a,b\r\n"

@@ -274,3 +274,37 @@ def test_ks_machinery_against_inverse_cdf_samples():
 def test_ks_detects_wrong_distribution():
     rng = np.random.default_rng(0)
     assert splitting_ks(rng.uniform(0.2, 20.0, 5000)) > 0.2
+
+
+def _masked_ks(samples, window):
+    """splitting_ks as it read before the window became a slice of one
+    sort: mask, sort the masked copy, one arange per side."""
+    lo, hi = window
+    xs = np.sort(samples[(samples >= lo) & (samples <= hi)])
+    if len(xs) == 0:
+        raise GeometryError("no samples inside the comparison window")
+    fa = geometry.analytic_window_cdf(xs, window)
+    n = len(xs)
+    d_hi = np.abs(np.arange(1, n + 1) / n - fa).max()
+    d_lo = np.abs(np.arange(0, n) / n - fa).max()
+    return float(max(d_hi, d_lo))
+
+
+def test_ks_window_slice_matches_masked_sort():
+    x = splitting_distribution(2000, 6, (10, 10, 10), 1000.0, seed=4,
+                               statistic="all-pairs").samples.copy()
+    # non-finite entries sort outside the window; the edges are inside it
+    x[::7], x[::11], x[::13] = np.nan, np.inf, -np.inf
+    x[1], x[2], x[3] = 0.2, 20.0, 0.0
+    finite = np.sort(x[np.isfinite(x)])
+    for window in ((0.2, 20.0), (0.5, 3.0), (finite[100], finite[2000])):
+        assert splitting_ks(x, window) == _masked_ks(x, window)
+    # other dtypes compare and interpolate in double precision, as before
+    for samples in (x.astype(np.float32), (10 * finite).astype(int)):
+        assert splitting_ks(samples, (0.2, 20.0)) == _masked_ks(samples, (0.2, 20.0))
+    for samples, window in ((x, (1e6, 1e7)), (np.array([np.nan, 1.0]), (2.0, 3.0)),
+                            (np.array([]), (0.2, 20.0))):
+        with pytest.raises(GeometryError):
+            _masked_ks(samples, window)
+        with pytest.raises(GeometryError):
+            splitting_ks(samples, window)

@@ -2,13 +2,17 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
+from blockadesim import hilbert
 from blockadesim.geometry import CouplingMatrix
 from blockadesim.hilbert import (
     BasisError,
+    Operator,
     collective_op,
     dephasing_term,
     dipole_term,
+    drive_generator,
     drive_term,
     enumerate_basis,
     hermiticity_defect,
@@ -400,3 +404,77 @@ def test_symmetric_subspace_consistency(n_atoms):
     ]
     for a_sym, a_pr in zip(cases, prs):
         np.testing.assert_allclose(emb.T @ a_pr @ emb, a_sym, atol=1e-10)
+
+
+def _canonical(m):
+    """m as canonical CSR through scipy: tocsr, sum_duplicates, sort_indices."""
+    m = m.tocsr()
+    m.sum_duplicates()
+    m.sort_indices()
+    return m
+
+
+def _scipy_coo(basis, rows, cols, vals):
+    return Operator(basis, _canonical(sparse.coo_matrix(
+        (np.asarray(vals, dtype=complex), (rows, cols)),
+        shape=(basis.dim, basis.dim),
+    )))
+
+
+def _scipy_sum(basis, *terms):
+    return Operator(basis, _canonical(sum(
+        _scipy_coo(basis, *term).matrix for term in terms
+    )))
+
+
+def _scipy_drive_term(basis, frm, to, rabi, phase=0.0, detuning=0.0):
+    sig = collective_op(basis, frm, to).matrix
+    shift, unit = drive_generator(basis, to, sig, phase, detuning)
+    return Operator(basis, _canonical(rabi * unit + sparse.diags(shift)))
+
+
+def _scipy_dephasing_term(basis, gamma_r):
+    return Operator(basis, (-0.5j * gamma_r) * rydberg_number(basis).matrix)
+
+
+def _operators(basis, drive, dephasing):
+    """Every kind of operator on a basis; drive and dephasing terms from the
+    given functions."""
+    singles = ["g"] + [lev for lev in basis.levels if not lev.startswith("P[")]
+    out = [rydberg_number(basis), dephasing(basis, 0.37)]
+    out += [number_op(basis, lev) for lev in singles]
+    for frm, to in product(singles, repeat=2):     # frm == to included
+        out.append(collective_op(basis, frm, to))
+        out.append(drive(basis, frm, to, 0.8, phase=0.7, detuning=-2.5))
+        out.append(drive(basis, frm, to, -1.3, phase=np.pi / 2))
+    if basis.mode == "symmetric":
+        out += [dipole_term(basis, 3.3, convention=c) for c in ("split", "eq1")]
+    else:
+        kappa = np.arange(basis.n_atoms**2, dtype=float).reshape(basis.n_atoms, -1)
+        kappa = kappa + kappa.T - np.diag(np.diag(kappa + kappa.T))
+        out.append(dipole_term(basis, CouplingMatrix(kappa=kappa, c3=0.0)))
+    return out
+
+
+@pytest.mark.parametrize("mode, levels", [
+    ("symmetric", ("q", "r", "p'", "p''")),
+    ("symmetric", ("q+", "q-", "r+", "r-", "p'", "p''")),
+    ("pair-resolved", ("q", "r", "p'", "p''")),
+])
+def test_operators_match_scipy_canonical_csr(monkeypatch, mode, levels):
+    """Operators assembled straight into CSR equal, bit for bit, those that
+    scipy's COO -> CSR conversion, sum_duplicates, sort_indices and sparse
+    sums give (the pair-resolved collective_op(b, x, x) holds duplicates)."""
+    basis = enumerate_basis(3, levels, 2, mode=mode)
+    got = _operators(basis, drive_term, dephasing_term)
+    monkeypatch.setattr(hilbert, "_coo", _scipy_coo)
+    monkeypatch.setattr(hilbert, "_sum", _scipy_sum)
+    want = _operators(basis, _scipy_drive_term, _scipy_dephasing_term)
+    assert len(got) == len(want)
+    for a, b in zip((op.matrix for op in got), (op.matrix for op in want)):
+        assert a.data.tobytes() == b.data.tobytes()
+        for name in ("indices", "indptr"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype and np.array_equal(x, y)
+        assert a.nnz == b.nnz
+        assert a.has_canonical_format and b.has_canonical_format
