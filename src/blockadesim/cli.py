@@ -29,7 +29,7 @@ import io
 import json
 import os
 import sys
-from math import isfinite, pi, sqrt
+from math import inf, isfinite, pi, prod, sqrt
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -135,6 +135,12 @@ def _reals(value, count: int) -> bool:
         and all(_is_real(x) for x in value)
 
 
+def _volume(box) -> float:
+    """The box volume in floating point, which may underflow to 0 or
+    overflow to inf."""
+    return prod(map(float, box))
+
+
 def _numbers_arg(text: str) -> list[float]:
     """A ``--flag`` type: comma-separated numbers (the kind checks how many)."""
     return [float(x) for x in text.split(",")]
@@ -211,8 +217,8 @@ _TABLE = {
         Param("configs", 30000, _count(1, 3_000_000)),
         Param("atoms", 2, _count(2)),
         Param("box", [10.0, 10.0, 10.0], _kind(
-            lambda v: _reals(v, 3) and min(v) > 0,
-            "three positive finite lengths",
+            lambda v: _reals(v, 3) and min(v) > 0 and 0 < _volume(v) < inf,
+            "three positive finite lengths with a positive finite volume",
             type=_numbers_arg, metavar="LX,LY,LZ")),
         Param("c3", 1000.0, _positive()),
         Param("statistic", "min-pair", _choice("min-pair", "all-pairs")),
@@ -344,9 +350,12 @@ def validate(config: dict) -> list[str]:
     for key in sorted(set(p) - set(DEFAULT_PARAMS[exp])):
         v.append(f"params.{key}: unknown key for experiment {exp}")
     v += _check(p, _TABLE[exp][1], "params.")
-    if exp == "splitting-stats" and not v \
-            and p["configs"] * p["atoms"] * (p["atoms"] - 1) // 2 > _MAX_PAIRS:
-        v.append(f"params.configs: configs x atom pairs must be <= {_MAX_PAIRS}")
+    if exp == "splitting-stats" and not v:
+        if p["configs"] * p["atoms"] * (p["atoms"] - 1) // 2 > _MAX_PAIRS:
+            v.append(f"params.configs: configs x atom pairs must be "
+                     f"<= {_MAX_PAIRS}")
+        if not 0 < p["c3"] / _volume(p["box"]) < inf:
+            v.append("params.box: c3 / volume must be positive and finite")
     return v
 
 
@@ -442,18 +451,10 @@ def _run_splitting(config, out_dir: Path) -> dict:
         bins=p["bins"],
     )
     ks = geometry.splitting_ks(hist.samples, window=tuple(p["window"]))
-    dens = hist.density()
-    centers = np.sqrt(hist.bin_edges[:-1] * hist.bin_edges[1:])
-    rows = [
-        (
-            hist.bin_edges[i],
-            hist.bin_edges[i + 1],
-            int(hist.counts[i]),
-            dens[i],
-            geometry.analytic_splitting_pdf(centers[i]),
-        )
-        for i in range(len(hist.counts))
-    ]
+    edges = hist.bin_edges
+    analytic = geometry.analytic_splitting_pdf(np.sqrt(edges[:-1] * edges[1:]))
+    rows = zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.density(),
+               analytic)
     kb = geometry.kappa_bar(float(np.prod(p["box"])), float(p["c3"]))
     return _artifacts(
         config, out_dir,

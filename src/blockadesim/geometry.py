@@ -164,14 +164,18 @@ def _config_positions(
     counters, i.e. 4x that many doubles, of which the first 3 n_atoms are
     its coordinates (atom-major).  Reaching ``first`` is one ``advance``, so
     configuration k is a pure function of (seed, k, n_atoms) and a chunked
-    run reproduces the serial batch bit for bit.
+    run reproduces the serial batch bit for bit.  The (n_configs, n_atoms, 3)
+    result is a view of (3, n_atoms, n_configs) storage, the layout of the
+    pair kernels.
     """
     block = _counter_block(n_atoms)
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(first * block)
     u = np.random.Generator(bitgen).random((n_configs, 4 * block))
-    pts = u[:, : 3 * n_atoms].reshape(n_configs, n_atoms, 3)
-    return pts * np.asarray(box, dtype=float)
+    pts = np.empty((3, n_atoms, n_configs)).transpose(2, 1, 0)
+    np.multiply(u[:, : 3 * n_atoms].reshape(n_configs, n_atoms, 3),
+                np.asarray(box, dtype=float), out=pts)
+    return pts
 
 
 def _position_chunks(n_configs: int, n_atoms: int, box, seed: int):
@@ -219,7 +223,8 @@ def splitting_distribution(
     else:
         kernel = _kernels.all_pair_kappa
     chunks = _position_chunks(n_configs, n_atoms, box, seed)
-    x = np.concatenate([kernel(pos, c3) for pos in chunks]) / kb
+    x = np.concatenate([kernel(pos, c3) for pos in chunks])
+    x /= kb
     if window is None:
         lo = x.min() * (1.0 - 1e-12)
         hi = x.max() * (1.0 + 1e-12)
@@ -237,26 +242,42 @@ def splitting_distribution(
     )
 
 
+# x below which the closed-form splitting density is exactly 0.0 in doubles
+_PDF_ZERO_BELOW = 0.04
+
+
 def analytic_splitting_pdf(x):
     """Closed-form splitting density sqrt(2) pi exp(-pi^3/(18 x^2)) / (6 x^2).
 
     Random-gas approximation for the normalized splitting x = kappa/kappa_bar.
     Defined for x > 0; its mass on (0, inf) is not unity, so comparisons
-    renormalize on a finite window (see ``splitting_ks``).
+    renormalize on a finite window (see ``splitting_ks``).  Where the density
+    underflows, below x ~ 0.048 and above x ~ 1e154, it is 0.0.
     """
     arr = np.asarray(x, dtype=float)
     if (arr <= 0).any():
         raise ValueError("analytic_splitting_pdf requires x > 0")
-    out = np.sqrt(2.0) * np.pi * np.exp(-np.pi**3 / (18.0 * arr * arr)) / (6.0 * arr * arr)
+    # below the floor x * x could underflow to 0 and give 0/0
+    arr = np.maximum(arr, _PDF_ZERO_BELOW)
+    with np.errstate(over="ignore"):     # x * x = inf: the density is 0.0
+        out = np.sqrt(2.0) * np.pi * np.exp(-np.pi**3 / (18.0 * arr * arr)) \
+            / (6.0 * arr * arr)
     return out if out.ndim else float(out)
 
 
 def analytic_window_cdf(xgrid: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    """CDF of the analytic pdf renormalized to unit mass on the window."""
+    """CDF of the analytic pdf renormalized to unit mass on the window.
+
+    Raises GeometryError when the analytic mass on the window is zero or not
+    finite, i.e. there is nothing to renormalize.
+    """
     lo, hi = window
     grid = np.geomspace(lo, hi, 8001)
     pdf = analytic_splitting_pdf(grid)
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
+    if not 0.0 < cdf[-1] < np.inf:
+        raise GeometryError(f"analytic density has mass {cdf[-1]:g} on the "
+                            f"comparison window {lo:g}..{hi:g}")
     cdf /= cdf[-1]
     return np.interp(xgrid, grid, cdf)
 
@@ -269,6 +290,7 @@ def splitting_ks(
     Both distributions are renormalized to unit mass on the window: samples
     outside are dropped, the analytic cdf is rescaled.  Returns the sup
     distance between the empirical cdf and the renormalized analytic cdf.
+    Raises GeometryError when either has no mass on the window.
     """
     lo, hi = window
     # one sort of a float copy of all samples (NaN sorts last); the window

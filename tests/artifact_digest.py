@@ -5,7 +5,7 @@ checkout, it runs in process, against that checkout's ``src`` and
 ``perfbench``:
 
 * the seven experiments at their defaults (``splitting-stats`` with
-  ``--configs 2000``);
+  ``--configs 2000``), and ``splitting-stats`` over all pairs of 16 atoms;
 * every ``cli`` op of ``perfbench.workloads.build_ops`` for both workloads at
   seeds 1 and 2.
 
@@ -33,6 +33,8 @@ from pathlib import Path
 
 DEFAULT_RUNS = (
     ("splitting-stats", "--configs", "2000"),
+    ("splitting-stats", "--configs", "2000", "--statistic", "all-pairs",
+     "--atoms", "16"),
     ("rabi",), ("fock",), ("superpose",), ("gate",), ("error-budget",),
     ("oracle-check",),
 )
@@ -47,7 +49,7 @@ def runs():
     from perfbench.workloads import WORKLOADS, build_ops
 
     for argv in DEFAULT_RUNS:
-        yield f"default/{argv[0]}", list(argv), ()
+        yield "default/" + ",".join(argv), list(argv), ()
     for workload in WORKLOADS:
         for seed in (1, 2):
             for op in build_ops(workload, seed):

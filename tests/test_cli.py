@@ -446,6 +446,36 @@ def test_non_finite_numbers_rejected(tmp_path, capsys):
         assert "params.amplitudes" in err
 
 
+def test_box_volume_out_of_float_range_rejected(tmp_path, capsys):
+    # each length is valid, the volume underflows to 0 or overflows to inf
+    for box in ("1e-300,1e-300,1e-300", "1e300,1e300,1e300"):
+        err = _rejected(capsys, tmp_path, "splitting-stats", "--box", box,
+                        "--configs", "200")
+        assert "params.box" in err
+    # a finite volume whose c3 / V overflows or underflows
+    for box, c3 in (("1e-110,1e-110,1e-110", "1000"), ("1e100,1e100,1e100", "1e-30")):
+        err = _rejected(capsys, tmp_path, "splitting-stats", "--box", box,
+                        "--c3", c3, "--configs", "200")
+        assert "params.box" in err
+
+
+def test_window_reaching_the_density_underflow(tmp_path):
+    # x * x underflows in the analytic density on these windows
+    for window in ("1e-300,1e300", "1e-200,0.3"):
+        out = tmp_path / window
+        assert run_cli("splitting-stats", "--window", window,
+                       "--out-dir", str(out)) == cli.EXIT_OK
+        text = (out / "splitting_stats_summary.json").read_text()
+        assert "NaN" not in text
+        assert 0 <= json.loads(text)["results"]["ks_distance"] <= 1
+    # samples inside the window, but no analytic mass on it
+    out = tmp_path / "flat"
+    assert run_cli("splitting-stats", "--box", "100,1,1", "--window",
+                   "1e-5,0.04", "--configs", "2000",
+                   "--out-dir", str(out)) == cli.EXIT_NUMERICAL
+    assert not out.exists()
+
+
 def test_bool_is_not_an_integer(tmp_path, capsys):
     cases = (
         ("splitting-stats", {"params": {"atoms": True}}, "params.atoms"),

@@ -170,6 +170,32 @@ def test_analytic_pdf_values():
         analytic_splitting_pdf(-1.0)
 
 
+def test_analytic_pdf_is_zero_where_it_underflows():
+    # below x ~ 0.048 the density is 0.0 in doubles; x * x underflowing to 0
+    # must not turn that into 0/0
+    tiny = np.array([5e-324, 1e-300, 1e-200, 1e-162, 1e-100, 1e-3, 0.03])
+    assert np.array_equal(analytic_splitting_pdf(tiny), np.zeros(len(tiny)))
+    assert analytic_splitting_pdf(1e-300) == 0.0
+    assert analytic_splitting_pdf(1e300) == 0.0
+    # bit-identical to the closed form where it does not underflow
+    xs = np.concatenate([np.geomspace(0.04, 1e150, 4001), [0.0480939, 0.05, 1.0]])
+    direct = np.sqrt(2.0) * np.pi * np.exp(-np.pi**3 / (18.0 * xs * xs)) \
+        / (6.0 * xs * xs)
+    assert np.array_equal(analytic_splitting_pdf(xs), direct)
+    assert analytic_splitting_pdf(xs).max() > 0
+
+
+def test_ks_on_windows_reaching_the_underflow():
+    samples = splitting_distribution(30000, 2, (10, 10, 10), 1000.0, seed=1).samples
+    for window in ((1e-300, 1e300), (1e-200, 0.3)):
+        assert 0.0 <= splitting_ks(samples, window) <= 1.0
+    # samples inside a window where the analytic density has no mass
+    flat = splitting_distribution(200, 2, (100, 1, 1), 1000.0, seed=1).samples
+    assert ((flat > 1e-5) & (flat < 0.04)).any()
+    with pytest.raises(GeometryError, match="mass"):
+        splitting_ks(flat, (1e-5, 0.04))
+
+
 def test_histogram_reproducible():
     h1 = splitting_distribution(200, 2, (10, 10, 10), c3=1000.0, seed=7)
     h2 = splitting_distribution(200, 2, (10, 10, 10), c3=1000.0, seed=7)
