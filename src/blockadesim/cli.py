@@ -29,7 +29,7 @@ import io
 import json
 import os
 import sys
-from math import inf, isfinite, pi, prod, sqrt
+from math import hypot, inf, isfinite, pi, prod, sqrt
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -40,7 +40,7 @@ from . import geometry, oracle, protocols, units
 from .dynamics import (PhaseUndefinedError, Schedule, StiffnessError, evolve,
                        fidelity)
 from .geometry import GeometryError
-from .hilbert import BasisError
+from .hilbert import N_ORACLE, BasisError
 from .protocols import CompilationError
 
 EXIT_OK = 0
@@ -276,11 +276,11 @@ _TABLE = {
               Kind(_kappa_t, None)),
     )),
     "oracle-check": ("symmetric vs brute-force modes", (
-        Param("n_atoms", 3, _count(2, 5)),
+        Param("n_atoms", 3, _count(2, N_ORACLE)),
         Param("kappa", 40.0, _frequency()),
         Param("omega", 1.0, _frequency()),
         Param("omega_q", 1.0, _frequency()),
-        Param("n_max", None, _count(1, nullable=True)),
+        Param("n_max", None, _count(1, nullable=True), capped=True),
         Param("samples_per_schedule", 24, _count(4, 4096)),
     )),
 }
@@ -354,8 +354,11 @@ def validate(config: dict) -> list[str]:
         if p["configs"] * p["atoms"] * (p["atoms"] - 1) // 2 > _MAX_PAIRS:
             v.append(f"params.configs: configs x atom pairs must be "
                      f"<= {_MAX_PAIRS}")
-        if not 0 < p["c3"] / _volume(p["box"]) < inf:
-            v.append("params.box: c3 / volume must be positive and finite")
+        kb, diag = p["c3"] / _volume(p["box"]), hypot(*p["box"])
+        # two atoms at opposite corners give the smallest sample x
+        if not (0 < kb < inf and p["c3"] / (diag * diag * diag) / kb > 0):
+            v.append("params.box: c3 / volume must be positive and finite, "
+                     "and so must x = (c3 / diagonal^3) / (c3 / volume)")
     return v
 
 

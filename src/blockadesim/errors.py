@@ -141,12 +141,11 @@ def blockade_scaling_experiment(
     kappa_T_values,
     n_atoms: int = 10,
     convention: str = "eq1",
-    theta: float = pi,
 ) -> BlockadeScalingResult:
-    """Simulated double-excitation leakage of a theta-pulse vs kappa_bar T.
+    """Simulated double-excitation leakage of a pi-pulse vs kappa_bar T.
 
     For each grid point the register is driven resonantly for the
-    full-transfer time T = theta / (sqrt(N) omega) with the pair coupling
+    full-transfer time T = pi / (sqrt(N) omega) with the pair coupling
     set to kappa_bar = (kappa_bar T) / T, and the population left outside
     the <=1-excitation manifold at t = T is recorded.  A log-log fit
     returns slope (the -2 law) and prefactor A of p = A (kappa_bar T)^slope.
@@ -159,8 +158,8 @@ def blockade_scaling_experiment(
     if (kts < 5.0).any():
         raise ValueError("kappa_bar T grid values must be >= 5")
     omega = 1.0
-    T = theta / (sqrt(n_atoms) * omega)
-    pulse = rabi_pulse(n_atoms, omega, theta)
+    T = pi / (sqrt(n_atoms) * omega)
+    pulse = rabi_pulse(n_atoms, omega, pi)
     p_sim = np.empty_like(kts)
     p_est = np.empty_like(kts)
     for i, kt in enumerate(kts):

@@ -10,6 +10,8 @@ Monte-Carlo statistics draw configuration k from counter block k of one
 easy as 1, 2, 3", SC'11), so any chunk of configurations is reached
 directly and reproduces the serial run.  Pair distances are reduced one
 chunk of configurations at a time over the upper-triangle pairs only.
+A single ensemble (``sample_positions``, ``coupling_matrix``) is
+configuration 0 of that stream, with the same pair kernel.
 """
 
 from __future__ import annotations
@@ -82,29 +84,31 @@ def sample_positions(
 ) -> EnsembleGeometry:
     """Draw n uniform positions in the box, optionally with a hard core.
 
-    With an exclusion radius the draw is rejection sampling: candidates
-    closer than the radius to an accepted atom are discarded.  Exceeding
-    ``max_tries`` consecutive rejections raises GeometryError (the
-    constraint is infeasible at this density).  Deterministic for a fixed
-    seed.
+    Without an exclusion radius this is Monte-Carlo configuration 0
+    (``_config_positions``).  With one, candidates are taken in order from
+    the same ``Philox(key=seed)`` doubles and discarded when closer than the
+    radius to an accepted atom; ``max_tries`` consecutive rejections raise
+    GeometryError (the constraint is infeasible at this density).
     """
     if n < 2:
         raise ValueError(f"need at least 2 atoms, got {n}")
     box = tuple(float(b) for b in box)
     if min(box) <= 0:
         raise ValueError(f"box dimensions must be positive, got {box}")
-    rng = np.random.default_rng(seed)
-    if exclusion_radius is None or exclusion_radius == 0.0:
-        pts = rng.uniform(0.0, 1.0, size=(n, 3)) * np.asarray(box)
+    if exclusion_radius is not None and not 0.0 <= exclusion_radius < np.inf:
+        raise ValueError(f"exclusion radius must be >= 0 and finite, "
+                         f"got {exclusion_radius}")
+    if not exclusion_radius:
+        pts = _config_positions(1, n, box, seed)[0]
         return EnsembleGeometry(positions=pts, box=box, seed=seed)
 
+    draw = np.random.Generator(np.random.Philox(key=seed)).random
     accepted = np.empty((n, 3))
-    count = 0
-    tries = 0
+    count = tries = 0
     r2_min = exclusion_radius**2
     while count < n:
-        cand = rng.uniform(0.0, 1.0, size=3) * np.asarray(box)
-        if count == 0 or (((accepted[:count] - cand) ** 2).sum(axis=1) >= r2_min).all():
+        cand = draw(3) * box
+        if (((accepted[:count] - cand) ** 2).sum(axis=1) >= r2_min).all():
             accepted[count] = cand
             count += 1
             tries = 0
@@ -119,14 +123,13 @@ def sample_positions(
 
 
 def coupling_matrix(geom: EnsembleGeometry, c3: float) -> CouplingMatrix:
-    """Pairwise couplings kappa_ij = c3 / r_ij^3 for a geometry."""
-    diff = geom.positions[:, None, :] - geom.positions[None, :, :]
-    r = np.sqrt((diff * diff).sum(axis=-1))
-    offdiag = ~np.eye(geom.n_atoms, dtype=bool)
-    if (r[offdiag] < _R_MIN).any():
+    """Pairwise couplings kappa_ij = c3 / r_ij^3 by the Monte-Carlo kernel."""
+    r2 = _kernels.pair_r2(geom.positions[None])[0]
+    if (r2 < _R_MIN**2).any():
         raise GeometryError("coincident atoms: pair distance below 1e-9 um")
-    kappa = np.zeros_like(r)
-    kappa[offdiag] = c3 / r[offdiag] ** 3
+    iu, ju = np.triu_indices(geom.n_atoms, 1)
+    kappa = np.zeros((geom.n_atoms, geom.n_atoms))
+    kappa[iu, ju] = kappa[ju, iu] = c3 / r2**1.5
     return CouplingMatrix(kappa=kappa, c3=c3)
 
 
@@ -200,16 +203,14 @@ def splitting_distribution(
     seed: int,
     statistic: str = "min-pair",
     bins: int = 60,
-    window: tuple[float, float] | None = None,
 ) -> SplittingHistogram:
     """Monte-Carlo histogram of x = kappa/kappa_bar over configurations.
 
     statistic "min-pair" records the smallest pair coupling of each
     configuration (the blockade-limiting splitting); "all-pairs" records
-    every pair.  Bins are geometric; by default they span the full sample
-    range so the counts sum to the sample count, an explicit window crops
-    them (samples stay available in ``samples`` either way).  Configuration
-    k is a pure function of (seed, k, n_atoms); see ``_config_positions``.
+    every pair.  Bins are geometric and span the full sample range, so the
+    counts sum to the sample count.  Configuration k is a pure function of
+    (seed, k, n_atoms); see ``_config_positions``.
     """
     if n_configs < 1:
         raise ValueError(f"n_configs must be >= 1, got {n_configs}")
@@ -225,12 +226,9 @@ def splitting_distribution(
     chunks = _position_chunks(n_configs, n_atoms, box, seed)
     x = np.concatenate([kernel(pos, c3) for pos in chunks])
     x /= kb
-    if window is None:
-        lo = x.min() * (1.0 - 1e-12)
-        hi = x.max() * (1.0 + 1e-12)
-        hi = hi if hi > lo else lo * (1.0 + 1e-9)
-    else:
-        lo, hi = window
+    lo = x.min() * (1.0 - 1e-12)
+    hi = x.max() * (1.0 + 1e-12)
+    hi = hi if hi > lo else lo * (1.0 + 1e-9)
     edges = np.geomspace(lo, hi, bins + 1)
     counts, _ = np.histogram(x, bins=edges)
     return SplittingHistogram(

@@ -184,7 +184,6 @@ def superposition_schedule(
     target: TargetSuperposition,
     omega: float,
     omega_q: float,
-    residual_tol: float = 1e-9,
 ) -> Schedule:
     """Schedule preparing |g> -> sum_m alpha_m |q^m> under perfect blockade.
 
@@ -192,8 +191,8 @@ def superposition_schedule(
     alternating q->r and r->g rotations (angle and phase solved per step
     from the current amplitudes) drain the highest occupied rung until only
     the ground state remains; the time- and phase-reversed sequence is
-    returned.  Raises CompilationError if the drain leaves more than
-    residual_tol of population outside |g>.
+    returned.  Raises CompilationError if the drain leaves more than 1e-9
+    of population outside |g>.
     """
     if omega <= 0 or omega_q <= 0:
         raise ValueError("Rabi amplitudes must be positive")
@@ -227,10 +226,8 @@ def superposition_schedule(
         psi = evolve(Schedule((pulse,)), basis, [], psi).final_state
 
     residual = 1.0 - abs(psi[basis.ground_index()]) ** 2
-    if residual > residual_tol:
-        raise CompilationError(
-            f"emptying residual {residual:.3e} above {residual_tol:.1e}"
-        )
+    if residual > 1e-9:
+        raise CompilationError(f"emptying residual {residual:.3e} above 1e-9")
     return Schedule(tuple(emptying)).reversed()
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from blockadesim import cli
 from blockadesim.dynamics import Schedule
+from blockadesim.hilbert import N_ORACLE
 from blockadesim.protocols import CompilationError
 
 
@@ -457,6 +458,25 @@ def test_box_volume_out_of_float_range_rejected(tmp_path, capsys):
         err = _rejected(capsys, tmp_path, "splitting-stats", "--box", box,
                         "--c3", c3, "--configs", "200")
         assert "params.box" in err
+
+
+@pytest.mark.parametrize("box", ["1e150,1e-150,1", "1e100,1e-200,1"])
+def test_box_whose_farthest_pair_leaves_the_float_range_rejected(
+        box, tmp_path, capsys):
+    # finite c3 / V, but the diagonal's r^3 overflows (first) or its
+    # x = (c3 / r^3) / (c3 / V) underflows (second), so a sample would be 0
+    err = _rejected(capsys, tmp_path, "splitting-stats", "--box", box,
+                    "--configs", "100")
+    assert "params.box" in err
+
+
+def test_oracle_check_n_max_above_n_atoms_rejected(tmp_path, capsys):
+    err = _rejected(capsys, tmp_path, "oracle-check", "--n-atoms", "3",
+                    "--n-max", "5")
+    assert "params.n_max" in err and "params.n_atoms" in err
+    err = _rejected(capsys, tmp_path, "oracle-check", "--n-atoms",
+                    str(N_ORACLE + 1))
+    assert "params.n_atoms" in err
 
 
 def test_window_reaching_the_density_underflow(tmp_path):

@@ -62,6 +62,21 @@ def test_geometry_factor_matches_cube_moment():
     assert got == pytest.approx(expected, rel=0.1)
 
 
+@pytest.mark.parametrize("n_atoms", [2, 3, 6, 16])
+def test_geometry_factor_is_the_pair_sum_of_one_sampled_ensemble(n_atoms):
+    # geometry_factor's configuration 0 is sample_positions: its factor is
+    # p_doub_geometry of that ensemble times (kappa_bar T)^2, for any T
+    from blockadesim.errors import geometry_factor
+
+    box, c3, T = (10.0, 10.0, 10.0), 1000.0, 100.0
+    for seed in range(5):
+        geom = sample_positions(n_atoms, box, seed)
+        p = p_doub_geometry(coupling_matrix(geom, c3), T)
+        assert p < 1.0   # not clamped
+        factor = geometry_factor(n_atoms, box, seed, n_configs=1)
+        assert factor == pytest.approx(p * (c3 / geom.volume * T) ** 2, rel=1e-12)
+
+
 def test_estimate_budget_composes():
     est = estimate_budget(kappa_bar=50.0, gamma_r=0.02, T=1.0)
     assert est.p_doub == pytest.approx(p_doub_estimate(50.0, 1.0))

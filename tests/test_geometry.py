@@ -57,6 +57,36 @@ def test_exclusion_radius_infeasible():
                          max_tries=200)
 
 
+def test_exclusion_radius_must_be_non_negative_and_finite():
+    for radius in (-1.5, -1e-300, np.inf, np.nan):
+        with pytest.raises(ValueError, match="exclusion radius"):
+            sample_positions(3, (10, 10, 10), seed=0, exclusion_radius=radius)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 16])
+def test_single_ensemble_is_monte_carlo_configuration_zero(n):
+    box = (5.0, 4.0, 3.0)
+    for seed in range(5):
+        config0 = geometry._config_positions(1, n, box, seed)[0]
+        # a radius of 1e-9 um rejects nothing here: the same doubles
+        for radius in (None, 0.0, 1e-9):
+            geom = sample_positions(n, box, seed, exclusion_radius=radius)
+            assert np.array_equal(geom.positions, config0)
+        geom = sample_positions(n, box, seed)
+        c3 = 1000.0
+        x = min_pair_splitting(coupling_matrix(geom, c3)) / kappa_bar(geom.volume, c3)
+        assert x == splitting_distribution(1, n, box, c3, seed).samples[0]
+
+
+def test_rejection_takes_candidates_in_stream_order():
+    # accepted atoms are an ordered subsequence of the stream's triples
+    box = (10.0, 10.0, 10.0)
+    geom = sample_positions(30, box, seed=3, exclusion_radius=1.5)
+    stream = np.random.Generator(np.random.Philox(key=3)).random((3000, 3)) * box
+    rows = [int(np.flatnonzero((stream == p).all(axis=1))[0]) for p in geom.positions]
+    assert rows[0] == 0 and rows == sorted(rows) and rows[-1] > 29
+
+
 def test_two_atom_coupling():
     geom = geometry.EnsembleGeometry(
         positions=np.array([[0.0, 0, 0], [1.0, 0, 0]]), box=(2, 1, 1), seed=0
