@@ -207,7 +207,8 @@ _CONVENTION = _choice("split", "eq1")
 
 # top-level keys besides "experiment" and "params"
 _TOP = (
-    Param("seed", 0, _count(0)),
+    # the key of numpy's Philox generator is 128 bits wide
+    Param("seed", 0, _count(0, 2**128 - 1)),
     Param("out_dir", ".", _path()),
 )
 

@@ -37,12 +37,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
 from math import sqrt
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sparse
 
 GROUND = "g"
 LEVEL_ORDER = ("q", "q+", "q-", "r", "r+", "r-", "p'", "p''")
@@ -129,16 +125,6 @@ class Basis:
             return np.zeros(self.dim, dtype=int)
         return self.occ[:, self.levels.index(level)]
 
-    def excitations(self, i: int) -> int:
-        return int(self.excitation_counts[i])
-
-    def occupation(self, i: int, level: str) -> int:
-        return int(self.occupations(level)[i])
-
-    def rydberg_count(self, i: int) -> int:
-        """Interacting-manifold quanta (pair modes count two)."""
-        return int(self.rydberg_counts[i])
-
     def state_index(self, spec) -> int:
         """Index of a state given as {level: count} (symmetric) or a tuple
         of per-atom levels (pair-resolved)."""
@@ -166,19 +152,52 @@ class Basis:
 
 @dataclass(frozen=True)
 class Operator:
-    """Sparse operator over a basis (rad/us for Hamiltonian terms)."""
+    """Sparse operator over a basis (rad/us for Hamiltonian terms).
+
+    Entry k is vals[k] at (rows[k], cols[k]); the entries are nonzero,
+    duplicate-free and sorted by (row, col), as ``_operator`` builds them.
+    """
 
     basis: Basis
-    matrix: sparse.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
 
     def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        out = np.zeros((self.basis.dim, self.basis.dim), dtype=complex)
+        out[self.rows, self.cols] = self.vals
+        return out
+
+    @cached_property
+    def matrix(self):
+        """The entries as a ``scipy.sparse.csr_matrix``, for callers outside
+        the package; the package itself never builds it."""
+        import scipy.sparse as sparse   # deferred: keeps scipy off the import path
+
+        dim = self.basis.dim
+        return sparse.csr_matrix((self.vals, (self.rows, self.cols)), shape=(dim, dim))
+
+
+def _operator(basis, rows, cols, vals) -> Operator:
+    """Operator with entries vals at (rows, cols): duplicates are summed in
+    input order, a complex zero is added to each sum (so -0.0 reads 0.0) and
+    sums equal to zero are dropped."""
+    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    # first entry of each run of equal (row, col)
+    first = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
+    vals = np.add.reduceat(np.asarray(vals, dtype=complex)[order], first) + 0
+    keep = vals != 0
+    return Operator(basis, rows[first][keep], cols[first][keep], vals[keep])
 
 
 def hermiticity_defect(op: Operator) -> float:
     """Largest |H - H^dagger| entry."""
-    d = op.matrix - op.matrix.conjugate().transpose()
-    return 0.0 if d.nnz == 0 else float(np.abs(d.data).max())
+    d = _operator(op.basis, np.concatenate([op.rows, op.cols]),
+                  np.concatenate([op.cols, op.rows]),
+                  np.concatenate([op.vals, -op.vals.conj()]))
+    return float(np.abs(d.vals).max(initial=0.0))
 
 
 # pair-resolved mode enumerates every per-atom assignment
@@ -293,42 +312,6 @@ def enumerate_basis(
     )
 
 
-def _coo(basis, rows, cols, vals) -> Operator:
-    """Operator with entries vals at (rows, cols), duplicates summed in
-    input order, in canonical CSR form: rows in order, columns sorted and
-    unique within a row (what ``coo_matrix(...).tocsr()`` gives after
-    ``sum_duplicates`` and ``sort_indices``), without the COO round trip."""
-    import scipy.sparse as sparse   # deferred: keeps scipy off the import path
-
-    dim = basis.dim
-    rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    indptr = np.zeros(dim + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=dim), out=indptr[1:])
-    # scipy stores the indices in the smallest integer type that holds them
-    m = sparse.csr_matrix((np.asarray(vals, dtype=complex)[order], cols, indptr),
-                          shape=(dim, dim))
-    if ((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])).any():
-        m.sum_duplicates()
-    else:
-        m.has_canonical_format = True
-    return Operator(basis, m)
-
-
-def _sum(basis, *terms) -> Operator:
-    """Sum of duplicate-free (rows, cols, vals) terms, equal bit for bit to
-    what scipy's sparse ``+`` of the terms gives: each entry is the sum of
-    its terms plus a complex zero (as scipy adds the missing operand, which
-    turns -0.0 into 0.0), and an entry that sums to zero is dropped."""
-    rows, cols, vals = (np.concatenate(part) for part in zip(*terms))
-    m = _coo(basis, rows, cols, vals).matrix
-    m.data += 0
-    if not m.data.all():
-        m.eliminate_zeros()
-    return Operator(basis, m)
-
-
 def _moves(basis, changes):
     """(rows, cols): changing the occupations of symmetric state cols by
     ``changes`` ((level, delta) pairs, ground implicit) gives state rows."""
@@ -368,7 +351,7 @@ def collective_op(basis: Basis, frm: str, to: str) -> Operator:
         else:
             rows, cols = _moves(basis, [(frm, -1), (to, 1)])
             vals = np.sqrt(n_frm[cols] * (n_to[cols] + 1)) / rootn
-        return _coo(basis, rows, cols, vals)
+        return _operator(basis, rows, cols, vals)
     rows, cols = [], []
     for j, state in enumerate(basis.states):
         for i, lev in enumerate(state):
@@ -378,12 +361,12 @@ def collective_op(basis: Basis, frm: str, to: str) -> Operator:
             if new in basis.index:
                 rows.append(basis.index[new])
                 cols.append(j)
-    return _coo(basis, rows, cols, np.full(len(rows), 1.0 / rootn))
+    return _operator(basis, rows, cols, np.full(len(rows), 1.0 / rootn))
 
 
 def _diagonal(basis, diag) -> Operator:
     idx = np.arange(basis.dim)
-    return _coo(basis, idx, idx, diag)
+    return _operator(basis, idx, idx, diag)
 
 
 def number_op(basis: Basis, level: str) -> Operator:
@@ -399,9 +382,9 @@ def drive_generator(basis: Basis, to: str, sig, phase=0.0, detuning=0.0):
         shift = detuning * (occupancy of `to`)
 
     so <r^1|H|g> = sqrt(N) rabi / 2 at zero phase, and a single atom
-    reduces to the usual rabi/2 coupling.  ``sig`` is the matrix of
-    ``collective_op(basis, frm, to)``, dense or sparse; ``unit`` has its
-    type.  Returns (shift, unit).
+    reduces to the usual rabi/2 coupling.  ``sig`` is the dense matrix of
+    ``collective_op(basis, frm, to)``.  Returns (shift, unit), ``unit``
+    dense.
     """
     up = 0.5 * np.exp(1j * phase) * sqrt(basis.n_atoms) * sig
     return detuning * basis.occupations(to), up + up.conj().T
@@ -416,11 +399,12 @@ def drive_term(
     detuning: float = 0.0,
 ) -> Operator:
     """Classical drive on one transition; see ``drive_generator``."""
-    sig = collective_op(basis, frm, to).matrix
+    sig = collective_op(basis, frm, to).dense()
     shift, unit = drive_generator(basis, to, sig, phase, detuning)
+    rows, cols = np.nonzero(unit)
     diag = np.arange(basis.dim)
-    rows = np.repeat(diag, np.diff(unit.indptr))
-    return _sum(basis, (rows, unit.indices, rabi * unit.data), (diag, diag, shift))
+    return _operator(basis, np.concatenate([rows, diag]), np.concatenate([cols, diag]),
+                     np.concatenate([rabi * unit[rows, cols], shift]))
 
 
 def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
@@ -477,7 +461,8 @@ def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
             cols.extend(c)
             vals.extend(amp * np.sqrt(basis.occupations(tok)[c] + 1))
     up = np.asarray(vals, dtype=complex)     # up + up^dagger
-    return _sum(basis, (rows, cols, up), (cols, rows, up.conj()))
+    return _operator(basis, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+                     np.concatenate([up, up.conj()]))
 
 
 def rydberg_number(basis: Basis) -> Operator:

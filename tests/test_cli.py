@@ -190,6 +190,9 @@ import blockadesim, blockadesim.cli as cli
 assert scipy_modules() == [], scipy_modules()
 assert cli.main(["splitting-stats", "--configs", "200", "--out-dir", out]) == 0
 assert scipy_modules() == [], scipy_modules()
+for experiment in ("fock", "superpose", "gate", "oracle-check"):
+    assert cli.main([experiment, "--out-dir", out]) == 0
+    assert scipy_modules() == [], (experiment, scipy_modules())
 assert cli.main(["rabi", "--gamma-r", "0.01", "--periods", "0.25",
                  "--out-dir", out]) == 0
 assert "scipy.linalg" in sys.modules
@@ -197,8 +200,9 @@ assert "scipy.linalg" in sys.modules
 
 
 def test_import_path_loads_no_scipy(tmp_path):
-    """Importing the package and running splitting-stats load no scipy; a
-    decaying run loads scipy.linalg on first use."""
+    """Importing the package and running splitting-stats, fock, superpose,
+    gate and oracle-check at defaults load no scipy; a decaying run loads
+    scipy.linalg on first use."""
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PATH_PROBE, src, str(tmp_path)],
@@ -408,6 +412,16 @@ def test_non_numeric_window_rejected(tmp_path, capsys):
     cfg.write_text(json.dumps({"params": {"window": ["a", "b"], "configs": 100}}))
     err = _rejected(capsys, tmp_path, "splitting-stats", "--config", str(cfg))
     assert "params.window" in err
+
+
+def test_seed_outside_the_philox_key_range_rejected(tmp_path, capsys):
+    # numpy's Philox takes keys below 2**128
+    err = _rejected(capsys, tmp_path, "splitting-stats", "--configs", "100",
+                    "--seed", str(2**128))
+    assert "config violation: seed:" in err
+    code, _ = _print_config(capsys, tmp_path, "splitting-stats", "--configs",
+                            "100", "--seed", str(2**128 - 1))
+    assert code == cli.EXIT_OK
 
 
 def test_top_level_json_list_rejected(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,6 @@ from blockadesim.hilbert import (
     collective_op,
     dephasing_term,
     dipole_term,
-    drive_generator,
     drive_term,
     enumerate_basis,
     hermiticity_defect,
@@ -38,9 +37,9 @@ def test_enumeration_pair_modes():
     assert tok in b.levels
     # at most one occupied transfer pair, holding two excitations
     for i in range(b.dim):
-        assert b.occupation(i, tok) <= 1
-        if b.occupation(i, tok) == 1:
-            assert b.excitations(i) >= 2
+        assert b.occupations(tok)[i] <= 1
+        if b.occupations(tok)[i] == 1:
+            assert b.excitation_counts[i] >= 2
     # gate register grows one quasi-mode per channel
     bg = enumerate_basis(4, ("r+", "r-", "p'", "p''"), 2, ryd_max=2)
     for a, c in (("r+", "r+"), ("r+", "r-"), ("r-", "r-")):
@@ -49,7 +48,7 @@ def test_enumeration_pair_modes():
 
 def test_enumeration_ryd_cap():
     b = enumerate_basis(6, ("q", "r"), 4, ryd_max=1)
-    assert all(b.occupation(i, "r") <= 1 for i in range(b.dim))
+    assert all(b.occupations("r")[i] <= 1 for i in range(b.dim))
 
 
 def test_enumeration_errors():
@@ -90,16 +89,16 @@ def test_occupation_table_matches_recount():
             case = (b.mode, n_atoms, levels, n_max, ryd_max)
             assert list(b.states) == expected_states(b, n_max, ryd_max), case
             assert b.ground_index() == 0, case
-            ryd_diag = rydberg_number(b).matrix.diagonal()
-            number_diags = {lev: number_op(b, lev).matrix.diagonal()
+            ryd_diag = rydberg_number(b).dense().diagonal()
+            number_diags = {lev: number_op(b, lev).dense().diagonal()
                             for lev in b.levels + ("g",)}
             for i, state in enumerate(b.states):
                 occ, excitations, rydberg = recount(b, state)
-                assert b.excitations(i) == excitations, case
-                assert b.rydberg_count(i) == rydberg, case
+                assert b.excitation_counts[i] == excitations, case
+                assert b.rydberg_counts[i] == rydberg, case
                 assert ryd_diag[i] == rydberg, case
                 for lev, n in occ.items():
-                    assert b.occupation(i, lev) == n, (case, lev)
+                    assert b.occupations(lev)[i] == n, (case, lev)
                     assert number_diags[lev][i] == n, (case, lev)
         sym, prb = bases
         emb = symmetric_embedding(sym, prb)
@@ -214,12 +213,13 @@ def test_drive_detuning_and_phase():
 
 def test_drive_changes_occupations_by_one():
     b = enumerate_basis(5, ("q", "r"), 3)
-    h = drive_term(b, "q", "r", 1.0).matrix.tocoo()
-    for i, j in zip(h.row, h.col):
+    h = drive_term(b, "q", "r", 1.0)
+    nq, nr = b.occupations("q"), b.occupations("r")
+    for i, j in zip(h.rows, h.cols):
         if i == j:
             continue
-        dq = b.occupation(i, "q") - b.occupation(j, "q")
-        dr = b.occupation(i, "r") - b.occupation(j, "r")
+        dq = nq[i] - nq[j]
+        dr = nr[i] - nr[j]
         assert {dq, dr} == {-1, 1}
 
 
@@ -315,9 +315,9 @@ def test_dipole_cross_manifold_same_calibration():
 
 def test_dipole_conserves_excitations():
     b = enumerate_basis(5, ("q", "r", "p'", "p''"), 3)
-    v = dipole_term(b, 2.0).matrix.tocoo()
-    for i, j in zip(v.row, v.col):
-        assert b.excitations(i) == b.excitations(j)
+    v = dipole_term(b, 2.0)
+    for i, j in zip(v.rows, v.cols):
+        assert b.excitation_counts[i] == b.excitation_counts[j]
 
 
 def test_blockade_gap_bound():
@@ -331,7 +331,7 @@ def test_blockade_gap_bound():
         for j in range(i + 1, 3):
             kap[i, j] = kap[j, i] = rng.uniform(kmin, 5 * kmin)
     vd = dipole_term(b, CouplingMatrix(kappa=kap, c3=0.0)).dense()
-    two_exc = [i for i in range(b.dim) if b.excitations(i) == 2]
+    two_exc = [i for i in range(b.dim) if b.excitation_counts[i] == 2]
     rr = [
         i for i in two_exc
         if sum(lev == "r" for lev in b.states[i]) == 2
@@ -406,35 +406,35 @@ def test_symmetric_subspace_consistency(n_atoms):
         np.testing.assert_allclose(emb.T @ a_pr @ emb, a_sym, atol=1e-10)
 
 
-def _canonical(m):
-    """m as canonical CSR through scipy: tocsr, sum_duplicates, sort_indices."""
+def _from_scipy(basis, m):
+    """Operator holding the entries of m after scipy's COO -> CSR conversion,
+    sum_duplicates, sort_indices and a sparse + of a zero matrix (which adds
+    a complex zero to every entry and drops entries equal to zero)."""
     m = m.tocsr()
     m.sum_duplicates()
     m.sort_indices()
-    return m
+    m = m + sparse.csr_matrix(m.shape, dtype=complex)
+    rows = np.repeat(np.arange(basis.dim), np.diff(m.indptr))
+    return Operator(basis, rows, m.indices, m.data)
 
 
-def _scipy_coo(basis, rows, cols, vals):
-    return Operator(basis, _canonical(sparse.coo_matrix(
+def _scipy_operator(basis, rows, cols, vals):
+    return _from_scipy(basis, sparse.coo_matrix(
         (np.asarray(vals, dtype=complex), (rows, cols)),
         shape=(basis.dim, basis.dim),
-    )))
-
-
-def _scipy_sum(basis, *terms):
-    return Operator(basis, _canonical(sum(
-        _scipy_coo(basis, *term).matrix for term in terms
-    )))
+    ))
 
 
 def _scipy_drive_term(basis, frm, to, rabi, phase=0.0, detuning=0.0):
+    # the drive_generator formula on a sparse collective operator
     sig = collective_op(basis, frm, to).matrix
-    shift, unit = drive_generator(basis, to, sig, phase, detuning)
-    return Operator(basis, _canonical(rabi * unit + sparse.diags(shift)))
+    up = 0.5 * np.exp(1j * phase) * np.sqrt(basis.n_atoms) * sig
+    shift = detuning * basis.occupations(to)
+    return _from_scipy(basis, rabi * (up + up.conj().T) + sparse.diags(shift))
 
 
 def _scipy_dephasing_term(basis, gamma_r):
-    return Operator(basis, (-0.5j * gamma_r) * rydberg_number(basis).matrix)
+    return _from_scipy(basis, (-0.5j * gamma_r) * rydberg_number(basis).matrix)
 
 
 def _operators(basis, drive, dephasing):
@@ -462,19 +462,30 @@ def _operators(basis, drive, dephasing):
     ("pair-resolved", ("q", "r", "p'", "p''")),
 ])
 def test_operators_match_scipy_canonical_csr(monkeypatch, mode, levels):
-    """Operators assembled straight into CSR equal, bit for bit, those that
+    """Operators assembled as sorted triples equal, bit for bit, those that
     scipy's COO -> CSR conversion, sum_duplicates, sort_indices and sparse
     sums give (the pair-resolved collective_op(b, x, x) holds duplicates)."""
     basis = enumerate_basis(3, levels, 2, mode=mode)
     got = _operators(basis, drive_term, dephasing_term)
-    monkeypatch.setattr(hilbert, "_coo", _scipy_coo)
-    monkeypatch.setattr(hilbert, "_sum", _scipy_sum)
+    monkeypatch.setattr(hilbert, "_operator", _scipy_operator)
     want = _operators(basis, _scipy_drive_term, _scipy_dephasing_term)
     assert len(got) == len(want)
-    for a, b in zip((op.matrix for op in got), (op.matrix for op in want)):
-        assert a.data.tobytes() == b.data.tobytes()
-        for name in ("indices", "indptr"):
-            x, y = getattr(a, name), getattr(b, name)
-            assert x.dtype == y.dtype and np.array_equal(x, y)
-        assert a.nnz == b.nnz
-        assert a.has_canonical_format and b.has_canonical_format
+    for a, b in zip(got, want):
+        assert a.vals.dtype == b.vals.dtype == complex
+        assert a.vals.tobytes() == b.vals.tobytes()
+        assert np.array_equal(a.rows, b.rows) and np.array_equal(a.cols, b.cols)
+        assert a.dense().tobytes() == b.dense().tobytes()
+
+
+@pytest.mark.parametrize("mode", ["symmetric", "pair-resolved"])
+def test_hermiticity_defect_matches_dense(mode):
+    """hermiticity_defect equals the largest |d - d^dagger| entry of the
+    dense matrix exactly, Hermitian or not (the dephasing term is not)."""
+    basis = enumerate_basis(3, ("q", "r", "p'", "p''"), 2, mode=mode)
+    ops = _operators(basis, drive_term, dephasing_term)
+    # one off-diagonal entry whose transpose is missing, beside a diagonal one
+    ops.append(hilbert._operator(basis, [1, 2], [2, 2], [0.3 - 0.4j, 1.5j]))
+    assert any(hermiticity_defect(op) > 0 for op in ops)
+    for op in ops:
+        d = op.dense()
+        assert hermiticity_defect(op) == np.abs(d - d.conj().T).max()
