@@ -35,8 +35,6 @@ from .errors import (
     regime_check,
 )
 from .geometry import (
-    CouplingMatrix,
-    EnsembleGeometry,
     GeometryError,
     SplittingHistogram,
     analytic_splitting_pdf,

@@ -181,21 +181,22 @@ _KT_FIELDS = {"start": float, "stop": float, "points": int}
 _KT_POINTS = 2000       # most grid points of one error-budget scan
 
 
-def _kappa_t(kt):
-    """A {start, stop, points} geometric grid or a list of grid values."""
+def _kappa_t(kt) -> np.ndarray:
+    """A {start, stop, points} geometric grid or a list of grid values,
+    parsed to the grid array."""
     if isinstance(kt, dict):
         start, stop, points = (kt.get(field) for field in _KT_FIELDS)
         if not (_is_real(start) and _is_real(stop) and _is_int(points)
                 and 5 <= points <= _KT_POINTS and 5.0 <= start < stop):
             raise ValueError("need 5 <= start < stop and integer points "
                              f"in [5, {_KT_POINTS}]")
-    elif isinstance(kt, (list, tuple)):
+        return np.geomspace(start, stop, points)
+    if isinstance(kt, (list, tuple)):
         if not 5 <= len(kt) <= _KT_POINTS \
                 or not all(_is_real(x) and x >= 5 for x in kt):
             raise ValueError(f"need 5 to {_KT_POINTS} grid values, all >= 5")
-    else:
-        raise ValueError("must be a list or {start, stop, points}")
-    return kt
+        return np.asarray(kt, dtype=float)
+    raise ValueError("must be a list or {start, stop, points}")
 
 
 def _path(nullable=False, **flag) -> Kind:
@@ -466,7 +467,7 @@ def _run_splitting(config, out_dir: Path) -> dict:
         results={
             "kappa_bar": kb,
             "ks_distance": ks,
-            "n_samples": hist.n_samples,
+            "n_samples": len(hist.samples),
             "in_window": int(hist.counts.sum()),
         },
         checks={"ks_below_0.05": bool(ks < 0.05)},
@@ -601,7 +602,7 @@ def _run_gate(config, out_dir: Path) -> dict:
     ideal = {"g": 0.0, "q+": pi, "q-": pi, "q+q-": pi}
     rows = [
         (name, table.phases[name], ideal[name], table.fidelities[name])
-        for name in ("g", "q+", "q-", "q+q-")
+        for name in protocols.GATE_INPUTS
     ]
     phase_err = max(
         abs(protocols.wrap_phase(table.phases[k] - ideal[k])) for k in ideal
@@ -625,15 +626,10 @@ def _run_error_budget(config, out_dir: Path) -> dict:
     p = _params(config)
     n = p["n_atoms"]
     gamma = p["gamma_r"]
-    kt = p["kappa_T"]
-    if isinstance(kt, dict):
-        grid = np.geomspace(kt["start"], kt["stop"], kt["points"])
-    else:
-        grid = np.asarray(kt, dtype=float)
     result = errmod.blockade_scaling_experiment(
-        grid, n_atoms=n, convention=p["convention"]
+        p["kappa_T"], n_atoms=n, convention=p["convention"]
     )
-    T = pi / sqrt(n)
+    T = result.pulse_duration
     p_deph_est = errmod.p_deph_estimate(gamma, T)
     p_deph_sim = errmod.dephasing_norm_loss(gamma, T)
     rows = [

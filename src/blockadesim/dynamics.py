@@ -6,7 +6,7 @@ decoherence model) is present, by ``scipy.linalg.expm`` of the non-normal
 generator -i (H - i k), one exponential per distinct step of the sample
 grid.  Sampled-envelope pulses are integrated by a fourth-order
 two-exponential scheme on sub-intervals, doubled until the final state
-changes by less than the requested tolerance.
+changes by less than ``_ENVELOPE_TOL``.
 
 Times are in us, angular frequencies in rad/us, phases in rad.
 """
@@ -19,6 +19,9 @@ from math import sqrt
 import numpy as np
 
 from .hilbert import Basis, collective_op, drive_generator
+
+# envelope refinement stops once the final state moves less than this
+_ENVELOPE_TOL = 1e-10
 
 
 class StiffnessError(RuntimeError):
@@ -260,7 +263,6 @@ def evolve(
     static_terms,
     psi0: np.ndarray,
     sample_dt: float | None = None,
-    tol: float = 1e-10,
 ) -> EvolutionResult:
     """Evolve psi0 through the schedule and sample the trajectory.
 
@@ -303,7 +305,7 @@ def evolve(
                                           ev.phase, ev.detuning)
             base = h_static + np.diag(shift) if ev.detuning != 0.0 else h_static
             if isinstance(ev.omega, SampledEnvelope):
-                segs = _propagate_envelope(base, unit, k, ev, psi, dts, tol, i_ev)
+                segs = _propagate_envelope(base, unit, k, ev, psi, dts, i_ev)
             else:
                 segs = _propagate_constant(base + ev.omega * unit, k, psi, dts)
         times.extend(targets.tolist())
@@ -324,13 +326,13 @@ def evolve(
     )
 
 
-def _propagate_envelope(base, unit, k, pulse, psi, dts, tol, i_ev):
+def _propagate_envelope(base, unit, k, pulse, psi, dts, i_ev):
     """Adaptive sub-segmentation of a sampled-envelope pulse.
 
     Each sub-interval is advanced by the fourth-order commutator-free
     two-exponential scheme (Gauss-node amplitudes combine linearly into two
     constant half-steps); the grid is doubled until consecutive refinements
-    agree within tol.
+    agree within ``_ENVELOPE_TOL``.
     """
     env = pulse.omega
     s36 = sqrt(3.0) / 6.0
@@ -367,11 +369,11 @@ def _propagate_envelope(base, unit, k, pulse, psi, dts, tol, i_ev):
         n_sub *= 2
         nxt = run(n_sub)
         err = np.linalg.norm(nxt[-1] - prev[-1])
-        if err <= tol * max(1.0, np.linalg.norm(nxt[-1])):
+        if err <= _ENVELOPE_TOL * max(1.0, np.linalg.norm(nxt[-1])):
             return nxt
         prev = nxt
     raise StiffnessError(
-        f"envelope pulse (event {i_ev}) did not reach tol={tol} "
+        f"envelope pulse (event {i_ev}) did not reach tol={_ENVELOPE_TOL} "
         f"within {n_sub} sub-steps"
     )
 

@@ -17,13 +17,13 @@ see the experiment's docstring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import pi
 
 import numpy as np
 
 from .dynamics import Schedule, Wait, evolve, fidelity
 from ._kernels import pair_r2
-from .geometry import CouplingMatrix, _position_chunks
+from .geometry import _position_chunks
 from .hilbert import dephasing_term, enumerate_basis
 from .protocols import rabi_pulse, register_basis
 
@@ -66,11 +66,11 @@ def p_total(probabilities) -> float:
     return 1.0 - out
 
 
-def p_doub_geometry(cm: CouplingMatrix, T: float) -> float:
+def p_doub_geometry(kappa: np.ndarray, T: float) -> float:
     """Geometry-resolved estimator (1/N^2) sum_{i != j} 1/(kappa_ij T)^2."""
-    n = cm.kappa.shape[0]
+    n = len(kappa)
     iu, ju = np.triu_indices(n, 1)
-    s = 2.0 * (1.0 / (cm.kappa[iu, ju] * T) ** 2).sum()
+    s = 2.0 * (1.0 / (kappa[iu, ju] * T) ** 2).sum()
     return _clamp01(s / n**2)
 
 
@@ -116,9 +116,9 @@ def estimate_budget(kappa_bar: float, gamma_r: float, T: float) -> ErrorEstimate
     )
 
 
-def dephasing_norm_loss(gamma_r: float, T: float, n_atoms: int = 2) -> float:
-    """Simulated norm loss of |r^1> held for T with no drive."""
-    basis = enumerate_basis(n_atoms, ("r",), n_max=1)
+def dephasing_norm_loss(gamma_r: float, T: float) -> float:
+    """Simulated norm loss of a two-atom |r^1> held for T with no drive."""
+    basis = enumerate_basis(2, ("r",), n_max=1)
     psi0 = basis.basis_vector({"r": 1})
     res = evolve(
         Schedule((Wait(T),)), basis, [dephasing_term(basis, gamma_r)], psi0
@@ -135,6 +135,7 @@ class BlockadeScalingResult:
     prefactor: float
     n_atoms: int
     convention: str
+    pulse_duration: float
 
 
 def blockade_scaling_experiment(
@@ -144,11 +145,12 @@ def blockade_scaling_experiment(
 ) -> BlockadeScalingResult:
     """Simulated double-excitation leakage of a pi-pulse vs kappa_bar T.
 
-    For each grid point the register is driven resonantly for the
-    full-transfer time T = pi / (sqrt(N) omega) with the pair coupling
-    set to kappa_bar = (kappa_bar T) / T, and the population left outside
-    the <=1-excitation manifold at t = T is recorded.  A log-log fit
-    returns slope (the -2 law) and prefactor A of p = A (kappa_bar T)^slope.
+    For each grid point the register is driven resonantly at omega = 1 for
+    the full-transfer time T = pi / sqrt(N) of ``rabi_pulse`` (returned as
+    ``pulse_duration``) with the pair coupling set to
+    kappa_bar = (kappa_bar T) / T, and the population left outside the
+    <=1-excitation manifold at t = T is recorded.  A log-log fit returns
+    slope (the -2 law) and prefactor A of p = A (kappa_bar T)^slope.
 
     The measured prefactor is ``adiabatic_prefactor``, about pi^3 ("eq1")
     or 8 pi^3 ("split") times the 1/(4 pi) closed form, which drops those
@@ -157,9 +159,8 @@ def blockade_scaling_experiment(
     kts = np.asarray(sorted(kappa_T_values), dtype=float)
     if (kts < 5.0).any():
         raise ValueError("kappa_bar T grid values must be >= 5")
-    omega = 1.0
-    T = pi / (sqrt(n_atoms) * omega)
-    pulse = rabi_pulse(n_atoms, omega, pi)
+    pulse = rabi_pulse(n_atoms, 1.0, pi)
+    T = pulse.duration
     p_sim = np.empty_like(kts)
     p_est = np.empty_like(kts)
     for i, kt in enumerate(kts):
@@ -182,18 +183,17 @@ def blockade_scaling_experiment(
         prefactor=float(np.exp(coef[1])),
         n_atoms=n_atoms,
         convention=convention,
+        pulse_duration=T,
     )
 
 
-def atom_number_sensitivity(
-    n_atoms: int, deltas, omega: float = 1.0
-) -> list[tuple[int, float]]:
+def atom_number_sensitivity(n_atoms: int, deltas) -> list[tuple[int, float]]:
     """Infidelity of the N-compiled pi-pulse executed on N + dN atoms.
 
     The schedule is compiled once for n_atoms; each run rebuilds only the
     register, so the pulse area errs by the factor sqrt(1 + dN/N).
     """
-    pulse = rabi_pulse(n_atoms, omega, pi)
+    pulse = rabi_pulse(n_atoms, 1.0, pi)
     out = []
     for dn in deltas:
         n_eff = n_atoms + int(dn)

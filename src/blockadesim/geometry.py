@@ -10,8 +10,9 @@ Monte-Carlo statistics draw configuration k from counter block k of one
 easy as 1, 2, 3", SC'11), so any chunk of configurations is reached
 directly and reproduces the serial run.  Pair distances are reduced one
 chunk of configurations at a time over the upper-triangle pairs only.
-A single ensemble (``sample_positions``, ``coupling_matrix``) is
-configuration 0 of that stream, with the same pair kernel.
+A single ensemble is two plain arrays: ``sample_positions`` returns its
+(n, 3) positions, configuration 0 of that stream, and ``coupling_matrix``
+their (n, n) couplings by the same pair kernel.
 """
 
 from __future__ import annotations
@@ -31,40 +32,12 @@ class GeometryError(ValueError):
 
 
 @dataclass(frozen=True)
-class EnsembleGeometry:
-    """Static atom positions inside an axis-aligned box."""
-
-    positions: np.ndarray          # (n, 3) um
-    box: tuple[float, float, float]
-    seed: int
-
-    @property
-    def n_atoms(self) -> int:
-        return self.positions.shape[0]
-
-    @property
-    def volume(self) -> float:
-        bx, by, bz = self.box
-        return bx * by * bz
-
-
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Symmetric pair couplings kappa_ij = c3 / r_ij^3 (rad/us)."""
-
-    kappa: np.ndarray              # (n, n), zero diagonal
-    c3: float
-
-
-@dataclass(frozen=True)
 class SplittingHistogram:
     """Histogram of x = kappa/kappa_bar over sampled configurations."""
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    n_samples: int
-    statistic: str
-    samples: np.ndarray            # raw x values (n_samples or n_samples*n_pairs)
+    samples: np.ndarray            # raw x values, one per config or per pair
 
     def density(self) -> np.ndarray:
         """Per-bin probability density of the in-range samples."""
@@ -81,8 +54,8 @@ def sample_positions(
     seed: int,
     exclusion_radius: float | None = None,
     max_tries: int = 10_000,
-) -> EnsembleGeometry:
-    """Draw n uniform positions in the box, optionally with a hard core.
+) -> np.ndarray:
+    """(n, 3) uniform positions (um) in the box, optionally with a hard core.
 
     Without an exclusion radius this is Monte-Carlo configuration 0
     (``_config_positions``).  With one, candidates are taken in order from
@@ -99,8 +72,7 @@ def sample_positions(
         raise ValueError(f"exclusion radius must be >= 0 and finite, "
                          f"got {exclusion_radius}")
     if not exclusion_radius:
-        pts = _config_positions(1, n, box, seed)[0]
-        return EnsembleGeometry(positions=pts, box=box, seed=seed)
+        return _config_positions(1, n, box, seed)[0]
 
     draw = np.random.Generator(np.random.Philox(key=seed)).random
     accepted = np.empty((n, 3))
@@ -119,18 +91,20 @@ def sample_positions(
                     f"exclusion radius {exclusion_radius} infeasible: "
                     f"{max_tries} consecutive rejections at atom {count}"
                 )
-    return EnsembleGeometry(positions=accepted, box=box, seed=seed)
+    return accepted
 
 
-def coupling_matrix(geom: EnsembleGeometry, c3: float) -> CouplingMatrix:
-    """Pairwise couplings kappa_ij = c3 / r_ij^3 by the Monte-Carlo kernel."""
-    r2 = _kernels.pair_r2(geom.positions[None])[0]
+def coupling_matrix(positions: np.ndarray, c3: float) -> np.ndarray:
+    """(n, n) couplings kappa_ij = c3 / r_ij^3 (rad/us), zero on the diagonal,
+    of (n, 3) positions by the Monte-Carlo pair kernel."""
+    n = len(positions)
+    r2 = _kernels.pair_r2(positions[None])[0]
     if (r2 < _R_MIN**2).any():
         raise GeometryError("coincident atoms: pair distance below 1e-9 um")
-    iu, ju = np.triu_indices(geom.n_atoms, 1)
-    kappa = np.zeros((geom.n_atoms, geom.n_atoms))
+    iu, ju = np.triu_indices(n, 1)
+    kappa = np.zeros((n, n))
     kappa[iu, ju] = kappa[ju, iu] = c3 / r2**1.5
-    return CouplingMatrix(kappa=kappa, c3=c3)
+    return kappa
 
 
 def kappa_bar(volume: float, c3: float) -> float:
@@ -140,11 +114,11 @@ def kappa_bar(volume: float, c3: float) -> float:
     return c3 / volume
 
 
-def min_pair_splitting(cm: CouplingMatrix) -> float:
-    """Smallest off-diagonal coupling (the most distant pair)."""
-    n = cm.kappa.shape[0]
+def min_pair_splitting(kappa: np.ndarray) -> float:
+    """Smallest pair coupling of an (n, n) array (the most distant pair)."""
+    n = len(kappa)
     iu, ju = np.triu_indices(n, 1)
-    return float(cm.kappa[iu, ju].min())
+    return float(kappa[iu, ju].min())
 
 
 # Doubles one chunk of configurations may hold: its draws, its positions and
@@ -234,8 +208,6 @@ def splitting_distribution(
     return SplittingHistogram(
         bin_edges=edges,
         counts=counts,
-        n_samples=len(x),
-        statistic=statistic,
         samples=x,
     )
 
@@ -280,6 +252,10 @@ def analytic_window_cdf(xgrid: np.ndarray, window: tuple[float, float]) -> np.nd
     return np.interp(xgrid, grid, cdf)
 
 
+# cdf steps ``splitting_ks`` holds at once
+_KS_BLOCK = 1 << 14
+
+
 def splitting_ks(
     samples: np.ndarray, window: tuple[float, float] = (0.2, 20.0)
 ) -> float:
@@ -299,9 +275,11 @@ def splitting_ks(
         raise GeometryError("no samples inside the comparison window")
     fa = analytic_window_cdf(xs, window)
     n = len(xs)
-    steps = np.arange(n + 1, dtype=float)
-    steps /= n
-    # the samples are spent: their buffer holds |step - fa| of each side
-    d_hi = np.abs(np.subtract(steps[1:], fa, out=xs), out=xs).max()
-    d_lo = np.abs(np.subtract(steps[:-1], fa, out=xs), out=xs).max()
-    return float(max(d_hi, d_lo))
+    d = 0.0
+    # the empirical cdf steps k / n, made one block at a time
+    for k in range(0, n, _KS_BLOCK):
+        f = fa[k:k + _KS_BLOCK]
+        steps = np.arange(k, k + len(f) + 1, dtype=float)
+        steps /= n
+        d = max(d, np.abs(steps[1:] - f).max(), np.abs(steps[:-1] - f).max())
+    return float(d)

@@ -410,10 +410,11 @@ def drive_term(
 def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
     """Resonant pair-excitation transfer (r, r) <-> (p', p'').
 
-    Pair-resolved mode takes a CouplingMatrix (or an (N, N) array) and
-    builds the literal hopping sum_{i>j} kappa_ij |r_i r_j>(<p'_i p''_j| +
-    <p'_j p''_i|) + h.c., extended to all r-type levels.  Singly excited
-    states are untouched and total excitation number is conserved.
+    Pair-resolved mode takes the (N, N) coupling array kappa_ij in rad/us
+    (e.g. from ``geometry.coupling_matrix``) and builds the literal hopping
+    sum_{i>j} kappa_ij |r_i r_j>(<p'_i p''_j| + <p'_j p''_i|) + h.c.,
+    extended to all r-type levels.  Singly excited states are untouched and
+    total excitation number is conserved.
 
     Symmetric mode takes a scalar effective coupling kappa_bar and couples
     each doubly-excited channel (A, B) to its own quasi-mode P[A,B].  The
@@ -424,7 +425,7 @@ def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
     """
     rows, cols, vals = [], [], []
     if basis.mode == "pair-resolved":
-        kappa = np.asarray(getattr(coupling, "kappa", coupling), dtype=float)
+        kappa = np.asarray(coupling, dtype=float)
         if kappa.shape != (basis.n_atoms, basis.n_atoms):
             raise BasisError(
                 f"coupling matrix shape {kappa.shape} does not match N={basis.n_atoms}"

@@ -15,20 +15,21 @@ from math import pi, sqrt
 import numpy as np
 
 from .dynamics import Pulse, Schedule, Wait, evolve
-from .geometry import CouplingMatrix
 from .hilbert import dipole_term, enumerate_basis, symmetric_embedding
+from .protocols import rabi_pulse, register_basis
 
 _LEVELS = ("q", "r", "p'", "p''")
 
 
 def oracle_schedules(n_atoms: int, omega: float = 1.0, omega_q: float = 1.0):
     """Three structurally distinct test schedules."""
-    t_pi = pi / (sqrt(n_atoms) * omega)
+    pi_pulse = rabi_pulse(n_atoms, omega, pi)
+    t_pi = pi_pulse.duration
     return {
-        "pi-pulse": Schedule((Pulse(("g", "r"), omega, t_pi),)),
+        "pi-pulse": Schedule((pi_pulse,)),
         "ladder-step": Schedule(
             (
-                Pulse(("g", "r"), omega, t_pi),
+                pi_pulse,
                 Pulse(("r", "q"), omega_q, pi / omega_q),
                 Wait(0.3 * t_pi),
             )
@@ -63,14 +64,14 @@ def oracle_equivalence(
     hopping).  Returns rows (schedule, time, overlap_fidelity).
     """
     n_max = min(3, n_atoms) if n_max is None else n_max
-    sym = enumerate_basis(n_atoms, _LEVELS, n_max, ryd_max=2)
+    sym, static_sym = register_basis(n_atoms, n_max, blockade=kappa,
+                                     convention="eq1")
     prb = enumerate_basis(
         n_atoms, _LEVELS, n_max, mode="pair-resolved", ryd_max=2
     )
     emb = symmetric_embedding(sym, prb)
-    static_sym = [dipole_term(sym, kappa, convention="eq1")]
     km = np.full((n_atoms, n_atoms), kappa) - kappa * np.eye(n_atoms)
-    static_prb = [dipole_term(prb, CouplingMatrix(kappa=km, c3=0.0))]
+    static_prb = [dipole_term(prb, km)]
 
     rows = []
     for name, sched in oracle_schedules(n_atoms, omega, omega_q).items():

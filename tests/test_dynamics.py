@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockadesim import dynamics
 from blockadesim.dynamics import (
     PhaseUndefinedError,
     Pulse,
@@ -12,7 +13,6 @@ from blockadesim.dynamics import (
     fidelity,
     wrap_phase,
 )
-from blockadesim.geometry import CouplingMatrix
 from blockadesim.hilbert import dephasing_term, dipole_term, enumerate_basis
 from blockadesim.protocols import fock_ladder, rabi_pulse, register_basis
 
@@ -97,7 +97,7 @@ def test_rk4_oracle_pair_resolved():
                             mode="pair-resolved", ryd_max=2)
     kap = np.full((n, n), 8.0) - 8.0 * np.eye(n)
     static = [
-        dipole_term(basis, CouplingMatrix(kappa=kap, c3=0.0)),
+        dipole_term(basis, kap),
         dephasing_term(basis, 0.05),
     ]
     sched = Schedule(
@@ -113,8 +113,9 @@ def test_rk4_oracle_pair_resolved():
     assert np.abs(res.final_state - ref).max() < 1e-8
 
 
-def test_envelope_pulse_matches_area():
+def test_envelope_pulse_matches_area(monkeypatch):
     # resonant two-level transfer depends only on the drive area
+    monkeypatch.setattr(dynamics, "_ENVELOPE_TOL", 1e-11)
     basis, static = _ideal(1)
     T = 2.0
     peak = np.pi / T  # sin^2 envelope has area peak*T/2 = pi/2 -> theta=pi/2
@@ -123,18 +124,18 @@ def test_envelope_pulse_matches_area():
                                     for t in ts))
     pulse = Pulse(("g", "r"), env, T)
     assert pulse.area() == pytest.approx(np.pi, rel=1e-3)
-    res = evolve(Schedule((pulse,)), basis, static, basis.basis_vector({}),
-                 tol=1e-11)
+    res = evolve(Schedule((pulse,)), basis, static, basis.basis_vector({}))
     assert res.population({"r": 1})[-1] == pytest.approx(1.0, abs=1e-5)
 
 
-def test_envelope_vs_rk4():
+def test_envelope_vs_rk4(monkeypatch):
+    monkeypatch.setattr(dynamics, "_ENVELOPE_TOL", 1e-12)
     basis, _ = _ideal(2, n_max=1)
     ts = (0.0, 0.4, 1.0, 1.5)
     env = SampledEnvelope(ts, (0.0, 1.2, 0.7, 0.1))
     sched = Schedule((Pulse(("g", "r"), env, 1.5, phase=0.3, detuning=0.2),))
     psi0 = basis.basis_vector({})
-    res = evolve(sched, basis, [], psi0, tol=1e-12)
+    res = evolve(sched, basis, [], psi0)
     ref = rk4_evolve(sched, basis, [], psi0)
     assert np.abs(res.final_state - ref).max() < 1e-7
 

@@ -5,7 +5,6 @@ import pytest
 import scipy.sparse as sparse
 
 from blockadesim import hilbert
-from blockadesim.geometry import CouplingMatrix
 from blockadesim.hilbert import (
     BasisError,
     Operator,
@@ -228,7 +227,7 @@ def test_dipole_two_atom_eigenstructure():
     # state with sqrt(2) kappa, eigenvalues split symmetrically about 0
     b = enumerate_basis(2, ("r", "p'", "p''"), 2, mode="pair-resolved")
     kap = np.array([[0.0, 3.0], [3.0, 0.0]])
-    v = dipole_term(b, CouplingMatrix(kappa=kap, c3=0.0))
+    v = dipole_term(b, kap)
     assert hermiticity_defect(v) < 1e-12
     vd = v.dense()
     i_rr = b.state_index(("r", "r"))
@@ -243,7 +242,7 @@ def test_dipole_two_atom_eigenstructure():
 def test_dipole_annihilates_single_excitation():
     b = enumerate_basis(3, ("r", "p'", "p''"), 2, mode="pair-resolved")
     kap = np.full((3, 3), 2.0) - 2.0 * np.eye(3)
-    vd = dipole_term(b, CouplingMatrix(kappa=kap, c3=0.0)).dense()
+    vd = dipole_term(b, kap).dense()
     psi = b.basis_vector(("r", "g", "g"))
     assert np.abs(vd @ psi).max() == 0.0
 
@@ -256,7 +255,7 @@ def test_dipole_three_atom_spectrum_vs_handbuilt():
     for i in range(3):
         for j in range(i + 1, 3):
             kap[i, j] = kap[j, i] = rng.uniform(1, 5)
-    vd = dipole_term(b, CouplingMatrix(kappa=kap, c3=0.0)).dense()
+    vd = dipole_term(b, kap).dense()
 
     pairs = [(0, 1), (0, 2), (1, 2)]
     labels = []
@@ -330,7 +329,7 @@ def test_blockade_gap_bound():
     for i in range(3):
         for j in range(i + 1, 3):
             kap[i, j] = kap[j, i] = rng.uniform(kmin, 5 * kmin)
-    vd = dipole_term(b, CouplingMatrix(kappa=kap, c3=0.0)).dense()
+    vd = dipole_term(b, kap).dense()
     two_exc = [i for i in range(b.dim) if b.excitation_counts[i] == 2]
     rr = [
         i for i in two_exc
@@ -400,7 +399,7 @@ def test_symmetric_subspace_consistency(n_atoms):
     prs = [
         drive_term(prb, "g", "r", 0.9, phase=0.4).dense(),
         drive_term(prb, "q", "r", 1.1, detuning=0.2).dense(),
-        dipole_term(prb, CouplingMatrix(kappa=km, c3=0.0)).dense(),
+        dipole_term(prb, km).dense(),
     ]
     for a_sym, a_pr in zip(cases, prs):
         np.testing.assert_allclose(emb.T @ a_pr @ emb, a_sym, atol=1e-10)
@@ -452,7 +451,7 @@ def _operators(basis, drive, dephasing):
     else:
         kappa = np.arange(basis.n_atoms**2, dtype=float).reshape(basis.n_atoms, -1)
         kappa = kappa + kappa.T - np.diag(np.diag(kappa + kappa.T))
-        out.append(dipole_term(basis, CouplingMatrix(kappa=kappa, c3=0.0)))
+        out.append(dipole_term(basis, kappa))
     return out
 
 
