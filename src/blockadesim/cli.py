@@ -1,18 +1,19 @@
 """Command-line experiment runner.
 
 Subcommands: splitting-stats, rabi, fock, superpose, gate, error-budget,
-oracle-check.  Each run validates its configuration, executes, and returns
-a CSV table, a JSON summary (resolved config echoed, key scalars, built-in
-check results) and, for compiled protocols, a plain-text schedule dump;
-``main`` writes them only after the run succeeds.  Identical configurations
-produce byte-identical artifacts.
+oracle-check.  ``main`` validates and parses a run's configuration; the
+runner returns a ``Run`` (table rows, key scalars, built-in check results,
+for compiled protocols the schedule) that ``main`` renders as a CSV table,
+a JSON summary echoing the resolved config and a schedule dump, and writes
+only after the run succeeds.  Identical configs give byte-identical files.
 
-One table (``_TABLE``: name, default, kind) generates the defaults, the
-checks, the flags (``n_atoms`` -> ``--n-atoms``; ``kappa_T`` alone uses
-``--kt-start/--kt-stop/--kt-points``) and the flag merge.  A JSON file
-(``--config``) is deep-merged over the defaults and must not name another
-experiment; flags override it.  Frequencies accept unit suffixes
-(``100MHz``, ``0.6Mrad/s``); bare numbers are rad/us.
+One table (``_TABLE``: help, runner, parameters by name, default and kind)
+generates the subcommands, defaults, checks, flags (``n_atoms`` ->
+``--n-atoms``; ``kappa_T`` alone uses ``--kt-start/--kt-stop/--kt-points``)
+and the flag merge.  A JSON file (``--config``) is deep-merged over the
+defaults and must not name another experiment; flags override it.
+Frequencies accept unit suffixes (``100MHz``, ``0.6Mrad/s``); bare numbers
+are rad/us.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.  Exits 2 and 3 write nothing, and exit 4 leaves no artifact.
@@ -50,7 +51,7 @@ EXIT_IO = 4
 
 
 # ---------------------------------------------------------------------------
-# the parameter table
+# parameter kinds and the top-level parameters
 # ---------------------------------------------------------------------------
 
 class Kind(NamedTuple):
@@ -213,88 +214,7 @@ _TOP = (
     Param("out_dir", ".", _path()),
 )
 
-# experiment -> (subcommand help, parameters)
-_TABLE = {
-    "splitting-stats": ("pair-splitting Monte Carlo", (
-        Param("configs", 30000, _count(1, 3_000_000)),
-        Param("atoms", 2, _count(2)),
-        Param("box", [10.0, 10.0, 10.0], _kind(
-            lambda v: _reals(v, 3) and min(v) > 0 and 0 < _volume(v) < inf,
-            "three positive finite lengths with a positive finite volume",
-            type=_numbers_arg, metavar="LX,LY,LZ")),
-        Param("c3", 1000.0, _positive()),
-        Param("statistic", "min-pair", _choice("min-pair", "all-pairs")),
-        Param("bins", 60, _count(1, 10_000)),
-        Param("window", [0.2, 20.0], _kind(
-            lambda v: _reals(v, 2) and 0 < v[0] < v[1], "0 < lo < hi",
-            type=_numbers_arg, metavar="LO,HI")),
-        Param("out", None, _path(nullable=True, metavar="FILE")),
-    )),
-    "rabi": ("collective Rabi oscillation", (
-        Param("n_atoms", 10, _count(2)),
-        Param("omega", 1.0, _frequency()),
-        Param("kappa_bar", "ideal", _frequency("ideal")),
-        Param("gamma_r", 0.0, _frequency(positive=False)),
-        Param("convention", "split", _CONVENTION),
-        Param("n_max", 2, _count(1), capped=True),
-        Param("periods", 3.0, _positive(high=300.0)),
-        Param("samples_per_period", 32, _count(4, 4096)),
-    )),
-    "fock": ("storage-rung ladder synthesis", (
-        Param("n_atoms", 20, _count(2)),
-        Param("n_target", 3, _count(0), capped=True),
-        Param("omega", 1.0, _frequency()),
-        Param("omega_q", 1.0, _frequency()),
-        Param("kappa_bar", "ideal", _frequency("ideal")),
-        Param("gamma_r", 0.0, _frequency(positive=False)),
-        Param("convention", "split", _CONVENTION),
-        Param("pulse_duration", None, _positive(nullable=True)),
-        Param("n_max", None, _count(1, nullable=True), capped=True),
-    )),
-    "superpose": ("arbitrary superposition synthesis", (
-        Param("n_atoms", 10, _count(2)),
-        Param("omega", 1.0, _frequency()),
-        Param("omega_q", 1.0, _frequency()),
-        Param("amplitudes", [0.5773502691896258, 0.5773502691896258,
-                             0.5773502691896258], Kind(_amplitudes, {
-            "type": _amplitudes_arg, "metavar": "A0,A1,...",
-            "help": "complex entries, e.g. 0.707,0.5+0.5j "
-                    "(normalized before use)",
-        }), capped=True),
-    )),
-    "gate": ("conditional phase gate truth table", (
-        Param("n_atoms", 10, _count(2)),
-        Param("omega_plus", 1.0, _frequency()),
-        Param("omega_minus", 1.0, _frequency()),
-        Param("kappa_bar", "ideal", _frequency("ideal", "off")),
-        Param("gamma_r", 0.0, _frequency(positive=False)),
-        Param("convention", "split", _CONVENTION),
-    )),
-    "error-budget": ("leakage and dephasing scaling", (
-        Param("n_atoms", 10, _count(2)),
-        Param("convention", "eq1", _CONVENTION),
-        Param("gamma_r", 0.001, _frequency(positive=False)),
-        Param("kappa_T", {"start": 10.0, "stop": 1000.0, "points": 13},
-              Kind(_kappa_t, None)),
-    )),
-    "oracle-check": ("symmetric vs brute-force modes", (
-        Param("n_atoms", 3, _count(2, N_ORACLE)),
-        Param("kappa", 40.0, _frequency()),
-        Param("omega", 1.0, _frequency()),
-        Param("omega_q", 1.0, _frequency()),
-        Param("n_max", None, _count(1, nullable=True), capped=True),
-        Param("samples_per_schedule", 24, _count(4, 4096)),
-    )),
-}
-
-EXPERIMENTS = tuple(_TABLE)
-
 _MAX_PAIRS = 10_000_000    # splitting-stats: pairs evaluated (all-pairs: kept)
-
-DEFAULT_PARAMS = {
-    exp: {param.name: param.default for param in params}
-    for exp, (_, params) in _TABLE.items()
-}
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +271,7 @@ def validate(config: dict) -> list[str]:
         return v + ["params: must be a JSON object"]
     for key in sorted(set(p) - set(DEFAULT_PARAMS[exp])):
         v.append(f"params.{key}: unknown key for experiment {exp}")
-    v += _check(p, _TABLE[exp][1], "params.")
+    v += _check(p, _TABLE[exp][2], "params.")
     if exp == "splitting-stats" and not v:
         if p["configs"] * p["atoms"] * (p["atoms"] - 1) // 2 > _MAX_PAIRS:
             v.append(f"params.configs: configs x atom pairs must be "
@@ -362,14 +282,6 @@ def validate(config: dict) -> list[str]:
             v.append("params.box: c3 / volume must be positive and finite, "
                      "and so must x = (c3 / diagonal^3) / (c3 / volume)")
     return v
-
-
-def _params(config: dict) -> dict:
-    """A valid config's parameters as its run uses them: frequencies in
-    rad/us and amplitudes as the normalized complex vector."""
-    p = config["params"]
-    return {param.name: param.kind.parse(p[param.name])
-            for param in _TABLE[config["experiment"]][1]}
 
 
 # ---------------------------------------------------------------------------
@@ -414,21 +326,17 @@ def _json_text(obj: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# experiment implementations: each returns its artifacts as {path: text}
+# experiment implementations: (parsed parameters, seed) -> Run
 # ---------------------------------------------------------------------------
 
-def _artifacts(config, out_dir: Path, header, rows, results, checks,
-               schedule=None, table_path=None) -> dict:
-    """The CSV table, optional schedule dump and JSON summary of one run,
-    named after the experiment."""
-    stem = config["experiment"].replace("-", "_")
-    files = {table_path or out_dir / f"{stem}.csv": _csv_text(header, rows)}
-    if schedule is not None:
-        files[out_dir / f"{stem}_schedule.txt"] = schedule.to_text()
-    summary = {"experiment": config["experiment"], "config": config,
-               "results": results, "checks": checks}
-    files[out_dir / f"{stem}_summary.json"] = _json_text(summary)
-    return files
+class Run(NamedTuple):
+    """What one run found, for ``main`` to write."""
+
+    header: list[str]          # the CSV table: column names, then rows
+    rows: object
+    results: dict
+    checks: dict
+    schedule: Schedule | None = None
 
 
 def _register(p: dict, n_max: int, **extra):
@@ -444,14 +352,13 @@ def _register(p: dict, n_max: int, **extra):
     )
 
 
-def _run_splitting(config, out_dir: Path) -> dict:
-    p = _params(config)
+def _run_splitting(p: dict, seed: int) -> Run:
     hist = geometry.splitting_distribution(
         n_configs=p["configs"],
         n_atoms=p["atoms"],
         box=tuple(p["box"]),
         c3=float(p["c3"]),
-        seed=config["seed"],
+        seed=seed,
         statistic=p["statistic"],
         bins=p["bins"],
     )
@@ -461,8 +368,7 @@ def _run_splitting(config, out_dir: Path) -> dict:
     rows = zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.density(),
                analytic)
     kb = geometry.kappa_bar(float(np.prod(p["box"])), float(p["c3"]))
-    return _artifacts(
-        config, out_dir,
+    return Run(
         ["x_left", "x_right", "count", "density", "analytic_density"], rows,
         results={
             "kappa_bar": kb,
@@ -471,7 +377,6 @@ def _run_splitting(config, out_dir: Path) -> dict:
             "in_window": int(hist.counts.sum()),
         },
         checks={"ks_below_0.05": bool(ks < 0.05)},
-        table_path=Path(p["out"]) if p.get("out") else None,
     )
 
 
@@ -487,8 +392,7 @@ def _rabi_fit(times, pops, freq_guess):
     return float(abs(popt[0]))
 
 
-def _run_rabi(config, out_dir: Path) -> dict:
-    p = _params(config)
+def _run_rabi(p: dict, seed: int) -> Run:
     n = p["n_atoms"]
     omega = p["omega"]
     basis, static = _register(p, p["n_max"])
@@ -506,9 +410,8 @@ def _run_rabi(config, out_dir: Path) -> dict:
     expected = sqrt(n) * omega
     rows = list(zip(res.times, p_g, p_r, p_leak, res.norm2))
     rel_err = abs(fitted - expected) / expected
-    return _artifacts(
-        config, out_dir, ["time", "p_ground", "p_single", "p_leak", "norm2"],
-        rows,
+    return Run(
+        ["time", "p_ground", "p_single", "p_leak", "norm2"], rows,
         results={
             "fitted_frequency": fitted,
             "collective_frequency": expected,
@@ -519,8 +422,7 @@ def _run_rabi(config, out_dir: Path) -> dict:
     )
 
 
-def _run_fock(config, out_dir: Path) -> dict:
-    p = _params(config)
+def _run_fock(p: dict, seed: int) -> Run:
     n = p["n_atoms"]
     n_target = p["n_target"]
     n_max = p["n_max"] if p["n_max"] is not None else min(n, n_target + 1)
@@ -542,8 +444,8 @@ def _run_fock(config, out_dir: Path) -> dict:
     q_pops = [res.population({"q": m}) for m in range(n_target + 1)]
     p_exc = res.norm2 - sum(q_pops)
     rows = list(zip(res.times, *q_pops, p_exc, res.norm2))
-    return _artifacts(
-        config, out_dir, header, rows,
+    return Run(
+        header, rows,
         results={
             "fidelity": fid,
             "infidelity": 1.0 - fid,
@@ -555,8 +457,7 @@ def _run_fock(config, out_dir: Path) -> dict:
     )
 
 
-def _run_superpose(config, out_dir: Path) -> dict:
-    p = _params(config)
+def _run_superpose(p: dict, seed: int) -> Run:
     n = p["n_atoms"]
     amps = p["amplitudes"]
     target = protocols.TargetSuperposition(amplitudes=amps, n_atoms=n)
@@ -577,8 +478,7 @@ def _run_superpose(config, out_dir: Path) -> dict:
         a_t = amps[m] if m < len(amps) else 0.0
         a_got = res.final_state[basis.state_index({"q": m})]
         rows.append((m, a_t.real, a_t.imag, a_got.real, a_got.imag, abs(a_got) ** 2))
-    return _artifacts(
-        config, out_dir,
+    return Run(
         ["m", "target_re", "target_im", "achieved_re", "achieved_im", "population"],
         rows,
         results={
@@ -594,8 +494,7 @@ def _run_superpose(config, out_dir: Path) -> dict:
     )
 
 
-def _run_gate(config, out_dir: Path) -> dict:
-    p = _params(config)
+def _run_gate(p: dict, seed: int) -> Run:
     basis, static = _register(p, 2, gate=True)
     sched = protocols.phase_gate_schedule(p["omega_minus"], p["omega_plus"])
     table = protocols.gate_truth_table(sched, basis, static)
@@ -607,8 +506,8 @@ def _run_gate(config, out_dir: Path) -> dict:
     phase_err = max(
         abs(protocols.wrap_phase(table.phases[k] - ideal[k])) for k in ideal
     )
-    return _artifacts(
-        config, out_dir, ["input", "phase", "ideal_phase", "fidelity"], rows,
+    return Run(
+        ["input", "phase", "ideal_phase", "fidelity"], rows,
         results={
             "phases": table.phases,
             "fidelities": table.fidelities,
@@ -622,8 +521,7 @@ def _run_gate(config, out_dir: Path) -> dict:
     )
 
 
-def _run_error_budget(config, out_dir: Path) -> dict:
-    p = _params(config)
+def _run_error_budget(p: dict, seed: int) -> Run:
     n = p["n_atoms"]
     gamma = p["gamma_r"]
     result = errmod.blockade_scaling_experiment(
@@ -643,10 +541,9 @@ def _run_error_budget(config, out_dir: Path) -> dict:
         result.kappa_T[high] ** 2 * result.p_sim[high] / adiabatic - 1.0
     )
     geom_factor = errmod.geometry_factor(
-        8, (10.0, 10.0, 10.0), seed=config["seed"]
+        8, (10.0, 10.0, 10.0), seed=seed
     )
-    return _artifacts(
-        config, out_dir,
+    return Run(
         ["kappaT", "p_doub_est", "p_doub_sim", "p_deph_est", "p_deph_sim",
          "slope_fit"],
         rows,
@@ -673,8 +570,7 @@ def _run_error_budget(config, out_dir: Path) -> dict:
     )
 
 
-def _run_oracle(config, out_dir: Path) -> dict:
-    p = _params(config)
+def _run_oracle(p: dict, seed: int) -> Run:
     rows = oracle.oracle_equivalence(
         p["n_atoms"],
         p["kappa"],
@@ -684,21 +580,92 @@ def _run_oracle(config, out_dir: Path) -> dict:
         samples_per_schedule=p["samples_per_schedule"],
     )
     worst = min(r[2] for r in rows)
-    return _artifacts(
-        config, out_dir, ["schedule", "time", "fidelity"], rows,
+    return Run(
+        ["schedule", "time", "fidelity"], rows,
         results={"min_fidelity": worst, "max_deviation": 1.0 - worst},
         checks={"agreement_1e-8": bool(worst > 1.0 - 1e-8)},
     )
 
 
-_RUNNERS = {
-    "splitting-stats": _run_splitting,
-    "rabi": _run_rabi,
-    "fock": _run_fock,
-    "superpose": _run_superpose,
-    "gate": _run_gate,
-    "error-budget": _run_error_budget,
-    "oracle-check": _run_oracle,
+# experiment -> (subcommand help, runner, parameters)
+_TABLE = {
+    "splitting-stats": ("pair-splitting Monte Carlo", _run_splitting, (
+        Param("configs", 30000, _count(1, 3_000_000)),
+        Param("atoms", 2, _count(2)),
+        Param("box", [10.0, 10.0, 10.0], _kind(
+            lambda v: _reals(v, 3) and min(v) > 0 and 0 < _volume(v) < inf,
+            "three positive finite lengths with a positive finite volume",
+            type=_numbers_arg, metavar="LX,LY,LZ")),
+        Param("c3", 1000.0, _positive()),
+        Param("statistic", "min-pair", _choice("min-pair", "all-pairs")),
+        Param("bins", 60, _count(1, 10_000)),
+        Param("window", [0.2, 20.0], _kind(
+            lambda v: _reals(v, 2) and 0 < v[0] < v[1], "0 < lo < hi",
+            type=_numbers_arg, metavar="LO,HI")),
+        Param("out", None, _path(nullable=True, metavar="FILE")),
+    )),
+    "rabi": ("collective Rabi oscillation", _run_rabi, (
+        Param("n_atoms", 10, _count(2)),
+        Param("omega", 1.0, _frequency()),
+        Param("kappa_bar", "ideal", _frequency("ideal")),
+        Param("gamma_r", 0.0, _frequency(positive=False)),
+        Param("convention", "split", _CONVENTION),
+        Param("n_max", 2, _count(1), capped=True),
+        Param("periods", 3.0, _positive(high=300.0)),
+        Param("samples_per_period", 32, _count(4, 4096)),
+    )),
+    "fock": ("storage-rung ladder synthesis", _run_fock, (
+        Param("n_atoms", 20, _count(2)),
+        Param("n_target", 3, _count(0), capped=True),
+        Param("omega", 1.0, _frequency()),
+        Param("omega_q", 1.0, _frequency()),
+        Param("kappa_bar", "ideal", _frequency("ideal")),
+        Param("gamma_r", 0.0, _frequency(positive=False)),
+        Param("convention", "split", _CONVENTION),
+        Param("pulse_duration", None, _positive(nullable=True)),
+        Param("n_max", None, _count(1, nullable=True), capped=True),
+    )),
+    "superpose": ("arbitrary superposition synthesis", _run_superpose, (
+        Param("n_atoms", 10, _count(2)),
+        Param("omega", 1.0, _frequency()),
+        Param("omega_q", 1.0, _frequency()),
+        Param("amplitudes", [0.5773502691896258, 0.5773502691896258,
+                             0.5773502691896258], Kind(_amplitudes, {
+            "type": _amplitudes_arg, "metavar": "A0,A1,...",
+            "help": "complex entries, e.g. 0.707,0.5+0.5j "
+                    "(normalized before use)",
+        }), capped=True),
+    )),
+    "gate": ("conditional phase gate truth table", _run_gate, (
+        Param("n_atoms", 10, _count(2)),
+        Param("omega_plus", 1.0, _frequency()),
+        Param("omega_minus", 1.0, _frequency()),
+        Param("kappa_bar", "ideal", _frequency("ideal", "off")),
+        Param("gamma_r", 0.0, _frequency(positive=False)),
+        Param("convention", "split", _CONVENTION),
+    )),
+    "error-budget": ("leakage and dephasing scaling", _run_error_budget, (
+        Param("n_atoms", 10, _count(2)),
+        Param("convention", "eq1", _CONVENTION),
+        Param("gamma_r", 0.001, _frequency(positive=False)),
+        Param("kappa_T", {"start": 10.0, "stop": 1000.0, "points": 13},
+              Kind(_kappa_t, None)),
+    )),
+    "oracle-check": ("symmetric vs brute-force modes", _run_oracle, (
+        Param("n_atoms", 3, _count(2, N_ORACLE)),
+        Param("kappa", 40.0, _frequency()),
+        Param("omega", 1.0, _frequency()),
+        Param("omega_q", 1.0, _frequency()),
+        Param("n_max", None, _count(1, nullable=True), capped=True),
+        Param("samples_per_schedule", 24, _count(4, 4096)),
+    )),
+}
+
+EXPERIMENTS = tuple(_TABLE)
+
+DEFAULT_PARAMS = {
+    exp: {param.name: param.default for param in params}
+    for exp, (_, _, params) in _TABLE.items()
 }
 
 
@@ -730,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Collective-excitation simulator for blockaded ensembles",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for experiment, (help_text, params) in _TABLE.items():
+    for experiment, (help_text, _, params) in _TABLE.items():
         _add_flags(sub.add_parser(experiment, help=help_text, parents=[common]),
                    params)
     return parser
@@ -760,7 +727,7 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if not isinstance(config["params"], dict):
             return config
     params = config["params"]
-    for table, target in ((_TOP, config), (_TABLE[args.experiment][1], params)):
+    for table, target in ((_TOP, config), (_TABLE[args.experiment][2], params)):
         for param in table:
             if getattr(args, param.name, None) is not None:
                 target[param.name] = getattr(args, param.name)
@@ -772,6 +739,22 @@ def resolve_config(args: argparse.Namespace) -> dict:
             kt = DEFAULT_PARAMS["error-budget"]["kappa_T"]
         params["kappa_T"] = {**kt, **grid}
     return config
+
+
+def _artifacts(config: dict, p: dict, run: Run) -> dict:
+    """The CSV table, optional schedule dump and JSON summary of one run,
+    as {path: text}, named after the experiment (splitting-stats writes its
+    table to ``out`` when set)."""
+    out_dir = Path(config["out_dir"])
+    stem = config["experiment"].replace("-", "_")
+    table = Path(p["out"]) if p.get("out") else out_dir / f"{stem}.csv"
+    files = {table: _csv_text(run.header, run.rows)}
+    if run.schedule is not None:
+        files[out_dir / f"{stem}_schedule.txt"] = run.schedule.to_text()
+    summary = {"experiment": config["experiment"], "config": config,
+               "results": run.results, "checks": run.checks}
+    files[out_dir / f"{stem}_summary.json"] = _json_text(summary)
+    return files
 
 
 def _write_all(artifacts: dict) -> None:
@@ -815,9 +798,12 @@ def main(argv=None) -> int:
     if args.print_config:
         print(_json_text(config), end="")
         return EXIT_OK
-    out_dir = Path(config["out_dir"])
+    _, runner, params = _TABLE[config["experiment"]]
+    # the run's parameters: frequencies in rad/us, normalized amplitudes
+    p = {param.name: param.kind.parse(config["params"][param.name])
+         for param in params}
     try:
-        artifacts = _RUNNERS[config["experiment"]](config, out_dir)
+        artifacts = _artifacts(config, p, runner(p, config["seed"]))
     except (CompilationError, StiffnessError, GeometryError, BasisError,
             PhaseUndefinedError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -826,7 +812,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        Path(config["out_dir"]).mkdir(parents=True, exist_ok=True)
         _write_all(artifacts)
     except (OSError, ValueError) as exc:    # ValueError: an unusable path
         print(f"i/o error: {exc}", file=sys.stderr)

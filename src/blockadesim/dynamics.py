@@ -18,14 +18,16 @@ from math import sqrt
 
 import numpy as np
 
-from .hilbert import Basis, collective_op, drive_generator
+from .hilbert import Basis, BasisError, collective_op, drive_generator
 
 # envelope refinement stops once the final state moves less than this
 _ENVELOPE_TOL = 1e-10
+# most bytes of states (16 B) and populations (8 B) a trajectory may keep
+_TRAJECTORY_BUDGET = 2e9
 
 
 class StiffnessError(RuntimeError):
-    """Integrator failed to reach the requested tolerance on a segment."""
+    """Integration of a segment missed its tolerance or went non-finite."""
 
 
 class PhaseUndefinedError(ValueError):
@@ -236,7 +238,7 @@ def _segment_targets(t0: float, duration: float, grid: np.ndarray) -> np.ndarray
 
 
 def _propagate_constant(h, k, psi, dt_list):
-    """States at cumulative offsets dt_list (sorted, > 0) under H - i k.
+    """States at cumulative offsets dt_list (sorted, >= 0) under H - i k.
 
     A Hermitian segment (k = 0) takes one eigendecomposition.  A decaying
     one takes expm(-i (H - i k) span) per step; steps of the uniform sample
@@ -249,9 +251,9 @@ def _propagate_constant(h, k, psi, dt_list):
     import scipy.linalg   # deferred: only decaying segments need it
 
     gen = -1j * (h - 1j * np.diag(k))
-    out, step = [psi], 0.0
+    out, step = [psi], None
     for span in np.diff(dt_list, prepend=0.0):
-        if abs(span - step) > 1e-12 * span:
+        if step is None or abs(span - step) > 1e-12 * span:
             step, prop = span, scipy.linalg.expm(gen * span)
         out.append(prop @ out[-1])
     return out[1:]
@@ -269,7 +271,8 @@ def evolve(
     static_terms (dipole coupling, dephasing) act during every event; each
     Pulse adds its drive term.  Samples are taken at t=0, at multiples of
     sample_dt when given, and at every event boundary.  Deterministic for
-    fixed inputs.
+    fixed inputs.  A trajectory over budget raises BasisError, and an event
+    that leaves a non-finite state StiffnessError.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     norm = np.linalg.norm(psi0)
@@ -278,7 +281,14 @@ def evolve(
     h_static, k = _split_static(basis, static_terms)
 
     total_t = schedule.total_duration
-    if sample_dt is not None and sample_dt > 0:
+    sampled = sample_dt is not None and sample_dt > 0
+    # the grid, t = 0 and each event boundary (a nan estimate reads as over)
+    n = (total_t / sample_dt if sampled else 0.0) + 1 + len(schedule.events)
+    need = 24.0 * n * basis.dim
+    if not need <= _TRAJECTORY_BUDGET:
+        raise BasisError(f"trajectory of {n:.3g} samples x dim {basis.dim} "
+                         f"needs {need:.3g} B > budget {_TRAJECTORY_BUDGET:.3g} B")
+    if sampled:
         grid = np.arange(0.0, total_t + 0.5 * sample_dt, sample_dt)
     else:
         grid = np.array([0.0])
@@ -308,6 +318,8 @@ def evolve(
                 segs = _propagate_envelope(base, unit, k, ev, psi, dts, i_ev)
             else:
                 segs = _propagate_constant(base + ev.omega * unit, k, psi, dts)
+        if not np.isfinite(segs[-1]).all():
+            raise StiffnessError(f"event {i_ev} left a non-finite state")
         times.extend(targets.tolist())
         states.extend(segs)
         psi = segs[-1]

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -270,11 +271,16 @@ def test_seed_changes_output(tmp_path):
         (b / "splitting_stats.csv").read_bytes()
 
 
+def _replace_gate_runner(monkeypatch, runner):
+    help_text, _, params = cli._TABLE["gate"]
+    monkeypatch.setitem(cli._TABLE, "gate", (help_text, runner, params))
+
+
 def test_numerical_failure_exit_code(tmp_path, monkeypatch):
-    def boom(config, out_dir):
+    def boom(p, seed):
         raise CompilationError("synthetic failure")
 
-    monkeypatch.setitem(cli._RUNNERS, "gate", boom)
+    _replace_gate_runner(monkeypatch, boom)
     out = tmp_path / "out"
     code = run_cli("gate", "--out-dir", str(out))
     assert code == cli.EXIT_NUMERICAL
@@ -282,26 +288,26 @@ def test_numerical_failure_exit_code(tmp_path, monkeypatch):
 
 
 def test_io_failure_exit_code(tmp_path, monkeypatch):
-    def boom(config, out_dir):
+    def boom(p, seed):
         raise OSError("disk went away")
 
-    monkeypatch.setitem(cli._RUNNERS, "gate", boom)
+    _replace_gate_runner(monkeypatch, boom)
     code = run_cli("gate", "--out-dir", str(tmp_path))
     assert code == cli.EXIT_IO
 
 
 def test_write_error_is_an_io_failure(tmp_path, monkeypatch):
     # a path the file system refuses once the run has succeeded: exit 4
-    monkeypatch.setitem(cli._RUNNERS, "gate",
-                        lambda config, out_dir: {out_dir / "a\0b": "x"})
+    monkeypatch.setattr(cli, "_artifacts",
+                        lambda config, p, run: {tmp_path / "a\0b": "x"})
     assert run_cli("gate", "--out-dir", str(tmp_path)) == cli.EXIT_IO
 
 
 def test_failed_write_leaves_no_artifacts(tmp_path, monkeypatch):
     # the first file is written fine, the second cannot be: neither remains
     first, second = tmp_path / "a.csv", tmp_path / "missing" / "b.csv"
-    monkeypatch.setitem(cli._RUNNERS, "gate",
-                        lambda config, out_dir: {first: "x", second: "y"})
+    monkeypatch.setattr(cli, "_artifacts",
+                        lambda config, p, run: {first: "x", second: "y"})
     assert run_cli("gate", "--out-dir", str(tmp_path)) == cli.EXIT_IO
     assert not first.exists() and not second.exists()
     assert list(tmp_path.iterdir()) == []
@@ -309,10 +315,10 @@ def test_failed_write_leaves_no_artifacts(tmp_path, monkeypatch):
 
 def test_runner_value_error_is_not_a_numerical_failure(tmp_path, monkeypatch):
     # a plain ValueError from a runner is a bug: it surfaces as a traceback
-    def boom(config, out_dir):
+    def boom(p, seed):
         raise ValueError("synthetic bug")
 
-    monkeypatch.setitem(cli._RUNNERS, "gate", boom)
+    _replace_gate_runner(monkeypatch, boom)
     with pytest.raises(ValueError, match="synthetic bug"):
         run_cli("gate", "--out-dir", str(tmp_path / "out"))
     assert not (tmp_path / "out").exists()
@@ -323,6 +329,43 @@ def test_empty_splitting_window_is_a_numerical_failure(tmp_path):
     code = run_cli("splitting-stats", "--window", "1000,2000",
                    "--configs", "100", "--out-dir", str(out))
     assert code == cli.EXIT_NUMERICAL
+    assert not out.exists()
+
+
+_NUMERICAL_FAILURES = (
+    # an event's propagation overflows to a non-finite state
+    ("fock", "--gamma-r", "1e100"),
+    ("gate", "--kappa-bar", "100", "--gamma-r", "1e100"),
+    ("rabi", "--gamma-r", "1e100"),
+    ("rabi", "--kappa-bar", "1.7e308"),
+    # a decaying closing pi-pulse of 3e-300 us, whose step rounds to 0
+    ("gate", "--omega-minus", "1e300", "--gamma-r", "1"),
+    # a trajectory of ~1e301 samples: over the budget before any allocation
+    ("fock", "--omega", "1e-300"),
+    ("fock", "--omega-q", "1e-300"),
+)
+
+# runs cli.main(argv) under a 2 GB address-space limit of its own process
+_LIMITED_RUN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.path.insert(0, sys.argv[1])
+from blockadesim import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("argv", _NUMERICAL_FAILURES, ids=" ".join)
+def test_overflow_and_oversize_runs_are_numerical_failures(tmp_path, argv):
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_RUN, src, *argv, "--out-dir", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+    assert "numerical failure:" in proc.stderr
     assert not out.exists()
 
 

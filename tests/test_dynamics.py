@@ -7,13 +7,15 @@ from blockadesim.dynamics import (
     Pulse,
     SampledEnvelope,
     Schedule,
+    StiffnessError,
     Wait,
     accumulated_phase,
     evolve,
     fidelity,
     wrap_phase,
 )
-from blockadesim.hilbert import dephasing_term, dipole_term, enumerate_basis
+from blockadesim.hilbert import (BasisError, dephasing_term, dipole_term,
+                                 enumerate_basis)
 from blockadesim.protocols import fock_ladder, rabi_pulse, register_basis
 
 from .reference import (
@@ -193,6 +195,32 @@ def test_strong_decay_matches_closed_form(deadline):
         u = decaying_two_level_propagator(omega, gamma, t, phase)
         assert abs(state[g] - u[0, 0]) < 1e-10
         assert abs(state[r] - u[1, 0]) < 1e-10
+
+
+def test_zero_decaying_step_returns_the_state():
+    # a step that rounds to 0 takes expm(0), also when it is the first one
+    h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    psi = np.array([0.6, 0.8j])
+    (out,) = dynamics._propagate_constant(h, np.array([0.0, 1.0]), psi,
+                                          np.array([0.0]))
+    np.testing.assert_array_equal(out, psi)
+
+
+def test_overflowing_decay_is_a_stiffness_error():
+    # expm(-i (H - i k) t) at k = 1e100 overflows: no non-finite state
+    # leaves evolve
+    basis = enumerate_basis(1, ("r",), 1)
+    static = [dephasing_term(basis, 1e100)]
+    with pytest.raises(StiffnessError, match="event 0 .* non-finite"):
+        evolve(Schedule((Pulse(("g", "r"), 1.0, 1.0),)), basis, static,
+               basis.basis_vector({}))
+
+
+def test_trajectory_over_budget_is_a_basis_error():
+    basis, static = _ideal(3)
+    with pytest.raises(BasisError, match="budget"):
+        evolve(Schedule((Pulse(("g", "r"), 1.0, 1.0),)), basis, static,
+               basis.basis_vector({}), sample_dt=1e-300)
 
 
 def test_fidelity_definitions():
