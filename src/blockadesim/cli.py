@@ -393,12 +393,12 @@ def _rabi_fit(times, pops, freq_guess):
 
 
 def _run_rabi(p: dict, seed: int) -> Run:
-    n = p["n_atoms"]
-    omega = p["omega"]
+    expected = sqrt(p["n_atoms"]) * p["omega"]
+    if expected == inf:     # the period would be 0
+        raise StiffnessError("collective Rabi frequency sqrt(N) omega overflows")
     basis, static = _register(p, p["n_max"])
-    period = 2.0 * pi / (sqrt(n) * omega)
-    duration = p["periods"] * period
-    sched = Schedule((protocols.Pulse(("g", "r"), omega, duration),))
+    period = 2.0 * pi / expected
+    sched = Schedule((protocols.Pulse(("g", "r"), p["omega"], p["periods"] * period),))
     res = evolve(
         sched, basis, static, basis.basis_vector({}),
         sample_dt=period / p["samples_per_period"],
@@ -406,8 +406,7 @@ def _run_rabi(p: dict, seed: int) -> Run:
     p_g = res.population({})
     p_r = res.population({"r": 1})
     p_leak = res.norm2 - p_g - p_r
-    fitted = _rabi_fit(res.times, p_r, sqrt(n) * omega)
-    expected = sqrt(n) * omega
+    fitted = _rabi_fit(res.times, p_r, expected)
     rows = list(zip(res.times, p_g, p_r, p_leak, res.norm2))
     rel_err = abs(fitted - expected) / expected
     return Run(

@@ -13,21 +13,24 @@ Times are in us, angular frequencies in rad/us, phases in rad.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import sqrt
 
 import numpy as np
 
-from .hilbert import Basis, BasisError, collective_op, drive_generator
+from .hilbert import (HERMITIAN_COPIES, MEMORY_BUDGET, Basis, BasisError,
+                      collective_op, drive_generator)
 
 # envelope refinement stops once the final state moves less than this
 _ENVELOPE_TOL = 1e-10
-# most bytes of states (16 B) and populations (8 B) a trajectory may keep
-_TRAJECTORY_BUDGET = 2e9
+# dense copies a decaying propagation holds (scipy.linalg.expm keeps six)
+_DECAYING_COPIES = 18
 
 
 class StiffnessError(RuntimeError):
-    """Integration of a segment missed its tolerance or went non-finite."""
+    """Integration missed its tolerance, went non-finite or rounded its
+    result away."""
 
 
 class PhaseUndefinedError(ValueError):
@@ -181,7 +184,7 @@ class EvolutionResult:
     norm2: np.ndarray            # (M,)
     initial_state: np.ndarray
     final_state: np.ndarray
-    states: np.ndarray | None = field(default=None, repr=False)
+    states: np.ndarray = field(repr=False)      # (M, dim)
 
     def population(self, spec) -> np.ndarray:
         return self.populations[:, self.basis.state_index(spec)]
@@ -207,38 +210,32 @@ def wrap_phase(a: float) -> float:
 
 
 def _split_static(basis: Basis, static_terms) -> tuple[np.ndarray, np.ndarray]:
-    """Sum static terms into a Hermitian dense part and a diagonal decay.
+    """Sum static terms into one dense effective Hamiltonian H - i k.
 
     The anti-Hermitian content must be diagonal (the norm-loss model);
-    returns (H_static, k) with the effective Hamiltonian H_static - i k.
+    returns (H - i k, k).
     """
-    dim = basis.dim
-    total = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((basis.dim, basis.dim), dtype=complex)
     for op in static_terms:
         if op.basis is not basis and op.basis != basis:
             raise ValueError("static term basis mismatch")
-        total += op.dense()
-    herm = 0.5 * (total + total.conj().T)
-    anti = total - herm                      # equals -i k on the diagonal
-    k = np.imag(-np.diag(anti))
-    off = anti - np.diag(np.diag(anti))
-    if off.size and np.abs(off).max() > 1e-12:
-        raise ValueError("non-diagonal anti-Hermitian static term")
+        h[op.rows, op.cols] += op.vals
+    if not np.isfinite(h).all():
+        raise StiffnessError("static terms sum to a non-finite entry")
+    # every nonzero entry sits where some term has one
+    for op in static_terms:
+        defect = abs(h[op.rows, op.cols] - h[op.cols, op.rows].conj())
+        if (defect[op.rows != op.cols] > 2e-12).any():
+            raise ValueError("non-diagonal anti-Hermitian static term")
+    k = -h.diagonal().imag
     if (k < -1e-12).any():
         raise ValueError("decay rates must be non-negative")
-    return herm, np.clip(k, 0.0, None)
+    return h, k
 
 
-def _segment_targets(t0: float, duration: float, grid: np.ndarray) -> np.ndarray:
-    """Sample times falling inside (t0, t0+duration], always including the end."""
-    t1 = t0 + duration
-    eps = 1e-12 * max(1.0, abs(t1))
-    inside = grid[(grid > t0 + eps) & (grid < t1 - eps)]
-    return np.concatenate([inside, [t1]])
-
-
-def _propagate_constant(h, k, psi, dt_list):
-    """States at cumulative offsets dt_list (sorted, >= 0) under H - i k.
+def _propagate_constant(h, k, psi, dts, out):
+    """States at cumulative offsets dts (sorted, >= 0) under h = H - i k,
+    written into the rows of ``out``, which is returned.
 
     A Hermitian segment (k = 0) takes one eigendecomposition.  A decaying
     one takes expm(-i (H - i k) span) per step; steps of the uniform sample
@@ -247,99 +244,102 @@ def _propagate_constant(h, k, psi, dt_list):
     if not k.any():
         w, u = np.linalg.eigh(h)
         coef = u.conj().T @ psi
-        return [u @ (np.exp(-1j * w * dt) * coef) for dt in dt_list]
+        for row, dt in zip(out, dts):
+            row[:] = u @ (np.exp(-1j * w * dt) * coef)
+        return out
     import scipy.linalg   # deferred: only decaying segments need it
 
-    gen = -1j * (h - 1j * np.diag(k))
-    out, step = [psi], None
-    for span in np.diff(dt_list, prepend=0.0):
+    gen, step = -1j * h, None
+    for row, span in zip(out, np.diff(dts, prepend=0.0)):
         if step is None or abs(span - step) > 1e-12 * span:
             step, prop = span, scipy.linalg.expm(gen * span)
-        out.append(prop @ out[-1])
-    return out[1:]
+        row[:] = psi = prop @ psi
+    return out
 
 
-def evolve(
-    schedule: Schedule,
-    basis: Basis,
-    static_terms,
-    psi0: np.ndarray,
-    sample_dt: float | None = None,
-) -> EvolutionResult:
+def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
+           sample_dt: float | None = None) -> EvolutionResult:
     """Evolve psi0 through the schedule and sample the trajectory.
 
     static_terms (dipole coupling, dephasing) act during every event; each
     Pulse adds its drive term.  Samples are taken at t=0, at multiples of
     sample_dt when given, and at every event boundary.  Deterministic for
-    fixed inputs.  A trajectory over budget raises BasisError, and an event
-    that leaves a non-finite state StiffnessError.
+    fixed inputs.
+
+    Before anything dense is allocated the run's memory is estimated: 16 B
+    per entry of each dense dim x dim copy its propagation holds at once
+    (HERMITIAN_COPIES, or _DECAYING_COPIES when a static term decays), and
+    per sample 24 B per basis state (state and populations) plus 40 B
+    (times, norms, grid).  An estimate over MEMORY_BUDGET raises
+    BasisError, and an event that leaves a non-finite state StiffnessError.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     norm = np.linalg.norm(psi0)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"initial state norm {norm} is not 1 within 1e-9")
+    dim, total_t = basis.dim, schedule.total_duration
+    sampled = sample_dt is not None and sample_dt > 0
+    # the grid, t = 0 and each event end (a nan estimate reads as over)
+    n = (total_t / sample_dt if sampled else 0.0) + 1 + len(schedule.events)
+    decaying = any(op.vals[op.rows == op.cols].imag.any() for op in static_terms)
+    need = (16.0 * (_DECAYING_COPIES if decaying else HERMITIAN_COPIES) * dim**2
+            + n * (24.0 * dim + 40.0))
+    if not need <= MEMORY_BUDGET:
+        raise BasisError(f"dim {dim} with {n:.3g} samples needs {need:.3g} B "
+                         f"> budget {MEMORY_BUDGET:.3g} B")
     h_static, k = _split_static(basis, static_terms)
 
-    total_t = schedule.total_duration
-    sampled = sample_dt is not None and sample_dt > 0
-    # the grid, t = 0 and each event boundary (a nan estimate reads as over)
-    n = (total_t / sample_dt if sampled else 0.0) + 1 + len(schedule.events)
-    need = 24.0 * n * basis.dim
-    if not need <= _TRAJECTORY_BUDGET:
-        raise BasisError(f"trajectory of {n:.3g} samples x dim {basis.dim} "
-                         f"needs {need:.3g} B > budget {_TRAJECTORY_BUDGET:.3g} B")
-    if sampled:
-        grid = np.arange(0.0, total_t + 0.5 * sample_dt, sample_dt)
-    else:
-        grid = np.array([0.0])
-
-    times = [0.0]
-    states = [psi0]
-    t0 = 0.0
-    psi = psi0
-    transitions = {}
+    # sample times: t = 0, then per event the grid points inside it (more
+    # than 1e-12 of its end time from either boundary) and its end
+    grid = (np.arange(0.0, total_t + 0.5 * sample_dt, sample_dt) if sampled
+            else np.zeros(0))
+    parts, events, t0 = [[0.0]], [], 0.0
     for i_ev, ev in enumerate(schedule.events):
-        if ev.duration == 0.0:
-            continue
-        targets = _segment_targets(t0, ev.duration, grid)
-        dts = targets - t0
+        if ev.duration != 0.0:
+            t1 = t0 + ev.duration
+            inside = grid[np.searchsorted(grid, t0 + 1e-12 * t1, "right"):
+                          np.searchsorted(grid, t1 - 1e-12 * t1)]
+            parts += [inside, [t1]]
+            events.append((i_ev, ev, t0, len(inside) + 1))
+            t0 = t1
+    times = np.concatenate(parts)
+    del grid, parts
+
+    states = np.empty((len(times), dim), dtype=complex)
+    states[0] = psi = psi0
+    row, op_of = 1, functools.cache(lambda tr: collective_op(basis, *tr))
+    for i_ev, ev, t0, m in events:
+        out, dts = states[row:row + m], times[row:row + m] - t0
+        row += m
         if isinstance(ev, Wait):
-            segs = _propagate_constant(h_static, k, psi, dts)
+            _propagate_constant(h_static, k, psi, dts, out)
         else:
-            # H(amp) = base + amp * unit from the dense collective operator,
-            # built once per transition
-            frm, to = ev.transition
-            if ev.transition not in transitions:
-                transitions[ev.transition] = collective_op(basis, frm, to).dense()
-            shift, unit = drive_generator(basis, to, transitions[ev.transition],
+            # H(amp) = base + amp * unit; each transition's operator is
+            # built once
+            shift, unit = drive_generator(basis, ev.transition[1],
+                                          op_of(ev.transition).dense(),
                                           ev.phase, ev.detuning)
             base = h_static + np.diag(shift) if ev.detuning != 0.0 else h_static
             if isinstance(ev.omega, SampledEnvelope):
-                segs = _propagate_envelope(base, unit, k, ev, psi, dts, i_ev)
+                _propagate_envelope(base, unit, k, ev, psi, dts, out, i_ev)
             else:
-                segs = _propagate_constant(base + ev.omega * unit, k, psi, dts)
-        if not np.isfinite(segs[-1]).all():
+                unit *= ev.omega             # base + omega * unit, in place
+                unit += base
+                _propagate_constant(unit, k, psi, dts, out)
+        psi = out[-1]
+        if not np.isfinite(psi).all():
             raise StiffnessError(f"event {i_ev} left a non-finite state")
-        times.extend(targets.tolist())
-        states.extend(segs)
-        psi = segs[-1]
-        t0 += ev.duration
 
-    arr = np.array(states)
-    populations = np.abs(arr) ** 2
-    return EvolutionResult(
-        basis=basis,
-        times=np.array(times),
-        populations=populations,
-        norm2=populations.sum(axis=1),
-        initial_state=psi0,
-        final_state=psi,
-        states=arr,
-    )
+    populations = np.abs(states)
+    populations **= 2
+    return EvolutionResult(basis=basis, times=times, populations=populations,
+                           norm2=populations.sum(axis=1), initial_state=psi0,
+                           final_state=psi, states=states)
 
 
-def _propagate_envelope(base, unit, k, pulse, psi, dts, i_ev):
-    """Adaptive sub-segmentation of a sampled-envelope pulse.
+def _propagate_envelope(base, unit, k, pulse, psi, dts, out, i_ev):
+    """Adaptive sub-segmentation of a sampled-envelope pulse, writing the
+    states at offsets dts into the rows of ``out``.
 
     Each sub-interval is advanced by the fourth-order commutator-free
     two-exponential scheme (Gauss-node amplitudes combine linearly into two
@@ -354,40 +354,31 @@ def _propagate_envelope(base, unit, k, pulse, psi, dts, i_ev):
     def run(n_sub):
         # breakpoints of the piecewise-linear envelope pin the grid so each
         # sub-interval sees a smooth amplitude
-        bounds = np.unique(
-            np.concatenate(
-                [np.linspace(0.0, pulse.duration, n_sub + 1), env.times, dts]
-            )
-        )
-        out = []
-        cur = psi
-        want = 0
+        bounds = np.unique(np.concatenate(
+            [np.linspace(0.0, pulse.duration, n_sub + 1), env.times, dts]))
+        cur, want = psi, 0
         for a, b in zip(bounds[:-1], bounds[1:]):
             h = b - a
-            amp1 = float(env(a + node1 * h))
-            amp2 = float(env(a + node2 * h))
-            half = np.array([0.5 * h])
+            amp1, amp2 = float(env(a + node1 * h)), float(env(a + node2 * h))
             for w1, w2 in ((wb, wa), (wa, wb)):
                 drive = 2.0 * (w1 * amp1 + w2 * amp2)
-                cur = _propagate_constant(base + drive * unit, k, cur, half)[0]
+                cur = _propagate_constant(base + drive * unit, k, cur, [0.5 * h],
+                                          np.empty((1, len(psi)), dtype=complex))[0]
             while want < len(dts) and abs(b - dts[want]) < 1e-12:
-                out.append(cur)
+                out[want] = cur
                 want += 1
-        return out
+        return out[-1].copy()
 
     n_sub = max(8, len(env.times) - 1)
     prev = run(n_sub)
     for _ in range(12):
         n_sub *= 2
         nxt = run(n_sub)
-        err = np.linalg.norm(nxt[-1] - prev[-1])
-        if err <= _ENVELOPE_TOL * max(1.0, np.linalg.norm(nxt[-1])):
-            return nxt
+        if np.linalg.norm(nxt - prev) <= _ENVELOPE_TOL * max(1.0, np.linalg.norm(nxt)):
+            return
         prev = nxt
-    raise StiffnessError(
-        f"envelope pulse (event {i_ev}) did not reach tol={_ENVELOPE_TOL} "
-        f"within {n_sub} sub-steps"
-    )
+    raise StiffnessError(f"envelope pulse (event {i_ev}) did not reach "
+                         f"tol={_ENVELOPE_TOL} within {n_sub} sub-steps")
 
 
 def fidelity(state: np.ndarray, target: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from math import pi
 
 import numpy as np
 
-from .dynamics import Schedule, Wait, evolve, fidelity
+from .dynamics import Schedule, StiffnessError, Wait, evolve, fidelity
 from ._kernels import pair_r2
 from .geometry import _position_chunks
 from .hilbert import dephasing_term, enumerate_basis
@@ -154,7 +154,7 @@ def blockade_scaling_experiment(
 
     The measured prefactor is ``adiabatic_prefactor``, about pi^3 ("eq1")
     or 8 pi^3 ("split") times the 1/(4 pi) closed form, which drops those
-    dynamical factors.
+    dynamical factors.  A leakage that rounds to 0 raises StiffnessError.
     """
     kts = np.asarray(sorted(kappa_T_values), dtype=float)
     if (kts < 5.0).any():
@@ -174,6 +174,9 @@ def blockade_scaling_experiment(
         stay = pop[basis.state_index({})] + pop[basis.state_index({"r": 1})]
         p_sim[i] = max(res.norm2[-1] - stay, 0.0)
         p_est[i] = p_doub_estimate(kbar, T)
+    if not p_sim.all():
+        raise StiffnessError(f"leakage at kappa_bar T = {kts[p_sim == 0][0]:.3g} "
+                             "is 0 to double precision: no log-log fit")
     coef = np.polyfit(np.log(kts), np.log(p_sim), 1)
     return BlockadeScalingResult(
         kappa_T=kts,

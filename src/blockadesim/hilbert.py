@@ -204,6 +204,10 @@ def hermiticity_defect(op: Operator) -> float:
 N_ORACLE = 5
 # candidate rows enumerate_basis holds at once (~2 MB per table column)
 _CANDIDATES = 1 << 18
+# bytes one run may hold; ``dynamics.evolve`` says what it counts
+MEMORY_BUDGET = 2e9
+# dense dim x dim copies a Hermitian propagation holds, eigh's workspace included
+HERMITIAN_COPIES = 9
 
 
 def enumerate_basis(
@@ -212,7 +216,6 @@ def enumerate_basis(
     n_max: int,
     mode: str = "symmetric",
     ryd_max: int | None = None,
-    max_dim: int = 100_000,
 ) -> Basis:
     """Enumerate all states with at most n_max excitations.
 
@@ -226,8 +229,11 @@ def enumerate_basis(
 
     States are built one choice at a time (a level's quanta, or an atom's
     level), dropping every partial state that already breaks a cap, and
-    are ordered by excitation number, then state.
+    are ordered by excitation number, then state.  A basis is refused
+    (BasisError) once its states outnumber the largest dim whose
+    HERMITIAN_COPIES dense copies fit MEMORY_BUDGET: ``evolve`` would too.
     """
+    dim_cap = int(sqrt(MEMORY_BUDGET / (16 * HERMITIAN_COPIES)))
     req = set(levels) - {GROUND}
     singles = tuple(lev for lev in LEVEL_ORDER if lev in req)
     unknown = req - set(singles)
@@ -251,12 +257,12 @@ def enumerate_basis(
                 for i, a in enumerate(r_present)
                 for b in r_present[i:]
             )
-        # a choice per level: its number of quanta (more than max_dim + 1
-        # values that pass the caps would break max_dim anyway)
+        # a choice per level: its number of quanta (more than dim_cap + 1
+        # values that pass the caps would break dim_cap anyway)
         unit = np.eye(len(levs), dtype=int)
         choices = []
         for a, lev in enumerate(levs):
-            counts = range(min(n_max // level_weight(lev), max_dim) + 1)
+            counts = range(min(n_max // level_weight(lev), dim_cap) + 1)
             choices.append((counts, np.outer(counts, unit[a])))
     elif mode == "pair-resolved":
         if n_atoms > N_ORACLE:
@@ -291,8 +297,8 @@ def enumerate_basis(
             rows = (table[lo:lo + block, None, :] + step).reshape(-1, width)
             kept.append(rows[(rows[:, n_fix:] @ caps <= limits).all(axis=1)])
             # every kept partial state completes to at least one state
-            if sum(map(len, kept)) > max_dim:
-                raise BasisError(f"basis dimension exceeds cap {max_dim}")
+            if sum(map(len, kept)) > dim_cap:
+                raise BasisError(f"basis dimension exceeds the budget's cap {dim_cap}")
         table = np.concatenate(kept)
     picks, occ = table[:, :n_fix], table[:, n_fix:]
     order = np.lexsort([*picks[:, ::-1].T, occ @ weights])

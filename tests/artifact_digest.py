@@ -7,12 +7,16 @@ checkout, it runs in process, against that checkout's ``src`` and
 * the seven experiments at their defaults (``splitting-stats`` with
   ``--configs 2000``), and ``splitting-stats`` over all pairs of 16 atoms;
 * every ``cli`` op of ``perfbench.workloads.build_ops`` for both workloads at
-  seeds 1 and 2.
+  seeds 1 and 2;
+* four edge runs at the limits of floating point, which pin their exit codes.
 
 Every run writes into the same out-dir, which is emptied before each run, so
 that the config echoed in a summary is the same for any two checkouts.  Each
 written file prints as ``<run>/<file> <exit code> <sha256>``, and each run's
 captured stdout and stderr as ``<run>:stdout`` / ``<run>:stderr`` lines.
+Warnings add ``<category>: <message>`` lines to stderr (no source paths), and
+an exception leaving ``cli.main`` counts as exit code 1 with its type and
+message on stderr, as an uncaught exception would end the process.
 Comparing two checkouts is one ``diff``:
 
     python tests/artifact_digest.py PARENT_ROOT > parent.txt
@@ -29,6 +33,7 @@ import io
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 DEFAULT_RUNS = (
@@ -37,6 +42,15 @@ DEFAULT_RUNS = (
      "--atoms", "16"),
     ("rabi",), ("fock",), ("superpose",), ("gate",), ("error-budget",),
     ("oracle-check",),
+)
+
+# a 2e-307 us pulse sampled 96 times; sqrt(N) omega overflowing to inf; a
+# pair coupling near the float maximum, and leakage that rounds to 0
+EDGE_RUNS = (
+    ("rabi", "--omega", "1e307", "--n-atoms", "100"),
+    ("rabi", "--omega", "1e308", "--n-atoms", "100"),
+    ("oracle-check", "--kappa", "1e308"),
+    ("error-budget", "--kt-start", "5", "--kt-stop", "1e308", "--kt-points", "5"),
 )
 
 
@@ -55,6 +69,8 @@ def runs():
             for op in build_ops(workload, seed):
                 if op.kind == "cli":
                     yield f"{workload}/{seed}/{op.name}", list(op.args), op.files
+    for argv in EDGE_RUNS:
+        yield "edge/" + ",".join(argv), list(argv), ()
 
 
 def digest(root: Path, out: Path) -> list[str]:
@@ -71,8 +87,16 @@ def digest(root: Path, out: Path) -> list[str]:
             (inputs / fname).write_text(text)
         argv = [a.replace("{tmp}", str(inputs)) for a in argv]
         stdout, stderr = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            rc = cli.main(argv + ["--out-dir", str(run_dir)])
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rc = cli.main(argv + ["--out-dir", str(run_dir)])
+            except Exception as exc:
+                rc = 1
+                print(f"{type(exc).__name__}: {exc}", file=stderr)
+        for w in caught:
+            print(f"{w.category.__name__}: {w.message}", file=stderr)
         for path in sorted(run_dir.rglob("*")):
             if path.is_file():
                 rel = path.relative_to(run_dir)

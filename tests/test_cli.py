@@ -343,6 +343,11 @@ _NUMERICAL_FAILURES = (
     # a trajectory of ~1e301 samples: over the budget before any allocation
     ("fock", "--omega", "1e-300"),
     ("fock", "--omega-q", "1e-300"),
+    # sqrt(N) omega overflows to inf, so the Rabi period would be 0
+    ("rabi", "--omega", "1e308", "--n-atoms", "100"),
+    # pair couplings near the float maximum, and leakage that rounds to 0
+    ("oracle-check", "--kappa", "1e308"),
+    ("error-budget", "--kt-start", "5", "--kt-stop", "1e308", "--kt-points", "5"),
 )
 
 # runs cli.main(argv) under a 2 GB address-space limit of its own process
@@ -366,6 +371,39 @@ def test_overflow_and_oversize_runs_are_numerical_failures(tmp_path, argv):
     )
     assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
     assert "numerical failure:" in proc.stderr
+    assert not out.exists()
+
+
+# times cli.main(argv) in its own process, under a 2 GB address-space limit
+# of that process when the first argument is "limited"
+_TIMED_RUN = """
+import resource, sys, time
+if sys.argv[1] == "limited":
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+sys.path.insert(0, sys.argv[2])
+from blockadesim import cli
+start = time.perf_counter()
+code = cli.main(sys.argv[3:])
+print(time.perf_counter() - start)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("limit", ["limited", "unlimited"])
+def test_oversized_basis_is_refused_at_once(tmp_path, limit):
+    # a dim-10001 register: its dense copies would take gigabytes, so the
+    # basis is refused while it is built, before anything dense exists
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_RUN, limit, src, "rabi", "--n-atoms", "5000",
+         "--n-max", "5000", "--periods", "0.01", "--out-dir", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
+    assert "numerical failure: basis dimension exceeds" in proc.stderr
+    assert float(proc.stdout) < 1.0
     assert not out.exists()
 
 

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg  # noqa: F401  (loaded before any traced decaying run)
 
 from blockadesim import dynamics
 from blockadesim.dynamics import (
@@ -202,7 +205,7 @@ def test_zero_decaying_step_returns_the_state():
     h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     psi = np.array([0.6, 0.8j])
     (out,) = dynamics._propagate_constant(h, np.array([0.0, 1.0]), psi,
-                                          np.array([0.0]))
+                                          np.array([0.0]), np.empty((1, 2), complex))
     np.testing.assert_array_equal(out, psi)
 
 
@@ -221,6 +224,57 @@ def test_trajectory_over_budget_is_a_basis_error():
     with pytest.raises(BasisError, match="budget"):
         evolve(Schedule((Pulse(("g", "r"), 1.0, 1.0),)), basis, static,
                basis.basis_vector({}), sample_dt=1e-300)
+
+
+def _traced_evolve(*args, **kwargs):
+    """An evolve call's result and the peak bytes tracemalloc saw during it."""
+    tracemalloc.start()
+    try:
+        return evolve(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_PEAK_CASES = {
+    # dim 81 and 20481 samples: the trajectory dominates
+    "hermitian-trajectory": (80, False, (Pulse(("g", "r"), 1.0, 1.0),), 1.0 / 20480),
+    # dim 401 and 5 samples of a detuned pulse: the dense copies dominate
+    "hermitian-dense": (400, False, (Pulse(("g", "r"), 1.0, 1.0, detuning=0.3),), 0.25),
+    # dim 81, three events of differing steps: several exponentials
+    "decaying": (80, True, (Pulse(("g", "r"), 1.0, 1.0), Wait(0.3),
+                            Pulse(("g", "r"), 2.0, 0.7, detuning=0.2)), 1.0 / 256),
+}
+
+
+@pytest.mark.parametrize("case", _PEAK_CASES)
+def test_evolve_peak_within_its_estimate(monkeypatch, case):
+    # the budget check refuses the run under any budget below its traced
+    # peak: the estimate counts every dense copy and trajectory row it holds
+    n_max, decaying, events, dt = _PEAK_CASES[case]
+    basis = enumerate_basis(n_max, ("r",), n_max)
+    static = [dephasing_term(basis, 0.1)] if decaying else []
+    sched, psi0 = Schedule(events), basis.basis_vector({})
+    evolve(sched, basis, static, psi0, sample_dt=0.25)      # warm every cache
+    res, peak = _traced_evolve(sched, basis, static, psi0, sample_dt=dt)
+    assert peak > res.states.nbytes + res.populations.nbytes
+    monkeypatch.setattr(dynamics, "MEMORY_BUDGET", np.nextafter(peak, 0))
+    with pytest.raises(BasisError, match="budget"):
+        evolve(sched, basis, static, psi0, sample_dt=dt)
+
+
+def test_event_ending_before_1e_12_us_keeps_its_samples():
+    # the guard against grid points at an event boundary is relative to the
+    # event's end time, so a 3e-15 us pi-pulse keeps all 16 of its samples
+    basis = enumerate_basis(1, ("r",), 1)
+    omega = 1e15
+    duration = np.pi / omega
+    res = evolve(Schedule((Pulse(("g", "r"), omega, duration),)), basis, [],
+                 basis.basis_vector({}), sample_dt=duration / 16)
+    assert len(res.times) == 17
+    np.testing.assert_allclose(res.times, np.arange(17) * duration / 16,
+                               rtol=1e-12)
+    np.testing.assert_allclose(res.population({"r": 1}),
+                               np.sin(0.5 * omega * res.times) ** 2, atol=1e-12)
 
 
 def test_fidelity_definitions():

@@ -58,12 +58,12 @@ def test_enumeration_errors():
     with pytest.raises(BasisError):
         enumerate_basis(4, ("r", "p'"), 2)     # lone pair level
     with pytest.raises(BasisError):
-        enumerate_basis(40, ("q", "r"), 12, max_dim=10)
+        enumerate_basis(400, ("q", "r"), 200)  # dim 20301, over the budget
 
 
 def test_oversized_basis_refused_while_built(deadline):
-    # refused once a partial table passes max_dim, without listing every
-    # candidate or holding them all in memory
+    # refused once a partial table passes the memory budget's dim cap,
+    # without listing every candidate or holding them all in memory
     with deadline(2), pytest.raises(BasisError):
         enumerate_basis(10**8, ("q", "r"), 10**8)
     with deadline(2), pytest.raises(BasisError):
