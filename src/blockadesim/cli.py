@@ -30,6 +30,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from math import hypot, inf, isfinite, pi, prod, sqrt
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -386,9 +387,15 @@ def _rabi_fit(times, pops, freq_guess):
     def model(t, w, a):
         return a * np.sin(0.5 * w * t) ** 2
 
-    popt, _ = scipy.optimize.curve_fit(
-        model, times, pops, p0=(freq_guess, 1.0), maxfev=20000
-    )
+    # too few samples, or numbers that overflow, leave a non-finite
+    # covariance: the fit never left its start value
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", scipy.optimize.OptimizeWarning)
+        popt, pcov = scipy.optimize.curve_fit(
+            model, times, pops, p0=(freq_guess, 1.0), maxfev=20000
+        )
+    if not np.isfinite(pcov).all():
+        raise StiffnessError("the Rabi fit has no finite covariance")
     return float(abs(popt[0]))
 
 

@@ -189,17 +189,6 @@ class EvolutionResult:
     def population(self, spec) -> np.ndarray:
         return self.populations[:, self.basis.state_index(spec)]
 
-    def accumulated_phases(self) -> np.ndarray:
-        """Final-time phase per basis state; nan where the amplitude is
-        too small to define one."""
-        out = np.full(self.basis.dim, np.nan)
-        for i in range(self.basis.dim):
-            try:
-                out[i] = accumulated_phase(self, i)
-            except PhaseUndefinedError:
-                pass
-        return out
-
 
 def wrap_phase(a: float) -> float:
     """Wrap an angle to (-pi, pi]; within 1e-9 of -pi it reads +pi."""
@@ -308,27 +297,29 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
     states = np.empty((len(times), dim), dtype=complex)
     states[0] = psi = psi0
     row, op_of = 1, functools.cache(lambda tr: collective_op(basis, *tr))
-    for i_ev, ev, t0, m in events:
-        out, dts = states[row:row + m], times[row:row + m] - t0
-        row += m
-        if isinstance(ev, Wait):
-            _propagate_constant(h_static, k, psi, dts, out)
-        else:
-            # H(amp) = base + amp * unit; each transition's operator is
-            # built once
-            shift, unit = drive_generator(basis, ev.transition[1],
-                                          op_of(ev.transition).dense(),
-                                          ev.phase, ev.detuning)
-            base = h_static + np.diag(shift) if ev.detuning != 0.0 else h_static
-            if isinstance(ev.omega, SampledEnvelope):
-                _propagate_envelope(base, unit, k, ev, psi, dts, out, i_ev)
+    # an overflow surfaces as the non-finite state checked per event
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i_ev, ev, t0, m in events:
+            out, dts = states[row:row + m], times[row:row + m] - t0
+            row += m
+            if isinstance(ev, Wait):
+                _propagate_constant(h_static, k, psi, dts, out)
             else:
-                unit *= ev.omega             # base + omega * unit, in place
-                unit += base
-                _propagate_constant(unit, k, psi, dts, out)
-        psi = out[-1]
-        if not np.isfinite(psi).all():
-            raise StiffnessError(f"event {i_ev} left a non-finite state")
+                # H(amp) = base + amp * unit; each transition's operator is
+                # built once
+                shift, unit = drive_generator(basis, ev.transition[1],
+                                              op_of(ev.transition).dense(),
+                                              ev.phase, ev.detuning)
+                base = h_static + np.diag(shift) if ev.detuning != 0.0 else h_static
+                if isinstance(ev.omega, SampledEnvelope):
+                    _propagate_envelope(base, unit, k, ev, psi, dts, out, i_ev)
+                else:
+                    unit *= ev.omega             # base + omega * unit, in place
+                    unit += base
+                    _propagate_constant(unit, k, psi, dts, out)
+            psi = out[-1]
+            if not np.isfinite(psi).all():
+                raise StiffnessError(f"event {i_ev} left a non-finite state")
 
     populations = np.abs(states)
     populations **= 2

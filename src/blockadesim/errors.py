@@ -36,7 +36,8 @@ def p_doub_estimate(kappa_bar: float, T: float) -> float:
     """Closed-form double-excitation probability 1/(4 pi (kappa_bar T)^2)."""
     if kappa_bar * T <= 0:
         raise ValueError("kappa_bar * T must be positive")
-    return _clamp01(1.0 / (4.0 * pi * (kappa_bar * T) ** 2))
+    with np.errstate(over="ignore"):     # an overflowing square gives 0.0
+        return _clamp01(1.0 / (4.0 * pi * (kappa_bar * T) ** 2))
 
 
 def adiabatic_prefactor(n_atoms: int, convention: str = "eq1") -> float:

@@ -28,7 +28,7 @@ _R_MIN = 1e-9
 
 
 class GeometryError(ValueError):
-    """Degenerate or infeasible geometry (coincident atoms, exclusion cap)."""
+    """Degenerate geometry (coincident atoms, no mass on a KS window)."""
 
 
 @dataclass(frozen=True)
@@ -48,50 +48,15 @@ class SplittingHistogram:
         return self.counts / (total * widths)
 
 
-def sample_positions(
-    n: int,
-    box: tuple[float, float, float],
-    seed: int,
-    exclusion_radius: float | None = None,
-    max_tries: int = 10_000,
-) -> np.ndarray:
-    """(n, 3) uniform positions (um) in the box, optionally with a hard core.
-
-    Without an exclusion radius this is Monte-Carlo configuration 0
-    (``_config_positions``).  With one, candidates are taken in order from
-    the same ``Philox(key=seed)`` doubles and discarded when closer than the
-    radius to an accepted atom; ``max_tries`` consecutive rejections raise
-    GeometryError (the constraint is infeasible at this density).
-    """
+def sample_positions(n: int, box: tuple[float, float, float], seed: int) -> np.ndarray:
+    """(n, 3) uniform positions (um) in the box: Monte-Carlo configuration 0
+    of ``Philox(key=seed)`` (``_config_positions``)."""
     if n < 2:
         raise ValueError(f"need at least 2 atoms, got {n}")
     box = tuple(float(b) for b in box)
     if min(box) <= 0:
         raise ValueError(f"box dimensions must be positive, got {box}")
-    if exclusion_radius is not None and not 0.0 <= exclusion_radius < np.inf:
-        raise ValueError(f"exclusion radius must be >= 0 and finite, "
-                         f"got {exclusion_radius}")
-    if not exclusion_radius:
-        return _config_positions(1, n, box, seed)[0]
-
-    draw = np.random.Generator(np.random.Philox(key=seed)).random
-    accepted = np.empty((n, 3))
-    count = tries = 0
-    r2_min = exclusion_radius**2
-    while count < n:
-        cand = draw(3) * box
-        if (((accepted[:count] - cand) ** 2).sum(axis=1) >= r2_min).all():
-            accepted[count] = cand
-            count += 1
-            tries = 0
-        else:
-            tries += 1
-            if tries > max_tries:
-                raise GeometryError(
-                    f"exclusion radius {exclusion_radius} infeasible: "
-                    f"{max_tries} consecutive rejections at atom {count}"
-                )
-    return accepted
+    return _config_positions(1, n, box, seed)[0]
 
 
 def coupling_matrix(positions: np.ndarray, c3: float) -> np.ndarray:

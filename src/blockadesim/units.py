@@ -4,7 +4,9 @@ Everything inside the package is angular (rad/us).  Quoted laboratory
 frequencies are ambiguous between ordinary and angular readings, so
 suffixed inputs are explicit: ordinary-frequency suffixes (Hz, kHz, MHz,
 GHz) are multiplied by 2 pi, angular suffixes (rad/s family and rad/us)
-are not.  Bare numbers are taken as rad/us.
+are not.  Bare numbers are taken as rad/us.  Suffixes match
+case-insensitively, except that mega is an upper-case M: a suffix starting
+with a lower-case m would read milli, which is not supported, and is refused.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ _ANGULAR = {
     "rad/us": 1.0,
     "rad/s": 1e-6,
     "krad/s": 1e-3,
-    "mrad/s": 1.0,      # Mrad/s, matched case-insensitively
+    "mrad/s": 1.0,      # Mrad/s (upper-case M only)
     "grad/s": 1e3,
 }
 _ORDINARY = {
     "hz": 2.0 * pi * 1e-6,
     "khz": 2.0 * pi * 1e-3,
-    "mhz": 2.0 * pi,
+    "mhz": 2.0 * pi,      # MHz (upper-case M only)
     "ghz": 2.0 * pi * 1e3,
 }
 
@@ -39,6 +41,8 @@ def parse_frequency(value) -> float:
     num, suffix = float(m.group(1)), m.group(2)
     if not suffix:
         return num
+    if suffix.startswith("m"):      # milli, not mega: not supported
+        raise ValueError(f"unknown frequency unit {suffix!r} in {value!r}")
     key = suffix.lower()
     if key in _ORDINARY:
         return num * _ORDINARY[key]

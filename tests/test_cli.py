@@ -60,6 +60,14 @@ def test_unknown_frequency_unit_rejected(tmp_path):
     assert code == cli.EXIT_CONFIG
 
 
+def test_milli_frequency_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run_cli("rabi", "--out-dir", str(out), "--omega", "1mHz")
+    assert code == cli.EXIT_CONFIG
+    assert "params.omega" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gate_experiment_ideal(tmp_path):
     code = run_cli("gate", "--out-dir", str(tmp_path), "--n-atoms", "5")
     assert code == 0
@@ -348,6 +356,10 @@ _NUMERICAL_FAILURES = (
     # pair couplings near the float maximum, and leakage that rounds to 0
     ("oracle-check", "--kappa", "1e308"),
     ("error-budget", "--kt-start", "5", "--kt-stop", "1e308", "--kt-points", "5"),
+    # Rabi fits that never leave their start value: a covariance overflow,
+    # and two samples for two parameters
+    ("rabi", "--omega", "1e307", "--n-atoms", "100"),
+    ("rabi", "--periods", "0.01"),
 )
 
 # runs cli.main(argv) under a 2 GB address-space limit of its own process
@@ -370,7 +382,8 @@ def test_overflow_and_oversize_runs_are_numerical_failures(tmp_path, argv):
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
     assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
-    assert "numerical failure:" in proc.stderr
+    assert proc.stderr.startswith("numerical failure:")
+    assert proc.stderr.count("\n") == 1, proc.stderr
     assert not out.exists()
 
 

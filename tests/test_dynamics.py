@@ -317,16 +317,6 @@ def test_phase_light_shift_closed_form():
     )
 
 
-def test_accumulated_phases_array():
-    basis, static = _ideal(4)
-    res = evolve(Schedule((rabi_pulse(4, 1.0, np.pi),)), basis, static,
-                 basis.basis_vector({}))
-    phases = res.accumulated_phases()
-    assert phases.shape == (basis.dim,)
-    # ground state was emptied, excited state was never occupied initially
-    assert np.isnan(phases).all()
-
-
 def test_phase_undefined_raises():
     basis, static = _ideal(4)
     res = evolve(Schedule((rabi_pulse(4, 1.0, np.pi),)), basis, static,

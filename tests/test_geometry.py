@@ -42,49 +42,16 @@ def test_positions_validation():
         sample_positions(2, (0, 1, 1), seed=0)
 
 
-def test_exclusion_radius_enforced():
-    pos = sample_positions(30, (10, 10, 10), seed=3, exclusion_radius=1.5)
-    d = np.sqrt(
-        ((pos[:, None] - pos[None, :]) ** 2).sum(-1)
-    )
-    np.fill_diagonal(d, np.inf)
-    assert d.min() >= 1.5
-
-
-def test_exclusion_radius_infeasible():
-    with pytest.raises(GeometryError):
-        sample_positions(50, (2, 2, 2), seed=0, exclusion_radius=1.9,
-                         max_tries=200)
-
-
-def test_exclusion_radius_must_be_non_negative_and_finite():
-    for radius in (-1.5, -1e-300, np.inf, np.nan):
-        with pytest.raises(ValueError, match="exclusion radius"):
-            sample_positions(3, (10, 10, 10), seed=0, exclusion_radius=radius)
-
-
 @pytest.mark.parametrize("n", [2, 3, 6, 16])
 def test_single_ensemble_is_monte_carlo_configuration_zero(n):
     box = (5.0, 4.0, 3.0)
     for seed in range(5):
         config0 = geometry._config_positions(1, n, box, seed)[0]
-        # a radius of 1e-9 um rejects nothing here: the same doubles
-        for radius in (None, 0.0, 1e-9):
-            pos = sample_positions(n, box, seed, exclusion_radius=radius)
-            assert np.array_equal(pos, config0)
         pos = sample_positions(n, box, seed)
+        assert np.array_equal(pos, config0)
         c3 = 1000.0
         x = min_pair_splitting(coupling_matrix(pos, c3)) / kappa_bar(np.prod(box), c3)
         assert x == splitting_distribution(1, n, box, c3, seed).samples[0]
-
-
-def test_rejection_takes_candidates_in_stream_order():
-    # accepted atoms are an ordered subsequence of the stream's triples
-    box = (10.0, 10.0, 10.0)
-    pos = sample_positions(30, box, seed=3, exclusion_radius=1.5)
-    stream = np.random.Generator(np.random.Philox(key=3)).random((3000, 3)) * box
-    rows = [int(np.flatnonzero((stream == p).all(axis=1))[0]) for p in pos]
-    assert rows[0] == 0 and rows == sorted(rows) and rows[-1] > 29
 
 
 def test_two_atom_coupling():
