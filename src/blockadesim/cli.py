@@ -9,11 +9,10 @@ only after the run succeeds.  Identical configs give byte-identical files.
 
 One table (``_TABLE``: help, runner, parameters by name, default and kind)
 generates the subcommands, defaults, checks, flags (``n_atoms`` ->
-``--n-atoms``; ``kappa_T`` alone uses ``--kt-start/--kt-stop/--kt-points``)
-and the flag merge.  A JSON file (``--config``) is deep-merged over the
-defaults and must not name another experiment; flags override it.
-Frequencies accept unit suffixes (``100MHz``, ``0.6Mrad/s``); bare numbers
-are rad/us.
+``--n-atoms``) and the flag merge.  A JSON file (``--config``) is
+deep-merged over the defaults and must not name another experiment; flags
+override it.  Frequencies accept unit suffixes (``100MHz``, ``0.6Mrad/s``);
+bare numbers are rad/us.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 I/O error.  Exits 2 and 3 write nothing, and exit 4 leaves no artifact.
@@ -59,7 +58,7 @@ class Kind(NamedTuple):
     """The values a parameter takes and how its ``--flag`` parses them."""
 
     parse: Callable[[object], object]   # config value -> run value
-    flag: dict | None                   # add_argument keywords
+    flag: dict                          # add_argument keywords
 
 
 class Param(NamedTuple):
@@ -122,7 +121,9 @@ def _frequency(*modes: str, positive=True) -> Kind:
             return value
         try:
             v = units.parse_frequency(value)
-        except (ValueError, TypeError, OverflowError):
+        except ValueError as exc:   # the parser says why
+            raise ValueError(f"{message} ({exc})") from None
+        except (TypeError, OverflowError):
             raise ValueError(message) from None
         if isinstance(value, bool) or not isfinite(v) \
                 or not (v > 0 if positive else v >= 0):
@@ -177,28 +178,6 @@ def _amplitudes(amps) -> tuple:
 def _amplitudes_arg(text: str) -> list:
     """``0.7,0.5+0.5j`` -> ``[[0.7, 0.0], [0.5, 0.5]]`` (JSON has no complex)."""
     return [[a.real, a.imag] for a in map(complex, text.split(","))]
-
-
-_KT_FIELDS = {"start": float, "stop": float, "points": int}
-_KT_POINTS = 2000       # most grid points of one error-budget scan
-
-
-def _kappa_t(kt) -> np.ndarray:
-    """A {start, stop, points} geometric grid or a list of grid values,
-    parsed to the grid array."""
-    if isinstance(kt, dict):
-        start, stop, points = (kt.get(field) for field in _KT_FIELDS)
-        if not (_is_real(start) and _is_real(stop) and _is_int(points)
-                and 5 <= points <= _KT_POINTS and 5.0 <= start < stop):
-            raise ValueError("need 5 <= start < stop and integer points "
-                             f"in [5, {_KT_POINTS}]")
-        return np.geomspace(start, stop, points)
-    if isinstance(kt, (list, tuple)):
-        if not 5 <= len(kt) <= _KT_POINTS \
-                or not all(_is_real(x) and x >= 5 for x in kt):
-            raise ValueError(f"need 5 to {_KT_POINTS} grid values, all >= 5")
-        return np.asarray(kt, dtype=float)
-    raise ValueError("must be a list or {start, stop, points}")
 
 
 def _path(nullable=False, **flag) -> Kind:
@@ -282,6 +261,8 @@ def validate(config: dict) -> list[str]:
         if not (0 < kb < inf and p["c3"] / (diag * diag * diag) / kb > 0):
             v.append("params.box: c3 / volume must be positive and finite, "
                      "and so must x = (c3 / diagonal^3) / (c3 / volume)")
+    if exp == "error-budget" and not v and not p["kt_start"] < p["kt_stop"]:
+        v.append("params.kt_stop: must exceed params.kt_start")
     return v
 
 
@@ -530,22 +511,23 @@ def _run_gate(p: dict, seed: int) -> Run:
 def _run_error_budget(p: dict, seed: int) -> Run:
     n = p["n_atoms"]
     gamma = p["gamma_r"]
+    # ascending (validate requires kt_start < kt_stop): the order of the
+    # scan's results
+    kts = np.geomspace(p["kt_start"], p["kt_stop"], p["kt_points"])
     result = errmod.blockade_scaling_experiment(
-        p["kappa_T"], n_atoms=n, convention=p["convention"]
+        kts, n_atoms=n, convention=p["convention"]
     )
     T = result.pulse_duration
     p_deph_est = errmod.p_deph_estimate(gamma, T)
     p_deph_sim = errmod.dephasing_norm_loss(gamma, T)
     rows = [
         (kt_i, est, sim, p_deph_est, p_deph_sim, result.slope)
-        for kt_i, sim, est in zip(result.kappa_T, result.p_sim, result.p_est)
+        for kt_i, sim, est in zip(kts, result.p_sim, result.p_est)
     ]
     closed_form = 1.0 / (4.0 * pi)
     adiabatic = errmod.adiabatic_prefactor(n, p["convention"])
-    high = result.kappa_T >= 100.0
-    adiabatic_err = np.abs(
-        result.kappa_T[high] ** 2 * result.p_sim[high] / adiabatic - 1.0
-    )
+    high = kts >= 100.0
+    adiabatic_err = np.abs(kts[high] ** 2 * result.p_sim[high] / adiabatic - 1.0)
     geom_factor = errmod.geometry_factor(
         8, (10.0, 10.0, 10.0), seed=seed
     )
@@ -654,8 +636,10 @@ _TABLE = {
         Param("n_atoms", 10, _count(2)),
         Param("convention", "eq1", _CONVENTION),
         Param("gamma_r", 0.001, _frequency(positive=False)),
-        Param("kappa_T", {"start": 10.0, "stop": 1000.0, "points": 13},
-              Kind(_kappa_t, None)),
+        Param("kt_start", 10.0, _kind(lambda v: _is_real(v) and v >= 5,
+                                      "a real number >= 5", type=float)),
+        Param("kt_stop", 1000.0, _positive()),
+        Param("kt_points", 13, _count(5, 2000)),
     )),
     "oracle-check": ("symmetric vs brute-force modes", _run_oracle, (
         Param("n_atoms", 3, _count(2, N_ORACLE)),
@@ -681,13 +665,8 @@ DEFAULT_PARAMS = {
 
 def _add_flags(parser: argparse.ArgumentParser, params) -> None:
     for param in params:
-        if param.kind.flag is not None:
-            parser.add_argument("--" + param.name.replace("_", "-"),
-                                **param.kind.flag)
-        else:   # kappa_T: one flag per field of its {start, stop, points}
-            for field, type_ in _KT_FIELDS.items():
-                parser.add_argument(f"--kt-{field}", type=type_,
-                                    dest=f"kt_{field}")
+        parser.add_argument("--" + param.name.replace("_", "-"),
+                            **param.kind.flag)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -737,13 +716,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
         for param in table:
             if getattr(args, param.name, None) is not None:
                 target[param.name] = getattr(args, param.name)
-    grid = {field: getattr(args, f"kt_{field}") for field in _KT_FIELDS
-            if getattr(args, f"kt_{field}", None) is not None}
-    if grid:
-        kt = params.get("kappa_T")
-        if not isinstance(kt, dict):
-            kt = DEFAULT_PARAMS["error-budget"]["kappa_T"]
-        params["kappa_T"] = {**kt, **grid}
     return config
 
 

@@ -241,6 +241,7 @@ def _propagate_constant(h, k, psi, dts, out):
     gen, step = -1j * h, None
     for row, span in zip(out, np.diff(dts, prepend=0.0)):
         if step is None or abs(span - step) > 1e-12 * span:
+            prop = None     # released before expm builds the next one
             step, prop = span, scipy.linalg.expm(gen * span)
         row[:] = psi = prop @ psi
     return out

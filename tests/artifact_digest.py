@@ -8,8 +8,8 @@ checkout, it runs in process, against that checkout's ``src`` and
   ``--configs 2000``), and ``splitting-stats`` over all pairs of 16 atoms;
 * every ``cli`` op of ``perfbench.workloads.build_ops`` for both workloads at
   seeds 1 and 2;
-* six edge runs at the limits of floating point and of the unit parser,
-  which pin their exit codes.
+* seven edge runs at the limits of floating point, of the unit parser and
+  of the error-budget grid, which pin their exit codes.
 
 Every run writes into the same out-dir, which is emptied before each run, so
 that the config echoed in a summary is the same for any two checkouts.  Each
@@ -47,7 +47,7 @@ DEFAULT_RUNS = (
 
 # a 2e-307 us pulse sampled 96 times; sqrt(N) omega overflowing to inf; a
 # pair coupling near the float maximum; leakage that rounds to 0; a milli
-# suffix; and a Rabi fit of two samples
+# suffix; a Rabi fit of two samples; and a grid that does not ascend
 EDGE_RUNS = (
     ("rabi", "--omega", "1e307", "--n-atoms", "100"),
     ("rabi", "--omega", "1e308", "--n-atoms", "100"),
@@ -55,6 +55,7 @@ EDGE_RUNS = (
     ("error-budget", "--kt-start", "5", "--kt-stop", "1e308", "--kt-points", "5"),
     ("rabi", "--omega", "1mHz"),
     ("rabi", "--periods", "0.01"),
+    ("error-budget", "--kt-start", "1000", "--kt-stop", "10"),
 )
 
 

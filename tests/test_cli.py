@@ -55,16 +55,19 @@ def test_invalid_config_exits_2_without_artifacts(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_unknown_frequency_unit_rejected(tmp_path):
+def test_unknown_frequency_unit_rejected(tmp_path, capsys):
     code = run_cli("rabi", "--out-dir", str(tmp_path), "--omega", "5furlongs")
     assert code == cli.EXIT_CONFIG
+    assert "params.omega: must be a positive frequency (unknown frequency " \
+           "unit 'furlongs' in '5furlongs')" in capsys.readouterr().err
 
 
 def test_milli_frequency_rejected(tmp_path, capsys):
     out = tmp_path / "out"
     code = run_cli("rabi", "--out-dir", str(out), "--omega", "1mHz")
     assert code == cli.EXIT_CONFIG
-    assert "params.omega" in capsys.readouterr().err
+    assert "params.omega: must be a positive frequency (unknown frequency " \
+           "unit 'mHz' in '1mHz')" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -454,7 +457,7 @@ def test_work_is_bounded(tmp_path, capsys):
     # each bound is checked through --print-config alone: no oversized run
     # is ever started
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"params": {"kappa_T": [10.0] * 2001}}))
+    cfg.write_text(json.dumps({"params": {"kt_points": 2001}}))
     too_much = (
         (("splitting-stats", "--configs", "10000000000000"), "params.configs"),
         (("splitting-stats", "--configs", "3000001"), "params.configs"),
@@ -467,8 +470,8 @@ def test_work_is_bounded(tmp_path, capsys):
         (("rabi", "--samples-per-period", "4097"), "params.samples_per_period"),
         (("oracle-check", "--samples-per-schedule", "4097"),
          "params.samples_per_schedule"),
-        (("error-budget", "--kt-points", str(10**12)), "params.kappa_T"),
-        (("error-budget", "--config", str(cfg)), "params.kappa_T"),
+        (("error-budget", "--kt-points", str(10**12)), "params.kt_points"),
+        (("error-budget", "--config", str(cfg)), "params.kt_points"),
     )
     for argv, name in too_much:
         code, err = _print_config(capsys, tmp_path, *argv)
@@ -499,6 +502,27 @@ def _rejected(capsys, tmp_path, *argv):
     assert "config violation:" in err
     assert not out.exists()
     return err
+
+
+@pytest.mark.parametrize("grid", ["junk", [10, 20, 40, 80, 160]])
+def test_kappa_t_key_rejected_beside_a_grid_flag(tmp_path, capsys, grid):
+    # the grid is kt_start, kt_stop and kt_points: kappa_T is an unknown
+    # key, whatever grid flags come with it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"params": {"kappa_T": grid}}))
+    err = _rejected(capsys, tmp_path, "error-budget", "--config", str(cfg),
+                    "--kt-points", "7")
+    assert "config violation: params.kappa_T: unknown key for experiment " \
+           "error-budget" in err
+
+
+def test_kappa_t_grid_bounds(tmp_path, capsys):
+    err = _rejected(capsys, tmp_path, "error-budget", "--kt-start", "1000",
+                    "--kt-stop", "10")
+    assert "config violation: params.kt_stop: must exceed params.kt_start" \
+        in err
+    err = _rejected(capsys, tmp_path, "error-budget", "--kt-start", "4.9")
+    assert "config violation: params.kt_start:" in err
 
 
 def test_non_numeric_window_rejected(tmp_path, capsys):
