@@ -670,7 +670,7 @@ def _add_flags(parser: argparse.ArgumentParser, params) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--config", type=str, default=None, help="JSON config file")
     _add_flags(common, _TOP)
     common.add_argument(
@@ -680,11 +680,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockadesim",
         description="Collective-excitation simulator for blockaded ensembles",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
     for experiment, (help_text, _, params) in _TABLE.items():
-        _add_flags(sub.add_parser(experiment, help=help_text, parents=[common]),
-                   params)
+        _add_flags(sub.add_parser(experiment, help=help_text, parents=[common],
+                                  allow_abbrev=False), params)
     return parser
 
 

@@ -1,10 +1,25 @@
 """Piecewise pulse-schedule evolution of collective state vectors.
 
-Constant-amplitude segments are propagated exactly: by one Hermitian
-eigendecomposition, or, when a diagonal anti-Hermitian decay term (norm-loss
-decoherence model) is present, by ``scipy.linalg.expm`` of the non-normal
-generator -i (H - i k), one exponential per distinct step of the sample
-grid.  Sampled-envelope pulses are integrated by a fourth-order
+Constant-amplitude segments are propagated exactly, on one of three routes:
+
+* dense: the whole generator at once, by one Hermitian eigendecomposition,
+  or, when a diagonal anti-Hermitian decay term (norm-loss decoherence
+  model) is present, by ``scipy.linalg.expm`` of the non-normal generator
+  -i (H - i k), one exponential per distinct step of the sample grid;
+* block: the same, on each invariant block of the generator.  A pulse on
+  a <-> b freezes every atom in any other level and the dipole term only
+  exchanges rr <-> p'p'', so the generator of one event splits into blocks
+  that never mix.  They are labelled once per transition per ``evolve``
+  call from the entries of the static terms and of the transition's
+  collective operator; blocks of one size share each ``eigh`` or ``expm``
+  call.  Generators of dim below ``_BLOCK_MIN_DIM``, the measured
+  crossover, and generators that are one block run dense;
+* diagonal: a generator without an off-diagonal entry is a phase factor
+  exp(-i h_jj t) per state, at any dim, decaying or not; it takes neither
+  ``eigh`` nor scipy.
+
+A Hermitian block evaluates its samples as one product, ``_CHUNK`` samples
+at a time.  Sampled-envelope pulses are integrated by a fourth-order
 two-exponential scheme on sub-intervals, doubled until the final state
 changes by less than ``_ENVELOPE_TOL``.
 
@@ -13,7 +28,6 @@ Times are in us, angular frequencies in rad/us, phases in rad.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -26,6 +40,10 @@ from .hilbert import (HERMITIAN_COPIES, MEMORY_BUDGET, Basis, BasisError,
 _ENVELOPE_TOL = 1e-10
 # dense copies a decaying propagation holds (scipy.linalg.expm keeps six)
 _DECAYING_COPIES = 18
+# samples a Hermitian block evaluates in one product
+_CHUNK = 4096
+# smallest dim whose coupled generators run block by block (measured crossover)
+_BLOCK_MIN_DIM = 48
 
 
 class StiffnessError(RuntimeError):
@@ -222,29 +240,95 @@ def _split_static(basis: Basis, static_terms) -> tuple[np.ndarray, np.ndarray]:
     return h, k
 
 
-def _propagate_constant(h, k, psi, dts, out):
+def _blocks(dim: int, ops):
+    """Invariant blocks of a generator whose entries lie where the operators
+    ``ops`` have theirs: one (count, size) array of state indices per block
+    size, a block to a row.
+
+    None runs the generator dense: when it is one block, or when it couples
+    states and dim is below ``_BLOCK_MIN_DIM``.  A generator without an
+    off-diagonal entry is dim blocks of size 1 at any dim.
+    """
+    if not any(np.count_nonzero(op.rows != op.cols) for op in ops):
+        return [np.arange(dim)[:, None]]
+    if dim < _BLOCK_MIN_DIM:
+        return None
+    rows = np.concatenate([op.rows for op in ops])
+    cols = np.concatenate([op.cols for op in ops])
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    # min-label propagation: hook each coupled pair's larger label to the
+    # smaller, then point every state at the smallest index of its block
+    label = np.arange(dim)
+    while not np.array_equal(a := label[rows], b := label[cols]):
+        low = np.minimum(a, b)
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+        while not np.array_equal(jump := label[label], label):
+            label = jump
+    size = np.bincount(label, minlength=dim)[label]
+    if size[0] == dim:
+        return None
+    order = np.lexsort((label, size))       # by block size, then block
+    cuts = np.flatnonzero(np.diff(size[order])) + 1
+    return [idx.reshape(-1, size[idx[0]]) for idx in np.split(order, cuts)]
+
+
+def _propagate_constant(h, k, psi, dts, out, blocks=None):
     """States at cumulative offsets dts (sorted, >= 0) under h = H - i k,
     written into the rows of ``out``, which is returned.
 
-    A Hermitian segment (k = 0) takes one eigendecomposition.  A decaying
-    one takes expm(-i (H - i k) span) per step; steps of the uniform sample
-    grid that agree to 1e-12 (relative) share one exponential.
+    ``blocks`` are h's invariant blocks as ``_blocks`` gives them; None
+    propagates h as one block.  Blocks of one size share each numpy call.
+    A block of size 1 is a phase factor.  A Hermitian block (k = 0 on it)
+    takes one eigendecomposition.  A decaying one takes
+    expm(-i (H - i k) span) per step; steps of the uniform sample grid that
+    agree to 1e-12 (relative) share one exponential.
     """
-    if not k.any():
+    if blocks is None:
+        if k.any():
+            _propagate_decaying(h, psi, dts, out, slice(None))
+            return out
         w, u = np.linalg.eigh(h)
         coef = u.conj().T @ psi
-        for row, dt in zip(out, dts):
-            row[:] = u @ (np.exp(-1j * w * dt) * coef)
+        for lo in range(0, len(dts), _CHUNK):
+            z = np.multiply.outer(dts[lo:lo + _CHUNK], -1j * w)
+            np.exp(z, out=z)
+            z *= coef
+            np.matmul(z, u.T, out=out[lo:lo + _CHUNK])
         return out
-    import scipy.linalg   # deferred: only decaying segments need it
+    for idx in blocks:
+        sub, coef = h[idx[:, :, None], idx[:, None, :]], psi[idx]
+        if idx.shape[1] == 1:
+            w, u = sub[:, :, 0], None
+        elif k[idx].any():
+            _propagate_decaying(sub, coef, dts, out, idx)
+            continue
+        else:
+            w, u = np.linalg.eigh(sub)
+            coef = (u.conj().mT @ coef[..., None])[..., 0]
+        for lo in range(0, len(dts), _CHUNK):
+            # (samples, blocks, size); u None is the identity
+            z = np.multiply.outer(dts[lo:lo + _CHUNK], -1j * w)
+            np.exp(z, out=z)
+            z *= coef
+            if u is not None:
+                z = (z.swapaxes(0, 1) @ u.mT).swapaxes(0, 1)
+            out[lo:lo + _CHUNK, idx] = z
+    return out
 
-    gen, step = -1j * h, None
-    for row, span in zip(out, np.diff(dts, prepend=0.0)):
+
+def _propagate_decaying(h, psi, dts, out, idx):
+    """The decaying case of ``_propagate_constant`` for one block or a stack."""
+    import scipy.linalg   # deferred: only decaying blocks need it
+
+    gen, step, psi = -1j * h, None, psi[..., None]
+    for row, span in enumerate(np.diff(dts, prepend=0.0)):
         if step is None or abs(span - step) > 1e-12 * span:
             prop = None     # released before expm builds the next one
             step, prop = span, scipy.linalg.expm(gen * span)
-        row[:] = psi = prop @ psi
-    return out
+        psi = prop @ psi
+        out[row, idx] = psi[..., 0]
 
 
 def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
@@ -258,10 +342,12 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
 
     Before anything dense is allocated the run's memory is estimated: 16 B
     per entry of each dense dim x dim copy its propagation holds at once
-    (HERMITIAN_COPIES, or _DECAYING_COPIES when a static term decays), and
-    per sample 24 B per basis state (state and populations) plus 40 B
-    (times, norms, grid).  An estimate over MEMORY_BUDGET raises
-    BasisError, and an event that leaves a non-finite state StiffnessError.
+    (HERMITIAN_COPIES, or _DECAYING_COPIES when a static term decays); per
+    sample 24 B per basis state (state and populations) plus 40 B (times,
+    norms, grid); and 32 B per basis state for each of the (up to
+    ``_CHUNK``) samples one product evaluates (its two temporaries).  An
+    estimate over MEMORY_BUDGET raises BasisError, and an event that leaves
+    a non-finite state StiffnessError.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     norm = np.linalg.norm(psi0)
@@ -273,7 +359,7 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
     n = (total_t / sample_dt if sampled else 0.0) + 1 + len(schedule.events)
     decaying = any(op.vals[op.rows == op.cols].imag.any() for op in static_terms)
     need = (16.0 * (_DECAYING_COPIES if decaying else HERMITIAN_COPIES) * dim**2
-            + n * (24.0 * dim + 40.0))
+            + n * (24.0 * dim + 40.0) + 32.0 * dim * min(n, _CHUNK))
     if not need <= MEMORY_BUDGET:
         raise BasisError(f"dim {dim} with {n:.3g} samples needs {need:.3g} B "
                          f"> budget {MEMORY_BUDGET:.3g} B")
@@ -297,19 +383,25 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
 
     states = np.empty((len(times), dim), dtype=complex)
     states[0] = psi = psi0
-    row, op_of = 1, functools.cache(lambda tr: collective_op(basis, *tr))
+    # per transition (None: the waits) its collective operator and the
+    # invariant blocks of its generator, built once
+    row, parts = 1, {}
     # an overflow surfaces as the non-finite state checked per event
     with np.errstate(over="ignore", invalid="ignore"):
         for i_ev, ev, t0, m in events:
             out, dts = states[row:row + m], times[row:row + m] - t0
             row += m
-            if isinstance(ev, Wait):
-                _propagate_constant(h_static, k, psi, dts, out)
+            tr = None if isinstance(ev, Wait) else ev.transition
+            if tr not in parts:
+                op = None if tr is None else collective_op(basis, *tr)
+                parts[tr] = op, _blocks(dim, static_terms if op is None
+                                        else [*static_terms, op])
+            op, blocks = parts[tr]
+            if op is None:
+                _propagate_constant(h_static, k, psi, dts, out, blocks)
             else:
-                # H(amp) = base + amp * unit; each transition's operator is
-                # built once
-                shift, unit = drive_generator(basis, ev.transition[1],
-                                              op_of(ev.transition).dense(),
+                # H(amp) = base + amp * unit
+                shift, unit = drive_generator(basis, tr[1], op.dense(),
                                               ev.phase, ev.detuning)
                 base = h_static + np.diag(shift) if ev.detuning != 0.0 else h_static
                 if isinstance(ev.omega, SampledEnvelope):
@@ -317,7 +409,7 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
                 else:
                     unit *= ev.omega             # base + omega * unit, in place
                     unit += base
-                    _propagate_constant(unit, k, psi, dts, out)
+                    _propagate_constant(unit, k, psi, dts, out, blocks)
             psi = out[-1]
             if not np.isfinite(psi).all():
                 raise StiffnessError(f"event {i_ev} left a non-finite state")

@@ -5,7 +5,8 @@ checkout, it runs in process, against that checkout's ``src`` and
 ``perfbench``:
 
 * the seven experiments at their defaults (``splitting-stats`` with
-  ``--configs 2000``), and ``splitting-stats`` over all pairs of 16 atoms;
+  ``--configs 2000``), ``splitting-stats`` over all pairs of 16 atoms, and
+  ``oracle-check`` at 4 and 5 atoms;
 * every ``cli`` op of ``perfbench.workloads.build_ops`` for both workloads at
   seeds 1 and 2;
 * seven edge runs at the limits of floating point, of the unit parser and
@@ -42,7 +43,8 @@ DEFAULT_RUNS = (
     ("splitting-stats", "--configs", "2000", "--statistic", "all-pairs",
      "--atoms", "16"),
     ("rabi",), ("fock",), ("superpose",), ("gate",), ("error-budget",),
-    ("oracle-check",),
+    ("oracle-check",), ("oracle-check", "--n-atoms", "4"),
+    ("oracle-check", "--n-atoms", "5"),
 )
 
 # a 2e-307 us pulse sampled 96 times; sqrt(N) omega overflowing to inf; a

@@ -223,6 +223,52 @@ def test_import_path_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+_WITHOUT_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError("scipy is not installed")
+
+sys.meta_path.insert(0, NoScipy())
+sys.path.insert(0, sys.argv[1])
+from blockadesim import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_error_budget_runs_without_scipy(tmp_path):
+    """Default error-budget needs numpy only: with every scipy import made
+    to fail it exits 0 and writes the files it writes with scipy."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, src, "error-budget",
+         "--out-dir", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    without = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    for p in out.iterdir():
+        p.unlink()
+    assert run_cli("error-budget", "--out-dir", str(out)) == 0
+    assert without == {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(without) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("rabi", "--kappa", "100", "--out-dir", "{out}"),     # --kappa-bar
+    ("rabi", "--out", "{out}"),                          # --out-dir
+])
+def test_abbreviated_flags_rejected(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)          # the default out_dir is "."
+    out = tmp_path / "out"
+    code = run_cli(*(a.replace("{out}", str(out)) for a in argv))
+    assert code == cli.EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_oracle_check_experiment(tmp_path):
     code = run_cli("oracle-check", "--out-dir", str(tmp_path),
                    "--n-atoms", "3")

@@ -17,8 +17,9 @@ from blockadesim.dynamics import (
     fidelity,
     wrap_phase,
 )
-from blockadesim.hilbert import (BasisError, dephasing_term, dipole_term,
-                                 enumerate_basis)
+from blockadesim.hilbert import (BasisError, collective_op, dephasing_term,
+                                 dipole_term, drive_generator, enumerate_basis)
+from blockadesim.oracle import oracle_schedules
 from blockadesim.protocols import fock_ladder, rabi_pulse, register_basis
 
 from .reference import (
@@ -262,6 +263,24 @@ def test_evolve_peak_within_its_estimate(monkeypatch, case):
         evolve(sched, basis, static, psi0, sample_dt=dt)
 
 
+def test_evolve_peak_within_its_estimate_while_one_product_runs(monkeypatch):
+    # a few thousand samples: one product's temporaries, on the dense path
+    # (dim 81) and on the block path (the N = 3 pair-resolved oracle, dim
+    # 98), outweigh the populations the run has not yet allocated
+    dense = enumerate_basis(80, ("r",), 80)
+    blocked, static, psi0 = _pair_resolved(3)
+    for basis, static, psi0 in ((dense, [], dense.basis_vector({})),
+                                (blocked, static, psi0)):
+        sched = Schedule((Pulse(("g", "r"), 1.0, 1.0),))
+        evolve(sched, basis, static, psi0, sample_dt=0.25)
+        res, peak = _traced_evolve(sched, basis, static, psi0, sample_dt=1.0 / 4000)
+        assert len(res.times) == 4001
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "MEMORY_BUDGET", np.nextafter(peak, 0))
+            with pytest.raises(BasisError, match="budget"):
+                evolve(sched, basis, static, psi0, sample_dt=1.0 / 4000)
+
+
 def test_event_ending_before_1e_12_us_keeps_its_samples():
     # the guard against grid points at an event boundary is relative to the
     # event's end time, so a 3e-15 us pi-pulse keeps all 16 of its samples
@@ -397,3 +416,97 @@ def test_static_term_basis_mismatch():
     with pytest.raises(ValueError):
         evolve(Schedule(()), basis, [dephasing_term(other, 0.1)],
                basis.basis_vector({}))
+
+
+def _pair_resolved(n, kappa=40.0, gamma_r=0.0):
+    """The oracle's pair-resolved register, uniform coupling, and its ground
+    state; a dephasing term when gamma_r > 0."""
+    basis = enumerate_basis(n, ("q", "r", "p'", "p''"), min(3, n),
+                            mode="pair-resolved", ryd_max=2)
+    static = [dipole_term(basis, np.full((n, n), kappa) - kappa * np.eye(n))]
+    if gamma_r > 0:
+        static.append(dephasing_term(basis, gamma_r))
+    return basis, static, basis.basis_vector(tuple("g" for _ in range(n)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_block_path_matches_dense_on_oracle_schedules(monkeypatch, n):
+    basis, static, psi0 = _pair_resolved(n)
+    assert basis.dim >= dynamics._BLOCK_MIN_DIM
+    for sched in oracle_schedules(n).values():
+        dt = sched.total_duration / 24
+        blocked = evolve(sched, basis, static, psi0, sample_dt=dt).states
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_BLOCK_MIN_DIM", basis.dim + 1)
+            dense = evolve(sched, basis, static, psi0, sample_dt=dt).states
+        assert np.abs(blocked - dense).max() < 1e-12
+
+
+def test_decaying_block_path_matches_dense_expm(monkeypatch):
+    basis, static, psi0 = _pair_resolved(3, gamma_r=0.3)
+    sched = Schedule((Pulse(("g", "r"), 1.0, np.pi / np.sqrt(3), phase=0.4),
+                      Pulse(("r", "q"), 0.8, 1.1, detuning=0.6), Wait(0.5)))
+    blocked = evolve(sched, basis, static, psi0, sample_dt=0.1)
+    monkeypatch.setattr(dynamics, "_BLOCK_MIN_DIM", basis.dim + 1)
+    dense = evolve(sched, basis, static, psi0, sample_dt=0.1)
+    assert 0.01 < 1.0 - blocked.norm2[-1] < 0.99
+    assert np.abs(blocked.states - dense.states).max() < 1e-12
+
+
+@pytest.mark.parametrize("n, dim, count, largest",
+                         [(3, 98, 44, 13), (4, 261, 107, 23), (5, 551, 216, 36)])
+def test_pi_pulse_blocks_of_the_oracle(n, dim, count, largest):
+    basis, static, _ = _pair_resolved(n)
+    blocks = dynamics._blocks(basis.dim, [*static, collective_op(basis, "g", "r")])
+    assert basis.dim == dim
+    assert sum(len(b) for b in blocks) == count
+    assert max(b.shape[1] for b in blocks) == largest
+    # each state in exactly one block
+    perm = np.concatenate([b.ravel() for b in blocks])
+    np.testing.assert_array_equal(np.sort(perm), np.arange(dim))
+    # the generator permuted into block order is block diagonal
+    h, _ = dynamics._split_static(basis, static)
+    shift, unit = drive_generator(basis, "r", collective_op(basis, "g", "r").dense(),
+                                  0.6, 0.4)
+    h += 0.7 * unit + np.diag(shift)
+    sizes = np.concatenate([np.full(len(b), b.shape[1]) for b in blocks])
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    off_block = owner[:, None] != owner[None, :]
+    permuted = h[np.ix_(perm, perm)]
+    assert np.abs(permuted[off_block]).max() == 0.0
+    assert np.abs(permuted[~off_block]).max() > 0.0
+
+
+def test_small_or_single_block_generators_run_dense():
+    basis, static = _ideal(3)
+    drive = collective_op(basis, "g", "r")
+    assert dynamics._blocks(basis.dim, [*static, drive]) is None
+    # a diagonal generator is size-1 blocks at any dim
+    (diag,) = dynamics._blocks(basis.dim, [dephasing_term(basis, 0.1)])
+    np.testing.assert_array_equal(diag, np.arange(basis.dim)[:, None])
+    chain = enumerate_basis(80, ("r",), 80)
+    assert chain.dim >= dynamics._BLOCK_MIN_DIM
+    assert dynamics._blocks(chain.dim, [collective_op(chain, "g", "r")]) is None
+
+
+@pytest.mark.parametrize("blocked", [False, True])
+def test_samples_in_one_product_match_per_sample(blocked):
+    # more samples than one chunk: the chunk boundary changes nothing
+    rng = np.random.default_rng(7)
+    dim = 6
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    h = a + a.conj().T
+    blocks = None
+    if blocked:      # blocks {0, 1, 2}, {3, 4} and {5}
+        owner = np.array([0, 0, 0, 1, 1, 2])
+        h[owner[:, None] != owner[None, :]] = 0.0
+        blocks = [np.array([[5]]), np.array([[3, 4]]), np.array([[0, 1, 2]])]
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    psi /= np.linalg.norm(psi)
+    dts = np.linspace(0.0, 3.0, dynamics._CHUNK + 905)
+    out = dynamics._propagate_constant(h, np.zeros(dim), psi, dts,
+                                       np.empty((len(dts), dim), complex), blocks)
+    w, u = np.linalg.eigh(h)
+    coef = u.conj().T @ psi
+    ref = np.array([u @ (np.exp(-1j * w * dt) * coef) for dt in dts])
+    assert np.abs(out - ref).max() < 1e-13
