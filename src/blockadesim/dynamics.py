@@ -3,8 +3,8 @@
 Constant-amplitude segments are propagated exactly, on one of three routes:
 
 * dense: the whole generator at once, by one Hermitian eigendecomposition,
-  or, when a diagonal anti-Hermitian decay term (norm-loss decoherence
-  model) is present, by ``scipy.linalg.expm`` of the non-normal generator
+  or, when its diagonal carries decay rates k as -i k (the norm-loss
+  decoherence model), by ``scipy.linalg.expm`` of the non-normal generator
   -i (H - i k), one exponential per distinct step of the sample grid;
 * block: the same, on each invariant block of the generator.  A pulse on
   a <-> b freezes every atom in any other level and the dipole term only
@@ -94,12 +94,6 @@ class Pulse:
                 raise ValueError("envelope must span the pulse duration")
         elif self.omega < 0:
             raise ValueError("pulse amplitude must be >= 0")
-
-    def area(self) -> float:
-        """Single-field area integral of omega over the pulse."""
-        if isinstance(self.omega, SampledEnvelope):
-            return float(np.trapezoid(self.omega.values, self.omega.times))
-        return self.omega * self.duration
 
 
 @dataclass(frozen=True)
@@ -216,11 +210,11 @@ def wrap_phase(a: float) -> float:
     return float(out)
 
 
-def _split_static(basis: Basis, static_terms) -> tuple[np.ndarray, np.ndarray]:
+def _split_static(basis: Basis, static_terms) -> np.ndarray:
     """Sum static terms into one dense effective Hamiltonian H - i k.
 
-    The anti-Hermitian content must be diagonal (the norm-loss model);
-    returns (H - i k, k).
+    The anti-Hermitian content must be diagonal (the norm-loss model): the
+    decay rates k are minus the imaginary part of the diagonal.
     """
     h = np.zeros((basis.dim, basis.dim), dtype=complex)
     for op in static_terms:
@@ -234,10 +228,9 @@ def _split_static(basis: Basis, static_terms) -> tuple[np.ndarray, np.ndarray]:
         defect = abs(h[op.rows, op.cols] - h[op.cols, op.rows].conj())
         if (defect[op.rows != op.cols] > 2e-12).any():
             raise ValueError("non-diagonal anti-Hermitian static term")
-    k = -h.diagonal().imag
-    if (k < -1e-12).any():
+    if (h.diagonal().imag > 1e-12).any():
         raise ValueError("decay rates must be non-negative")
-    return h, k
+    return h
 
 
 def _blocks(dim: int, ops):
@@ -274,19 +267,19 @@ def _blocks(dim: int, ops):
     return [idx.reshape(-1, size[idx[0]]) for idx in np.split(order, cuts)]
 
 
-def _propagate_constant(h, k, psi, dts, out, blocks=None):
+def _propagate_constant(h, psi, dts, out, blocks=None):
     """States at cumulative offsets dts (sorted, >= 0) under h = H - i k,
     written into the rows of ``out``, which is returned.
 
     ``blocks`` are h's invariant blocks as ``_blocks`` gives them; None
     propagates h as one block.  Blocks of one size share each numpy call.
-    A block of size 1 is a phase factor.  A Hermitian block (k = 0 on it)
-    takes one eigendecomposition.  A decaying one takes
+    A block of size 1 is a phase factor.  A Hermitian block (a real
+    diagonal) takes one eigendecomposition.  A decaying one takes
     expm(-i (H - i k) span) per step; steps of the uniform sample grid that
     agree to 1e-12 (relative) share one exponential.
     """
     if blocks is None:
-        if k.any():
+        if h.diagonal().imag.any():
             _propagate_decaying(h, psi, dts, out, slice(None))
             return out
         w, u = np.linalg.eigh(h)
@@ -301,7 +294,7 @@ def _propagate_constant(h, k, psi, dts, out, blocks=None):
         sub, coef = h[idx[:, :, None], idx[:, None, :]], psi[idx]
         if idx.shape[1] == 1:
             w, u = sub[:, :, 0], None
-        elif k[idx].any():
+        elif sub.diagonal(axis1=1, axis2=2).imag.any():
             _propagate_decaying(sub, coef, dts, out, idx)
             continue
         else:
@@ -337,8 +330,8 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
 
     static_terms (dipole coupling, dephasing) act during every event; each
     Pulse adds its drive term.  Samples are taken at t=0, at multiples of
-    sample_dt when given, and at every event boundary.  Deterministic for
-    fixed inputs.
+    sample_dt when given, and at every event boundary; each event runs over
+    its own duration from its start.  Deterministic for fixed inputs.
 
     Before anything dense is allocated the run's memory is estimated: 16 B
     per entry of each dense dim x dim copy its propagation holds at once
@@ -363,7 +356,7 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
     if not need <= MEMORY_BUDGET:
         raise BasisError(f"dim {dim} with {n:.3g} samples needs {need:.3g} B "
                          f"> budget {MEMORY_BUDGET:.3g} B")
-    h_static, k = _split_static(basis, static_terms)
+    h_static = _split_static(basis, static_terms)
 
     # sample times: t = 0, then per event the grid points inside it (more
     # than 1e-12 of its end time from either boundary) and its end
@@ -385,11 +378,13 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
     states[0] = psi = psi0
     # per transition (None: the waits) its collective operator and the
     # invariant blocks of its generator, built once
-    row, parts = 1, {}
+    row, parts, diag = 1, {}, np.arange(dim)
     # an overflow surfaces as the non-finite state checked per event
     with np.errstate(over="ignore", invalid="ignore"):
         for i_ev, ev, t0, m in events:
+            # the event ends at its own duration ((t0 + d) - t0 is 0 below ulp(t0))
             out, dts = states[row:row + m], times[row:row + m] - t0
+            dts[-1] = ev.duration
             row += m
             tr = None if isinstance(ev, Wait) else ev.transition
             if tr not in parts:
@@ -398,18 +393,21 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
                                         else [*static_terms, op])
             op, blocks = parts[tr]
             if op is None:
-                _propagate_constant(h_static, k, psi, dts, out, blocks)
+                _propagate_constant(h_static, psi, dts, out, blocks)
             else:
-                # H(amp) = base + amp * unit
-                shift, unit = drive_generator(basis, tr[1], op.dense(),
-                                              ev.phase, ev.detuning)
-                base = h_static + np.diag(shift) if ev.detuning != 0.0 else h_static
-                if isinstance(ev.omega, SampledEnvelope):
-                    _propagate_envelope(base, unit, k, ev, psi, dts, out, i_ev)
+                # H(amp) = h_static + detuning n_to + amp (up + up^dagger); an
+                # envelope keeps its dense unit drive (amp = 1) beside h
+                up, h = drive_generator(op, ev.phase), h_static.copy()
+                if ev.detuning != 0.0:
+                    h[diag, diag] += ev.detuning * basis.occupations(tr[1])
+                envelope = isinstance(ev.omega, SampledEnvelope)
+                unit, amp = (np.zeros_like(h), 1.0) if envelope else (h, ev.omega)
+                unit[op.rows, op.cols] += amp * up
+                unit[op.cols, op.rows] += amp * up.conj()
+                if envelope:
+                    _propagate_envelope(h, unit, ev, psi, dts, out, i_ev)
                 else:
-                    unit *= ev.omega             # base + omega * unit, in place
-                    unit += base
-                    _propagate_constant(unit, k, psi, dts, out, blocks)
+                    _propagate_constant(h, psi, dts, out, blocks)
             psi = out[-1]
             if not np.isfinite(psi).all():
                 raise StiffnessError(f"event {i_ev} left a non-finite state")
@@ -421,7 +419,7 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
                            final_state=psi, states=states)
 
 
-def _propagate_envelope(base, unit, k, pulse, psi, dts, out, i_ev):
+def _propagate_envelope(base, unit, pulse, psi, dts, out, i_ev):
     """Adaptive sub-segmentation of a sampled-envelope pulse, writing the
     states at offsets dts into the rows of ``out``.
 
@@ -446,7 +444,7 @@ def _propagate_envelope(base, unit, k, pulse, psi, dts, out, i_ev):
             amp1, amp2 = float(env(a + node1 * h)), float(env(a + node2 * h))
             for w1, w2 in ((wb, wa), (wa, wb)):
                 drive = 2.0 * (w1 * amp1 + w2 * amp2)
-                cur = _propagate_constant(base + drive * unit, k, cur, [0.5 * h],
+                cur = _propagate_constant(base + drive * unit, cur, [0.5 * h],
                                           np.empty((1, len(psi)), dtype=complex))[0]
             while want < len(dts) and abs(b - dts[want]) < 1e-12:
                 out[want] = cur

@@ -179,9 +179,10 @@ class Operator:
 
 
 def _operator(basis, rows, cols, vals) -> Operator:
-    """Operator with entries vals at (rows, cols): duplicates are summed in
-    input order, a complex zero is added to each sum (so -0.0 reads 0.0) and
-    sums equal to zero are dropped."""
+    """Operator with entries vals at (rows, cols): a run of duplicates sums
+    as its first entry (in input order) plus the sum of the rest, a complex
+    zero is added to each sum (so -0.0 reads 0.0) and sums equal to zero
+    are dropped."""
     rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
     order = np.lexsort((cols, rows))
     rows, cols = rows[order], cols[order]
@@ -381,19 +382,15 @@ def number_op(basis: Basis, level: str) -> Operator:
     return _diagonal(basis, basis.occupations(level))
 
 
-def drive_generator(basis: Basis, to: str, sig, phase=0.0, detuning=0.0):
-    """The drive on one transition as H(rabi) = diag(shift) + rabi * unit:
+def drive_generator(op: Operator, phase=0.0) -> np.ndarray:
+    """up = (1/2) e^{i phase} sqrt(N) Sigma on the entries of ``op``, the
+    collective operator Sigma(to<-frm) of ``collective_op``.
 
-        unit  = (1/2) e^{i phase} sqrt(N) Sigma(to<-frm) + h.c.
-        shift = detuning * (occupancy of `to`)
-
-    so <r^1|H|g> = sqrt(N) rabi / 2 at zero phase, and a single atom
-    reduces to the usual rabi/2 coupling.  ``sig`` is the dense matrix of
-    ``collective_op(basis, frm, to)``.  Returns (shift, unit), ``unit``
-    dense.
+    A drive of single-atom Rabi frequency rabi and detuning delta is
+    H = rabi (up + up^dagger) + delta n_to, so <r^1|H|g> = sqrt(N) rabi / 2
+    at zero phase, and a single atom reduces to the usual rabi/2 coupling.
     """
-    up = 0.5 * np.exp(1j * phase) * sqrt(basis.n_atoms) * sig
-    return detuning * basis.occupations(to), up + up.conj().T
+    return 0.5 * np.exp(1j * phase) * sqrt(op.basis.n_atoms) * op.vals
 
 
 def drive_term(
@@ -405,12 +402,13 @@ def drive_term(
     detuning: float = 0.0,
 ) -> Operator:
     """Classical drive on one transition; see ``drive_generator``."""
-    sig = collective_op(basis, frm, to).dense()
-    shift, unit = drive_generator(basis, to, sig, phase, detuning)
-    rows, cols = np.nonzero(unit)
+    op = collective_op(basis, frm, to)
+    up = rabi * drive_generator(op, phase)
     diag = np.arange(basis.dim)
-    return _operator(basis, np.concatenate([rows, diag]), np.concatenate([cols, diag]),
-                     np.concatenate([rabi * unit[rows, cols], shift]))
+    # detuning first: a duplicate run sums as shift + (up + up^dagger)
+    return _operator(basis, np.concatenate([diag, op.rows, op.cols]),
+                     np.concatenate([diag, op.cols, op.rows]),
+                     np.concatenate([detuning * basis.occupations(to), up, up.conj()]))
 
 
 def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:

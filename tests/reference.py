@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 Kept deliberately simple: a fixed-step RK4 integrator (no eigendecomposition,
-no matrix exponential), the closed-form resonant/detuned two-level propagator
+no matrix exponential), one mpmath matrix exponential per event at 40
+digits, the closed-form resonant/detuned two-level propagator
 and its decaying counterpart, the exact distance distribution of two
 uniform points in a box by deterministic quadrature (no sampling, no package
 geometry code), and a state-by-state recount of basis occupations.
@@ -9,6 +10,7 @@ geometry code), and a state-by-state recount of basis occupations.
 
 from itertools import product
 
+import mpmath
 import numpy as np
 
 from blockadesim.dynamics import SampledEnvelope, Wait
@@ -70,6 +72,23 @@ def rk4_evolve(schedule, basis, static_terms, psi0, steps_per_unit=1000.0):
             psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             t += dt
     return psi
+
+
+def mpmath_evolve(schedule, basis, static_terms, psi0):
+    """Final state of a schedule of constant pulses and waits: each event
+    applies mpmath.expm(-i H duration) of its dense generator, computed at
+    40 significant digits from the float64 entries, and the result is
+    rounded to complex128 once at the end."""
+    h_static = _dense_static(basis, static_terms)
+    with mpmath.workdps(40):
+        psi = mpmath.matrix(np.asarray(psi0, dtype=complex).tolist())
+        for ev in schedule.events:
+            h = h_static
+            if not isinstance(ev, Wait):
+                h = h + drive_term(basis, *ev.transition, ev.omega, phase=ev.phase,
+                                   detuning=ev.detuning).dense()
+            psi = mpmath.expm(mpmath.matrix(h.tolist()) * (-1j * ev.duration)) * psi
+        return np.array(psi.tolist(), dtype=complex).ravel()
 
 
 _RYDBERG = {"r", "r+", "r-", "p'", "p''"}

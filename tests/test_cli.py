@@ -96,6 +96,16 @@ def test_decaying_gate_phases_read_plus_pi(tmp_path):
     assert abs(results["conditional_phase"] - np.pi) < 1e-9
 
 
+@pytest.mark.parametrize("extra", [(), ("--gamma-r", "1")], ids=["ideal", "decaying"])
+def test_gate_with_a_sub_ulp_closing_pulse(tmp_path, extra):
+    # the closing pi-pulse of 3e-300 us ends below ulp of its start time;
+    # it is propagated over its own duration and still flips the phases
+    code = run_cli("gate", "--omega-minus", "1e300", *extra, "--out-dir", str(tmp_path))
+    assert code == 0
+    summary = json.loads((tmp_path / "gate_summary.json").read_text())
+    assert summary["checks"]["phases_within_1e-2"]
+
+
 def test_splitting_stats_csv(tmp_path):
     code = run_cli(
         "splitting-stats", "--out-dir", str(tmp_path),
@@ -395,8 +405,6 @@ _NUMERICAL_FAILURES = (
     ("gate", "--kappa-bar", "100", "--gamma-r", "1e100"),
     ("rabi", "--gamma-r", "1e100"),
     ("rabi", "--kappa-bar", "1.7e308"),
-    # a decaying closing pi-pulse of 3e-300 us, whose step rounds to 0
-    ("gate", "--omega-minus", "1e300", "--gamma-r", "1"),
     # a trajectory of ~1e301 samples: over the budget before any allocation
     ("fock", "--omega", "1e-300"),
     ("fock", "--omega-q", "1e-300"),

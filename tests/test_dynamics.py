@@ -18,12 +18,13 @@ from blockadesim.dynamics import (
     wrap_phase,
 )
 from blockadesim.hilbert import (BasisError, collective_op, dephasing_term,
-                                 dipole_term, drive_generator, enumerate_basis)
+                                 dipole_term, drive_term, enumerate_basis)
 from blockadesim.oracle import oracle_schedules
 from blockadesim.protocols import fock_ladder, rabi_pulse, register_basis
 
 from .reference import (
     decaying_two_level_propagator,
+    mpmath_evolve,
     rk4_evolve,
     two_level_propagator,
 )
@@ -129,7 +130,7 @@ def test_envelope_pulse_matches_area(monkeypatch):
     env = SampledEnvelope(ts, tuple(2 * peak * np.sin(np.pi * t / T) ** 2
                                     for t in ts))
     pulse = Pulse(("g", "r"), env, T)
-    assert pulse.area() == pytest.approx(np.pi, rel=1e-3)
+    assert np.trapezoid(env.values, env.times) == pytest.approx(np.pi, rel=1e-3)
     res = evolve(Schedule((pulse,)), basis, static, basis.basis_vector({}))
     assert res.population({"r": 1})[-1] == pytest.approx(1.0, abs=1e-5)
 
@@ -203,10 +204,10 @@ def test_strong_decay_matches_closed_form(deadline):
 
 def test_zero_decaying_step_returns_the_state():
     # a step that rounds to 0 takes expm(0), also when it is the first one
-    h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    h = np.array([[0.0, 1.0], [1.0, -1.0j]])
     psi = np.array([0.6, 0.8j])
-    (out,) = dynamics._propagate_constant(h, np.array([0.0, 1.0]), psi,
-                                          np.array([0.0]), np.empty((1, 2), complex))
+    (out,) = dynamics._propagate_constant(h, psi, np.array([0.0]),
+                                          np.empty((1, 2), complex))
     np.testing.assert_array_equal(out, psi)
 
 
@@ -294,6 +295,27 @@ def test_event_ending_before_1e_12_us_keeps_its_samples():
                                rtol=1e-12)
     np.testing.assert_allclose(res.population({"r": 1}),
                                np.sin(0.5 * omega * res.times) ** 2, atol=1e-12)
+
+
+def test_pulse_shorter_than_ulp_of_its_start_time():
+    # (1 + 1e-17) - 1 rounds to 0: the pulse runs over its own duration
+    basis = enumerate_basis(1, ("r",), 1)
+    sched = Schedule((Wait(1.0), Pulse(("g", "r"), np.pi / 1e-17, 1e-17)))
+    res = evolve(sched, basis, [], basis.basis_vector({}))
+    assert abs(res.population({"r": 1})[-1] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("gamma_r", [0.0, 0.3, 3.0])
+@pytest.mark.parametrize("blockade", ["ideal", 20.0, 100.0])
+def test_final_state_matches_mpmath_expm(blockade, gamma_r):
+    basis, static = register_basis(4, 3, blockade=blockade, gamma_r=gamma_r)
+    assert basis.dim <= 12
+    rng = np.random.default_rng(5)
+    psi0 = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    psi0 /= np.linalg.norm(psi0)
+    sched = Schedule((Pulse(("g", "r"), 1.3, 0.9, phase=0.4, detuning=0.6), Wait(0.5)))
+    got = evolve(sched, basis, static, psi0).final_state
+    assert np.abs(got - mpmath_evolve(sched, basis, static, psi0)).max() < 1e-13
 
 
 def test_fidelity_definitions():
@@ -465,10 +487,8 @@ def test_pi_pulse_blocks_of_the_oracle(n, dim, count, largest):
     perm = np.concatenate([b.ravel() for b in blocks])
     np.testing.assert_array_equal(np.sort(perm), np.arange(dim))
     # the generator permuted into block order is block diagonal
-    h, _ = dynamics._split_static(basis, static)
-    shift, unit = drive_generator(basis, "r", collective_op(basis, "g", "r").dense(),
-                                  0.6, 0.4)
-    h += 0.7 * unit + np.diag(shift)
+    h = dynamics._split_static(basis, static)
+    h += drive_term(basis, "g", "r", 0.7, phase=0.6, detuning=0.4).dense()
     sizes = np.concatenate([np.full(len(b), b.shape[1]) for b in blocks])
     owner = np.repeat(np.arange(len(sizes)), sizes)
     off_block = owner[:, None] != owner[None, :]
@@ -504,8 +524,8 @@ def test_samples_in_one_product_match_per_sample(blocked):
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
     dts = np.linspace(0.0, 3.0, dynamics._CHUNK + 905)
-    out = dynamics._propagate_constant(h, np.zeros(dim), psi, dts,
-                                       np.empty((len(dts), dim), complex), blocks)
+    out = dynamics._propagate_constant(h, psi, dts, np.empty((len(dts), dim), complex),
+                                       blocks)
     w, u = np.linalg.eigh(h)
     coef = u.conj().T @ psi
     ref = np.array([u @ (np.exp(-1j * w * dt) * coef) for dt in dts])
