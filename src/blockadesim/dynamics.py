@@ -11,9 +11,9 @@ Constant-amplitude segments are propagated exactly, on one of three routes:
   exchanges rr <-> p'p'', so the generator of one event splits into blocks
   that never mix.  They are labelled once per transition per ``evolve``
   call from the entries of the static terms and of the transition's
-  collective operator; blocks of one size share each ``eigh`` or ``expm``
-  call.  Generators of dim below ``_BLOCK_MIN_DIM``, the measured
-  crossover, and generators that are one block run dense;
+  collective operator (built once per basis); blocks of one size share
+  each ``eigh`` or ``expm`` call.  Generators of dim below ``_BLOCK_MIN_DIM``,
+  the measured crossover, and one-block generators run dense;
 * diagonal: a generator without an off-diagonal entry is a phase factor
   exp(-i h_jj t) per state, at any dim, decaying or not; it takes neither
   ``eigh`` nor scipy.
@@ -376,8 +376,8 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
 
     states = np.empty((len(times), dim), dtype=complex)
     states[0] = psi = psi0
-    # per transition (None: the waits) its collective operator and the
-    # invariant blocks of its generator, built once
+    # per transition (None: the waits) its collective operator (built once
+    # per basis) and the invariant blocks of its generator, labelled once
     row, parts, diag = 1, {}, np.arange(dim)
     # an overflow surfaces as the non-finite state checked per event
     with np.errstate(over="ignore", invalid="ignore"):
@@ -446,7 +446,7 @@ def _propagate_envelope(base, unit, pulse, psi, dts, out, i_ev):
                 drive = 2.0 * (w1 * amp1 + w2 * amp2)
                 cur = _propagate_constant(base + drive * unit, cur, [0.5 * h],
                                           np.empty((1, len(psi)), dtype=complex))[0]
-            while want < len(dts) and abs(b - dts[want]) < 1e-12:
+            while want < len(dts) and abs(b - dts[want]) < 1e-12 * pulse.duration:
                 out[want] = cur
                 want += 1
         return out[-1].copy()

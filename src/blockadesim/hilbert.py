@@ -103,6 +103,9 @@ class Basis:
     states: tuple[tuple, ...]
     index: dict
     occ: np.ndarray = field(compare=False, repr=False)
+    # the operators collective_op built on this basis, by (frm, to)
+    _collective_ops: dict = field(default_factory=dict, init=False, compare=False,
+                                  repr=False)
 
     @property
     def dim(self) -> int:
@@ -155,7 +158,7 @@ class Operator:
     """Sparse operator over a basis (rad/us for Hamiltonian terms).
 
     Entry k is vals[k] at (rows[k], cols[k]); the entries are nonzero,
-    duplicate-free and sorted by (row, col), as ``_operator`` builds them.
+    duplicate-free, sorted by (row, col) and read-only, as ``_operator`` builds them.
     """
 
     basis: Basis
@@ -190,7 +193,10 @@ def _operator(basis, rows, cols, vals) -> Operator:
     first = np.flatnonzero(np.diff(rows, prepend=-1) | np.diff(cols, prepend=-1))
     vals = np.add.reduceat(np.asarray(vals, dtype=complex)[order], first) + 0
     keep = vals != 0
-    return Operator(basis, rows[first][keep], cols[first][keep], vals[keep])
+    rows, cols, vals = rows[first][keep], cols[first][keep], vals[keep]
+    for arr in (rows, cols, vals):      # read-only: collective_op shares them
+        arr.flags.writeable = False
+    return Operator(basis, rows, cols, vals)
 
 
 def hermiticity_defect(op: Operator) -> float:
@@ -344,8 +350,15 @@ def collective_op(basis: Basis, frm: str, to: str) -> Operator:
 
     In the symmetric basis the matrix element between occupation states is
     sqrt(n_frm (n_to + 1) / N); in pair-resolved mode the literal atom sum
-    is built.
+    is built, once per basis: later calls return the same operator.
     """
+    ops = basis._collective_ops
+    if (frm, to) not in ops:
+        ops[frm, to] = _collective_op(basis, frm, to)
+    return ops[frm, to]
+
+
+def _collective_op(basis, frm, to):
     _check_levels(basis, frm, to)
     rootn = sqrt(basis.n_atoms)
     if basis.mode == "symmetric":

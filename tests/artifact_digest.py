@@ -9,7 +9,7 @@ checkout, it runs in process, against that checkout's ``src`` and
   ``oracle-check`` at 4 and 5 atoms;
 * every ``cli`` op of ``perfbench.workloads.build_ops`` for both workloads at
   seeds 1 and 2;
-* nine edge runs at the limits of floating point, of the unit parser and
+* ten edge runs at the limits of floating point, of the unit parser and
   of the error-budget grid, which pin their exit codes.
 
 Every run writes into the same out-dir, which is emptied before each run, so
@@ -49,9 +49,9 @@ DEFAULT_RUNS = (
 
 # a 2e-307 us pulse sampled 96 times; sqrt(N) omega overflowing to inf; a
 # pair coupling near the float maximum; leakage that rounds to 0; a milli
-# suffix; a Rabi fit of two samples; a grid that does not ascend; and a
-# gate whose 3e-300 us closing pulse is shorter than ulp of its start time,
-# without and with decay
+# suffix; a Rabi fit of two samples; a grid that does not ascend; a gate
+# whose 3e-300 us closing pulse is shorter than ulp of its start time,
+# without and with decay; and the largest grid, under the split convention
 EDGE_RUNS = (
     ("rabi", "--omega", "1e307", "--n-atoms", "100"),
     ("rabi", "--omega", "1e308", "--n-atoms", "100"),
@@ -62,6 +62,7 @@ EDGE_RUNS = (
     ("error-budget", "--kt-start", "1000", "--kt-stop", "10"),
     ("gate", "--omega-minus", "1e300"),
     ("gate", "--omega-minus", "1e300", "--gamma-r", "1"),
+    ("error-budget", "--kt-points", "2000", "--convention", "split"),
 )
 
 

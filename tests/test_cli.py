@@ -11,7 +11,7 @@ import scipy.optimize  # noqa: F401  (loaded before the timed rabi run)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blockadesim import cli
+from blockadesim import cli, errors, hilbert, protocols
 from blockadesim.dynamics import Schedule
 from blockadesim.hilbert import N_ORACLE
 from blockadesim.protocols import CompilationError
@@ -188,6 +188,28 @@ def test_error_budget_experiment(tmp_path):
     assert len(lines) == 7
     summary = json.loads((tmp_path / "error_budget_summary.json").read_text())
     assert -2.2 < summary["results"]["slope"] < -1.8
+
+
+def test_runs_enumerate_each_basis_and_build_each_operator_once(tmp_path, monkeypatch):
+    # error-budget enumerates its scan's register and the two-atom basis of
+    # dephasing_norm_loss; gate builds one operator per transition of its
+    # three pulses for the four inputs' evolve calls
+    enumerated, built = [], []
+
+    def spy(fn, calls):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return counted
+
+    for mod in (errors, protocols):
+        monkeypatch.setattr(mod, "enumerate_basis", spy(hilbert.enumerate_basis, enumerated))
+    monkeypatch.setattr(hilbert, "_collective_op", spy(hilbert._collective_op, built))
+    assert run_cli("error-budget", "--out-dir", str(tmp_path / "budget")) == 0
+    assert [args[0] for args in enumerated] == [10, 2]
+    built.clear()
+    assert run_cli("gate", "--out-dir", str(tmp_path / "gate")) == 0
+    assert [args[1:] for args in built] == [("q-", "r-"), ("q+", "r+"), ("r-", "q-")]
 
 
 @pytest.mark.parametrize("convention", ["eq1", "split"])

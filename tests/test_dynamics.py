@@ -147,6 +147,19 @@ def test_envelope_vs_rk4(monkeypatch):
     assert np.abs(res.final_state - ref).max() < 1e-7
 
 
+@pytest.mark.parametrize("T", [1.0, 1e-11, 1e-13])
+def test_short_envelope_pulse_files_its_end_state(T):
+    # a sample is filed within 1e-12 of the pulse duration (relative), so a
+    # 1e-13 us pulse ends on its last sub-interval like a 1 us one
+    basis = enumerate_basis(1, ("r",), 1)
+    ts = tuple(np.linspace(0.0, T, 9))
+    env = SampledEnvelope(ts, tuple(2 * np.pi / T * np.sin(np.pi * t / T) ** 2
+                                    for t in ts))
+    res = evolve(Schedule((Pulse(("g", "r"), env, T),)), basis, [],
+                 basis.basis_vector({}))
+    assert abs(res.population({"r": 1})[-1] - 1.0) < 1e-12
+
+
 def test_decay_exponential_exact():
     basis = enumerate_basis(2, ("r",), 1)
     static = [dephasing_term(basis, 0.3)]

@@ -15,6 +15,7 @@ from blockadesim.errors import (
 )
 from blockadesim.geometry import coupling_matrix, sample_positions
 from blockadesim.hilbert import dipole_term, enumerate_basis
+from blockadesim.protocols import rabi_pulse, register_basis
 
 
 def test_p_doub_values():
@@ -156,6 +157,27 @@ def test_blockade_scaling_ratio_between_points():
     i10 = list(res.kappa_T).index(10.0)
     i100 = list(res.kappa_T).index(100.0)
     assert res.p_sim[i10] / res.p_sim[i100] == pytest.approx(100, rel=0.35)
+
+
+@pytest.mark.parametrize("convention", ["eq1", "split"])
+def test_blockade_scaling_on_one_register_equals_a_register_per_point(convention):
+    # the scan enumerates one register; a fresh register per grid point
+    # gives the same leakage, slope and prefactor bit for bit
+    grid = [1000.0, 10.0, 31.6, 100.0, 316.0]
+    res = blockade_scaling_experiment(grid, n_atoms=10, convention=convention)
+    pulse = rabi_pulse(10, 1.0, np.pi)
+    kts = np.asarray(sorted(grid))
+    p_sim = np.empty_like(kts)
+    for i, kt in enumerate(kts):
+        basis, static = register_basis(10, n_max=2, blockade=kt / pulse.duration,
+                                       convention=convention)
+        out = evolve(Schedule((pulse,)), basis, static, basis.basis_vector({}))
+        pop = out.populations[-1]
+        stay = pop[basis.state_index({})] + pop[basis.state_index({"r": 1})]
+        p_sim[i] = max(out.norm2[-1] - stay, 0.0)
+    slope, intercept = np.polyfit(np.log(kts), np.log(p_sim), 1)
+    assert res.p_sim.tobytes() == p_sim.tobytes()
+    assert res.slope == slope and res.prefactor == np.exp(intercept)
 
 
 def test_blockade_scaling_grid_guard():

@@ -163,6 +163,39 @@ def test_collective_commutator_on_ground():
     np.testing.assert_allclose(comm @ ground, ground, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["symmetric", "pair-resolved"])
+def test_collective_op_is_built_once_per_basis(mode):
+    """Each basis builds a transition's operator once and shares it; an equal
+    but distinct basis builds its own, and both carry the triples of the
+    uncached builder."""
+    levels = ("q", "r", "p'", "p''")
+    basis = enumerate_basis(3, levels, 2, mode=mode)
+    op = collective_op(basis, "g", "r")
+    assert collective_op(basis, "g", "r") is op
+    assert collective_op(basis, "r", "g") is not op
+    with pytest.raises(BasisError):
+        collective_op(basis, "g", "r+")
+    assert set(basis._collective_ops) == {("g", "r"), ("r", "g")}
+    twin = enumerate_basis(3, levels, 2, mode=mode)
+    assert twin == basis and twin is not basis
+    own = collective_op(twin, "g", "r")
+    assert own is not op and own.basis is twin and op.basis is basis
+    for other in (own, hilbert._collective_op(basis, "g", "r")):
+        assert np.array_equal(other.rows, op.rows)
+        assert np.array_equal(other.cols, op.cols)
+        assert other.vals.tobytes() == op.vals.tobytes()
+
+
+def test_operators_are_read_only():
+    # a shared operator cannot be changed in place by one of its users
+    basis = enumerate_basis(3, ("q", "r", "p'", "p''"), 2)
+    for op in (collective_op(basis, "g", "r"), drive_term(basis, "g", "r", 1.0),
+               dipole_term(basis, 2.0), dephasing_term(basis, 0.1)):
+        for arr in (op.rows, op.cols, op.vals):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+
 def test_collective_op_diagonal_case():
     # Sigma_mu_mu is the occupancy over sqrt(N) in both modes
     b = enumerate_basis(4, ("q",), 3)
@@ -464,10 +497,12 @@ def test_operators_match_scipy_canonical_csr(monkeypatch, mode, levels):
     """Operators assembled as sorted triples equal, bit for bit, those that
     scipy's COO -> CSR conversion, sum_duplicates, sort_indices and sparse
     sums give (the pair-resolved collective_op(b, x, x) holds duplicates)."""
-    basis = enumerate_basis(3, levels, 2, mode=mode)
-    got = _operators(basis, drive_term, dephasing_term)
+    got = _operators(enumerate_basis(3, levels, 2, mode=mode), drive_term,
+                     dephasing_term)
     monkeypatch.setattr(hilbert, "_operator", _scipy_operator)
-    want = _operators(basis, _scipy_drive_term, _scipy_dephasing_term)
+    # a basis of its own, whose collective operators scipy builds
+    want = _operators(enumerate_basis(3, levels, 2, mode=mode), _scipy_drive_term,
+                      _scipy_dephasing_term)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert a.vals.dtype == b.vals.dtype == complex
