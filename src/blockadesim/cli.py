@@ -2,7 +2,7 @@
 
 Subcommands: splitting-stats, rabi, fock, superpose, gate, error-budget,
 oracle-check.  ``main`` validates and parses a run's configuration; the
-runner returns a ``Run`` (table rows, key scalars, built-in check results,
+runner returns a ``Run`` (table columns, key scalars, built-in check results,
 for compiled protocols the schedule) that ``main`` renders as a CSV table,
 a JSON summary echoing the resolved config and a schedule dump, and writes
 only after the run succeeds.  Identical configs give byte-identical files.
@@ -23,9 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -280,25 +278,35 @@ def _fmt(x) -> str:
     return str(x)
 
 
-# cell types whose column renders without a check per cell: all cells of a
-# column of one of these types are formatted as ``_fmt`` would format them
-_COLUMN_FORMAT = {float: "%.12g".__mod__, np.float64: "%.12g".__mod__, int: str}
+def _field(text: str, alone: bool) -> str:
+    """``text`` as ``csv.writer`` writes a field: quoted, its quotes
+    doubled, when it holds a comma, a quote or a line break, or when it is
+    the empty only field of its record."""
+    if any(c in text for c in ',"\r\n') or (alone and not text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _column(cells) -> list[str]:
-    """One table column, rendered as ``_fmt`` renders each cell."""
-    kinds = set(map(type, cells))
-    render = _COLUMN_FORMAT.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(render or _fmt, cells))
-
-
-def _csv_text(header: list[str], rows) -> str:
-    """The CSV table of equally long rows, rendered column by column."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(zip(*map(_column, zip(*rows))))
-    return buf.getvalue()
+def _csv_text(header: list[str], columns) -> str:
+    """The CSV table of equally long columns, as ``csv.writer`` writes the
+    ``_fmt`` of each cell: one format string renders each row, with ``%.12g``
+    for a float column, ``%d`` for an int column and quoted ``_fmt`` text
+    for any other."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    alone = len(cells) == 1     # csv.writer quotes a lone empty field
+    specs = []
+    for i, column in enumerate(cells):
+        kinds = set(map(type, column))
+        if kinds <= {float, np.float64}:
+            specs.append("%.12g")
+        elif kinds == {int}:
+            specs.append("%d")
+        else:
+            cells[i] = [_field(_fmt(x), alone) for x in column]
+            specs.append("%s")
+    fmt = ",".join(specs) + "\r\n"
+    head = ",".join(_field(name, alone) for name in header)
+    return head + "\r\n" + "".join(map(fmt.__mod__, zip(*cells)))
 
 
 def _json_text(obj: dict) -> str:
@@ -314,8 +322,8 @@ def _json_text(obj: dict) -> str:
 class Run(NamedTuple):
     """What one run found, for ``main`` to write."""
 
-    header: list[str]          # the CSV table: column names, then rows
-    rows: object
+    header: list[str]          # the CSV table: column names, then columns
+    columns: list              # equally long arrays or sequences
     results: dict
     checks: dict
     schedule: Schedule | None = None
@@ -347,11 +355,10 @@ def _run_splitting(p: dict, seed: int) -> Run:
     ks = geometry.splitting_ks(hist.samples, window=tuple(p["window"]))
     edges = hist.bin_edges
     analytic = geometry.analytic_splitting_pdf(np.sqrt(edges[:-1] * edges[1:]))
-    rows = zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.density(),
-               analytic)
     kb = geometry.kappa_bar(float(np.prod(p["box"])), float(p["c3"]))
     return Run(
-        ["x_left", "x_right", "count", "density", "analytic_density"], rows,
+        ["x_left", "x_right", "count", "density", "analytic_density"],
+        [edges[:-1], edges[1:], hist.counts, hist.density(), analytic],
         results={
             "kappa_bar": kb,
             "ks_distance": ks,
@@ -395,10 +402,10 @@ def _run_rabi(p: dict, seed: int) -> Run:
     p_r = res.population({"r": 1})
     p_leak = res.norm2 - p_g - p_r
     fitted = _rabi_fit(res.times, p_r, expected)
-    rows = list(zip(res.times, p_g, p_r, p_leak, res.norm2))
     rel_err = abs(fitted - expected) / expected
     return Run(
-        ["time", "p_ground", "p_single", "p_leak", "norm2"], rows,
+        ["time", "p_ground", "p_single", "p_leak", "norm2"],
+        [res.times, p_g, p_r, p_leak, res.norm2],
         results={
             "fitted_frequency": fitted,
             "collective_frequency": expected,
@@ -425,14 +432,10 @@ def _run_fock(p: dict, seed: int) -> Run:
     )
     target = basis.basis_vector({"q": n_target})
     fid = fidelity(res.final_state, target)
-    header = ["time"] + [f"p_q{m}" for m in range(n_target + 1)] + [
-        "p_excited", "norm2",
-    ]
     q_pops = [res.population({"q": m}) for m in range(n_target + 1)]
-    p_exc = res.norm2 - sum(q_pops)
-    rows = list(zip(res.times, *q_pops, p_exc, res.norm2))
     return Run(
-        header, rows,
+        ["time", *(f"p_q{m}" for m in range(n_target + 1)), "p_excited", "norm2"],
+        [res.times, *q_pops, res.norm2 - sum(q_pops), res.norm2],
         results={
             "fidelity": fid,
             "infidelity": 1.0 - fid,
@@ -454,20 +457,18 @@ def _run_superpose(p: dict, seed: int) -> Run:
         n, n_max=max(n_top, 1), blockade="ideal"
     )
     res = evolve(sched, basis, static, basis.basis_vector({}))
+    rungs = [basis.state_index({"q": m}) for m in range(n_top + 1)]
+    want = np.array(amps[: n_top + 1])
     tvec = np.zeros(basis.dim, dtype=complex)
-    for m, amp in enumerate(amps[: n_top + 1]):
-        tvec[basis.state_index({"q": m})] = amp
+    tvec[rungs] = want
     fid = fidelity(res.final_state, tvec)
     back = evolve(sched.reversed(), basis, static, res.final_state)
     fid_round = fidelity(back.final_state, basis.basis_vector({}))
-    rows = []
-    for m in range(n_top + 1):
-        a_t = amps[m] if m < len(amps) else 0.0
-        a_got = res.final_state[basis.state_index({"q": m})]
-        rows.append((m, a_t.real, a_t.imag, a_got.real, a_got.imag, abs(a_got) ** 2))
+    got = res.final_state[rungs]
     return Run(
         ["m", "target_re", "target_im", "achieved_re", "achieved_im", "population"],
-        rows,
+        [list(range(n_top + 1)), want.real, want.imag, got.real, got.imag,
+         [abs(a) ** 2 for a in got]],
         results={
             "fidelity": fid,
             "roundtrip_fidelity": fid_round,
@@ -486,15 +487,14 @@ def _run_gate(p: dict, seed: int) -> Run:
     sched = protocols.phase_gate_schedule(p["omega_minus"], p["omega_plus"])
     table = protocols.gate_truth_table(sched, basis, static)
     ideal = {"g": 0.0, "q+": pi, "q-": pi, "q+q-": pi}
-    rows = [
-        (name, table.phases[name], ideal[name], table.fidelities[name])
-        for name in protocols.GATE_INPUTS
-    ]
+    names = list(protocols.GATE_INPUTS)
     phase_err = max(
         abs(protocols.wrap_phase(table.phases[k] - ideal[k])) for k in ideal
     )
     return Run(
-        ["input", "phase", "ideal_phase", "fidelity"], rows,
+        ["input", "phase", "ideal_phase", "fidelity"],
+        [names, [table.phases[k] for k in names], [ideal[k] for k in names],
+         [table.fidelities[k] for k in names]],
         results={
             "phases": table.phases,
             "fidelities": table.fidelities,
@@ -520,10 +520,6 @@ def _run_error_budget(p: dict, seed: int) -> Run:
     T = result.pulse_duration
     p_deph_est = errmod.p_deph_estimate(gamma, T)
     p_deph_sim = errmod.dephasing_norm_loss(gamma, T)
-    rows = [
-        (kt_i, est, sim, p_deph_est, p_deph_sim, result.slope)
-        for kt_i, sim, est in zip(kts, result.p_sim, result.p_est)
-    ]
     closed_form = 1.0 / (4.0 * pi)
     adiabatic = errmod.adiabatic_prefactor(n, p["convention"])
     high = kts >= 100.0
@@ -534,7 +530,8 @@ def _run_error_budget(p: dict, seed: int) -> Run:
     return Run(
         ["kappaT", "p_doub_est", "p_doub_sim", "p_deph_est", "p_deph_sim",
          "slope_fit"],
-        rows,
+        [kts, result.p_est, result.p_sim, [p_deph_est] * len(kts),
+         [p_deph_sim] * len(kts), [result.slope] * len(kts)],
         results={
             "slope": result.slope,
             "prefactor": result.prefactor,
@@ -559,17 +556,17 @@ def _run_error_budget(p: dict, seed: int) -> Run:
 
 
 def _run_oracle(p: dict, seed: int) -> Run:
-    rows = oracle.oracle_equivalence(
+    names, times, fids = zip(*oracle.oracle_equivalence(
         p["n_atoms"],
         p["kappa"],
         omega=p["omega"],
         omega_q=p["omega_q"],
         n_max=p["n_max"],
         samples_per_schedule=p["samples_per_schedule"],
-    )
-    worst = min(r[2] for r in rows)
+    ))
+    worst = min(fids)
     return Run(
-        ["schedule", "time", "fidelity"], rows,
+        ["schedule", "time", "fidelity"], [names, times, fids],
         results={"min_fidelity": worst, "max_deviation": 1.0 - worst},
         checks={"agreement_1e-8": bool(worst > 1.0 - 1e-8)},
     )
@@ -727,7 +724,7 @@ def _artifacts(config: dict, p: dict, run: Run) -> dict:
     out_dir = Path(config["out_dir"])
     stem = config["experiment"].replace("-", "_")
     table = Path(p["out"]) if p.get("out") else out_dir / f"{stem}.csv"
-    files = {table: _csv_text(run.header, run.rows)}
+    files = {table: _csv_text(run.header, run.columns)}
     if run.schedule is not None:
         files[out_dir / f"{stem}_schedule.txt"] = run.schedule.to_text()
     summary = {"experiment": config["experiment"], "config": config,

@@ -9,8 +9,9 @@ checkout, it runs in process, against that checkout's ``src`` and
   ``oracle-check`` at 4 and 5 atoms;
 * every ``cli`` op of ``perfbench.workloads.build_ops`` for both workloads at
   seeds 1 and 2;
-* ten edge runs at the limits of floating point, of the unit parser and
-  of the error-budget grid, which pin their exit codes.
+* eleven edge runs at the limits of floating point, of the unit parser,
+  of the error-budget grid and of the rabi table's size, which pin their
+  exit codes.
 
 Every run writes into the same out-dir, which is emptied before each run, so
 that the config echoed in a summary is the same for any two checkouts.  Each
@@ -51,7 +52,8 @@ DEFAULT_RUNS = (
 # pair coupling near the float maximum; leakage that rounds to 0; a milli
 # suffix; a Rabi fit of two samples; a grid that does not ascend; a gate
 # whose 3e-300 us closing pulse is shorter than ulp of its start time,
-# without and with decay; and the largest grid, under the split convention
+# without and with decay; the largest grid, under the split convention; and
+# the largest rabi table (1.2M rows)
 EDGE_RUNS = (
     ("rabi", "--omega", "1e307", "--n-atoms", "100"),
     ("rabi", "--omega", "1e308", "--n-atoms", "100"),
@@ -63,6 +65,7 @@ EDGE_RUNS = (
     ("gate", "--omega-minus", "1e300"),
     ("gate", "--omega-minus", "1e300", "--gamma-r", "1"),
     ("error-budget", "--kt-points", "2000", "--convention", "split"),
+    ("rabi", "--periods", "300", "--samples-per-period", "4096"),
 )
 
 

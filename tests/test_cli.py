@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -816,7 +819,7 @@ def test_csv_text_renders_each_type():
     them; a column of mixed types renders cell by cell."""
     py = [float("inf"), float("-inf"), float("nan"), -0.0, 1e-300, 0.1 + 0.2,
           1.0 / 3.0]
-    rows = zip(
+    columns = [
         py,
         np.array(py),
         [0, -1, 2**70, 3, 4, 5, 6],
@@ -825,9 +828,9 @@ def test_csv_text_renders_each_type():
         [True, False, np.True_, np.False_, True, np.bool_(True), False],
         ["a", "b,c", 'q"d', "", "x y", "line\nbreak", "z"],
         [1, 2.5, "s", np.float32(0.5), None, np.bool_(False), 1e20],
-    )
+    ]
     assert cli._csv_text(["py", "np", "int", "npint", "bool", "str", "mixed"],
-                         rows) == (
+                         columns) == (
         "py,np,int,npint,bool,str,mixed\r\n"
         "inf,inf,0,-7,true,a,1\r\n"
         '-inf,-inf,-1,8,false,"b,c",2.5\r\n'
@@ -837,4 +840,60 @@ def test_csv_text_renders_each_type():
         '0.3,0.3,5,2,true,"line\nbreak",false\r\n'
         "0.333333333333,0.333333333333,6,3,false,z,1e+20\r\n"
     )
-    assert cli._csv_text(["a", "b"], []) == "a,b\r\n"
+    assert cli._csv_text(["a", "b"], [[], []]) == "a,b\r\n"
+
+
+def _csv_writer_text(header, columns) -> str:
+    """The reference: ``csv.writer`` over the ``_fmt`` of each cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([cli._fmt(x) for x in row] for row in zip(*columns))
+    return buf.getvalue()
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2e-310, 1e308, -1e308])
+_INTS = st.integers() | st.integers(2**63, 2**70) | st.integers(-(2**70), -(2**63))
+_TEXT = st.text(alphabet=',"\r\n ab', max_size=4)
+_NP_INTS = st.builds(lambda x, t: t(x), st.integers(0, 127),
+                     st.sampled_from([np.int64, np.int32, np.uint8]))
+_CELLS = {
+    "float": _FLOATS,
+    "np.float64": _FLOATS.map(np.float64),
+    "int": _INTS,
+    "np.integer": _NP_INTS,
+    "bool": st.booleans(),
+    "np.bool_": st.booleans().map(np.bool_),
+    "str": _TEXT,
+}
+_CELLS["mixed"] = st.one_of(*_CELLS.values(), st.none(),
+                           st.floats(width=32).map(np.float32))
+_ARRAYS = {     # array columns: their cells, and the dtype they are stored in
+    "float64 array": (_FLOATS, np.float64),
+    "int64 array": (st.integers(-(2**63), 2**63 - 1), np.int64),
+    "uint8 array": (st.integers(0, 255), np.uint8),
+    "bool array": (st.booleans(), bool),
+}
+
+
+def _column(kind: str, n_rows: int):
+    if kind in _CELLS:
+        return st.lists(_CELLS[kind], min_size=n_rows, max_size=n_rows)
+    cells, dtype = _ARRAYS[kind]
+    return st.lists(cells, min_size=n_rows, max_size=n_rows).map(
+        lambda v: np.array(v, dtype=dtype))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_csv_text_matches_csv_writer(data):
+    """Column by column with one format string per row, a table reads as
+    ``csv.writer`` writes the ``_fmt`` of each cell: quoting, special floats,
+    big ints, bools and mixed columns included."""
+    n_rows = data.draw(st.integers(0, 30))
+    kinds = data.draw(st.lists(st.sampled_from(sorted({**_CELLS, **_ARRAYS})),
+                               min_size=1, max_size=6))
+    columns = [data.draw(_column(kind, n_rows)) for kind in kinds]
+    header = data.draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds)))
+    assert cli._csv_text(header, columns) == _csv_writer_text(header, columns)
