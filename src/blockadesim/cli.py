@@ -39,7 +39,7 @@ from . import geometry, oracle, protocols, units
 from .dynamics import (PhaseUndefinedError, Schedule, StiffnessError, evolve,
                        fidelity)
 from .geometry import GeometryError
-from .hilbert import N_ORACLE, BasisError
+from .hilbert import N_ATOMS_MAX, N_ORACLE, BasisError
 from .protocols import CompilationError
 
 EXIT_OK = 0
@@ -590,7 +590,7 @@ _TABLE = {
         Param("out", None, _path(nullable=True, metavar="FILE")),
     )),
     "rabi": ("collective Rabi oscillation", _run_rabi, (
-        Param("n_atoms", 10, _count(2)),
+        Param("n_atoms", 10, _count(2, N_ATOMS_MAX)),
         Param("omega", 1.0, _frequency()),
         Param("kappa_bar", "ideal", _frequency("ideal")),
         Param("gamma_r", 0.0, _frequency(positive=False)),
@@ -600,7 +600,7 @@ _TABLE = {
         Param("samples_per_period", 32, _count(4, 4096)),
     )),
     "fock": ("storage-rung ladder synthesis", _run_fock, (
-        Param("n_atoms", 20, _count(2)),
+        Param("n_atoms", 20, _count(2, N_ATOMS_MAX)),
         Param("n_target", 3, _count(0), capped=True),
         Param("omega", 1.0, _frequency()),
         Param("omega_q", 1.0, _frequency()),
@@ -611,7 +611,7 @@ _TABLE = {
         Param("n_max", None, _count(1, nullable=True), capped=True),
     )),
     "superpose": ("arbitrary superposition synthesis", _run_superpose, (
-        Param("n_atoms", 10, _count(2)),
+        Param("n_atoms", 10, _count(2, N_ATOMS_MAX)),
         Param("omega", 1.0, _frequency()),
         Param("omega_q", 1.0, _frequency()),
         Param("amplitudes", [0.5773502691896258, 0.5773502691896258,
@@ -622,7 +622,7 @@ _TABLE = {
         }), capped=True),
     )),
     "gate": ("conditional phase gate truth table", _run_gate, (
-        Param("n_atoms", 10, _count(2)),
+        Param("n_atoms", 10, _count(2, N_ATOMS_MAX)),
         Param("omega_plus", 1.0, _frequency()),
         Param("omega_minus", 1.0, _frequency()),
         Param("kappa_bar", "ideal", _frequency("ideal", "off")),
@@ -630,7 +630,7 @@ _TABLE = {
         Param("convention", "split", _CONVENTION),
     )),
     "error-budget": ("leakage and dephasing scaling", _run_error_budget, (
-        Param("n_atoms", 10, _count(2)),
+        Param("n_atoms", 10, _count(2, N_ATOMS_MAX)),
         Param("convention", "eq1", _CONVENTION),
         Param("gamma_r", 0.001, _frequency(positive=False)),
         Param("kt_start", 10.0, _kind(lambda v: _is_real(v) and v >= 5,

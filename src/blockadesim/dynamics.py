@@ -1,27 +1,23 @@
 """Piecewise pulse-schedule evolution of collective state vectors.
 
-Constant-amplitude segments are propagated exactly, on one of three routes:
-
-* dense: the whole generator at once, by one Hermitian eigendecomposition,
-  or, when its diagonal carries decay rates k as -i k (the norm-loss
-  decoherence model), by ``scipy.linalg.expm`` of the non-normal generator
-  -i (H - i k), one exponential per distinct step of the sample grid;
-* block: the same, on each invariant block of the generator.  A pulse on
-  a <-> b freezes every atom in any other level and the dipole term only
-  exchanges rr <-> p'p'', so the generator of one event splits into blocks
-  that never mix.  They are labelled once per transition per ``evolve``
-  call from the entries of the static terms and of the transition's
-  collective operator (built once per basis); blocks of one size share
-  each ``eigh`` or ``expm`` call.  Generators of dim below ``_BLOCK_MIN_DIM``,
-  the measured crossover, and one-block generators run dense;
-* diagonal: a generator without an off-diagonal entry is a phase factor
-  exp(-i h_jj t) per state, at any dim, decaying or not; it takes neither
-  ``eigh`` nor scipy.
+Constant-amplitude segments are propagated exactly, one invariant block of
+the generator at a time.  A pulse on a <-> b freezes every atom in any other
+level and the dipole term only exchanges rr <-> p'p'', so the generator of
+one event splits into blocks that never mix.  They are labelled once per
+transition per ``evolve`` call from the entries of the static terms and of
+the transition's collective operator (built once per basis).  A generator
+without an off-diagonal entry is blocks of size 1, a phase factor
+exp(-i h_jj t) per state; one below ``_BLOCK_MIN_DIM`` (the measured
+crossover) or of one block is a single block, the whole generator viewed,
+not copied.  Blocks of one size share each numpy call: one ``eigh`` for
+Hermitian blocks, or, when the diagonal carries decay rates k as -i k (the
+norm-loss decoherence model), ``scipy.linalg.expm`` of -i (H - i k) per
+distinct step of the sample grid.
 
 A Hermitian block evaluates its samples as one product, ``_CHUNK`` samples
-at a time.  Sampled-envelope pulses are integrated by a fourth-order
-two-exponential scheme on sub-intervals, doubled until the final state
-changes by less than ``_ENVELOPE_TOL``.
+at a time.  Sampled-envelope pulses are integrated on their event's blocks
+by a fourth-order two-exponential scheme on sub-intervals, doubled until the
+final state changes by less than ``_ENVELOPE_TOL``.
 
 Times are in us, angular frequencies in rad/us, phases in rad.
 """
@@ -238,9 +234,9 @@ def _blocks(dim: int, ops):
     ``ops`` have theirs: one (count, size) array of state indices per block
     size, a block to a row.
 
-    None runs the generator dense: when it is one block, or when it couples
-    states and dim is below ``_BLOCK_MIN_DIM``.  A generator without an
-    off-diagonal entry is dim blocks of size 1 at any dim.
+    None leaves the generator whole, one block: when it is one block, or
+    when it couples states and dim is below ``_BLOCK_MIN_DIM``.  A generator
+    without an off-diagonal entry is dim blocks of size 1 at any dim.
     """
     if not any(np.count_nonzero(op.rows != op.cols) for op in ops):
         return [np.arange(dim)[:, None]]
@@ -271,28 +267,18 @@ def _propagate_constant(h, psi, dts, out, blocks=None):
     """States at cumulative offsets dts (sorted, >= 0) under h = H - i k,
     written into the rows of ``out``, which is returned.
 
-    ``blocks`` are h's invariant blocks as ``_blocks`` gives them; None
-    propagates h as one block.  Blocks of one size share each numpy call.
-    A block of size 1 is a phase factor.  A Hermitian block (a real
-    diagonal) takes one eigendecomposition.  A decaying one takes
+    ``blocks`` are h's invariant blocks as ``_blocks`` gives them; None is
+    h whole, viewed as a stack of one block.  Blocks of one size share each
+    numpy call.  A block of size 1 is a phase factor.  A Hermitian block (a
+    real diagonal) takes one eigendecomposition.  A decaying one takes
     expm(-i (H - i k) span) per step; steps of the uniform sample grid that
     agree to 1e-12 (relative) share one exponential.
     """
-    if blocks is None:
-        if h.diagonal().imag.any():
-            _propagate_decaying(h, psi, dts, out, slice(None))
-            return out
-        w, u = np.linalg.eigh(h)
-        coef = u.conj().T @ psi
-        for lo in range(0, len(dts), _CHUNK):
-            z = np.multiply.outer(dts[lo:lo + _CHUNK], -1j * w)
-            np.exp(z, out=z)
-            z *= coef
-            np.matmul(z, u.T, out=out[lo:lo + _CHUNK])
-        return out
-    for idx in blocks:
-        sub, coef = h[idx[:, :, None], idx[:, None, :]], psi[idx]
-        if idx.shape[1] == 1:
+    for idx in blocks or [None]:
+        # (blocks, size, size); idx None indexes the one block h[None]
+        sub = h[None] if idx is None else h[idx[:, :, None], idx[:, None, :]]
+        coef = psi[idx]
+        if sub.shape[-1] == 1:
             w, u = sub[:, :, 0], None
         elif sub.diagonal(axis1=1, axis2=2).imag.any():
             _propagate_decaying(sub, coef, dts, out, idx)
@@ -312,7 +298,8 @@ def _propagate_constant(h, psi, dts, out, blocks=None):
 
 
 def _propagate_decaying(h, psi, dts, out, idx):
-    """The decaying case of ``_propagate_constant`` for one block or a stack."""
+    """The decaying case of ``_propagate_constant`` for a stack of blocks
+    (one block or many), indexed in ``out`` by ``idx``."""
     import scipy.linalg   # deferred: only decaying blocks need it
 
     gen, step, psi = -1j * h, None, psi[..., None]
@@ -405,7 +392,7 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
                 unit[op.rows, op.cols] += amp * up
                 unit[op.cols, op.rows] += amp * up.conj()
                 if envelope:
-                    _propagate_envelope(h, unit, ev, psi, dts, out, i_ev)
+                    _propagate_envelope(h, unit, ev, psi, dts, out, i_ev, blocks)
                 else:
                     _propagate_constant(h, psi, dts, out, blocks)
             psi = out[-1]
@@ -419,9 +406,10 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
                            final_state=psi, states=states)
 
 
-def _propagate_envelope(base, unit, pulse, psi, dts, out, i_ev):
+def _propagate_envelope(base, unit, pulse, psi, dts, out, i_ev, blocks):
     """Adaptive sub-segmentation of a sampled-envelope pulse, writing the
-    states at offsets dts into the rows of ``out``.
+    states at offsets dts into the rows of ``out``; every half-step runs on
+    the event's invariant ``blocks``.
 
     Each sub-interval is advanced by the fourth-order commutator-free
     two-exponential scheme (Gauss-node amplitudes combine linearly into two
@@ -445,7 +433,8 @@ def _propagate_envelope(base, unit, pulse, psi, dts, out, i_ev):
             for w1, w2 in ((wb, wa), (wa, wb)):
                 drive = 2.0 * (w1 * amp1 + w2 * amp2)
                 cur = _propagate_constant(base + drive * unit, cur, [0.5 * h],
-                                          np.empty((1, len(psi)), dtype=complex))[0]
+                                          np.empty((1, len(psi)), dtype=complex),
+                                          blocks)[0]
             while want < len(dts) and abs(b - dts[want]) < 1e-12 * pulse.duration:
                 out[want] = cur
                 want += 1

@@ -209,6 +209,9 @@ def hermiticity_defect(op: Operator) -> float:
 
 # pair-resolved mode enumerates every per-atom assignment
 N_ORACLE = 5
+# largest atom count of a run: enumerate_basis admits at most 3726 states, so
+# n_max <= 3725 and the occupation products N (n_max + 1) fit in int64
+N_ATOMS_MAX = 2**50
 # candidate rows enumerate_basis holds at once (~2 MB per table column)
 _CANDIDATES = 1 << 18
 # bytes one run may hold; ``dynamics.evolve`` says what it counts

@@ -5,8 +5,10 @@ checkout, it runs in process, against that checkout's ``src`` and
 ``perfbench``:
 
 * the seven experiments at their defaults (``splitting-stats`` with
-  ``--configs 2000``), ``splitting-stats`` over all pairs of 16 atoms, and
-  ``oracle-check`` at 4 and 5 atoms;
+  ``--configs 2000``), ``splitting-stats`` over all pairs of 16 atoms,
+  ``oracle-check`` at 4 and 5 atoms, and ``fock`` to |q^30> of 60 atoms
+  (dim 63), without and with decay (dim 123), the symmetric registers
+  whose generators split into blocks;
 * every ``cli`` op of ``perfbench.workloads.build_ops`` for both workloads at
   seeds 1 and 2;
 * eleven edge runs at the limits of floating point, of the unit parser,
@@ -46,6 +48,9 @@ DEFAULT_RUNS = (
     ("rabi",), ("fock",), ("superpose",), ("gate",), ("error-budget",),
     ("oracle-check",), ("oracle-check", "--n-atoms", "4"),
     ("oracle-check", "--n-atoms", "5"),
+    ("fock", "--n-atoms", "60", "--n-target", "30"),
+    ("fock", "--n-atoms", "60", "--n-target", "30", "--kappa-bar", "20",
+     "--gamma-r", "0.01"),
 )
 
 # a 2e-307 us pulse sampled 96 times; sqrt(N) omega overflowing to inf; a

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from blockadesim import cli, errors, hilbert, protocols
 from blockadesim.dynamics import Schedule
-from blockadesim.hilbert import N_ORACLE
+from blockadesim.hilbert import N_ATOMS_MAX, N_ORACLE
 from blockadesim.protocols import CompilationError
 
 
@@ -688,6 +688,27 @@ def test_oracle_check_n_max_above_n_atoms_rejected(tmp_path, capsys):
     err = _rejected(capsys, tmp_path, "oracle-check", "--n-atoms",
                     str(N_ORACLE + 1))
     assert "params.n_atoms" in err
+
+
+@pytest.mark.parametrize("argv", [
+    *((exp, "--n-atoms", str(10**20))
+      for exp in ("rabi", "fock", "superpose", "gate", "error-budget")),
+    ("rabi", "--kappa-bar", "10", "--n-atoms", str(2**62 + 1)),
+    ("rabi", "--n-atoms", str(N_ATOMS_MAX + 1)),
+])
+def test_n_atoms_beyond_int64_occupations_rejected(argv, tmp_path, capsys):
+    # N - n and N (n + 1) are int64 occupation arrays: 1e20 overflows the
+    # first, 2**62 + 1 wraps the second to a negative number
+    err = _rejected(capsys, tmp_path, *argv)
+    assert "config violation: params.n_atoms" in err
+
+
+def test_n_atoms_at_its_bound_runs(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli("rabi", "--kappa-bar", "10", "--n-atoms", str(N_ATOMS_MAX),
+                   "--out-dir", str(out)) == cli.EXIT_OK
+    summary = json.loads((out / "rabi_summary.json").read_text())
+    assert summary["results"]["final_norm2"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_window_reaching_the_density_underflow(tmp_path):

@@ -160,6 +160,36 @@ def test_short_envelope_pulse_files_its_end_state(T):
     assert abs(res.population({"r": 1})[-1] - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("gamma_r", [0.0, 0.3])
+def test_envelope_runs_on_its_event_blocks(monkeypatch, gamma_r):
+    # with the block crossover at dim 1 every half-step of a detuned,
+    # phased envelope runs on the pulse's blocks and matches the whole
+    # generator; the wait after it runs on its own blocks
+    basis, static = register_basis(6, 4, blockade=20.0, gamma_r=gamma_r)
+    assert basis.dim == 15
+    T = 1.5
+    ts = tuple(np.linspace(0.0, T, 9))
+    env = SampledEnvelope(ts, tuple(2 * np.pi / T * np.sin(np.pi * t / T) ** 2
+                                    for t in ts))
+    sched = Schedule((Pulse(("g", "r"), env, T, phase=0.4, detuning=0.3),
+                      Wait(0.5)))
+    psi0 = basis.basis_vector({"q": 1})
+    whole = evolve(sched, basis, static, psi0, sample_dt=0.1)
+    seen, propagate = [], dynamics._propagate_constant
+
+    def spy(h, psi, dts, out, blocks=None):
+        seen.append(None if blocks is None else [b.shape for b in blocks])
+        return propagate(h, psi, dts, out, blocks)
+
+    monkeypatch.setattr(dynamics, "_BLOCK_MIN_DIM", 1)
+    monkeypatch.setattr(dynamics, "_propagate_constant", spy)
+    blocked = evolve(sched, basis, static, psi0, sample_dt=0.1)
+    assert len(seen) > 2
+    assert all(shapes == [(1, 1), (1, 2), (3, 4)] for shapes in seen[:-1])
+    assert seen[-1] == [(9, 1), (3, 2)]
+    assert np.abs(blocked.states - whole.states).max() < 1e-12
+
+
 def test_decay_exponential_exact():
     basis = enumerate_basis(2, ("r",), 1)
     static = [dephasing_term(basis, 0.3)]
