@@ -12,6 +12,7 @@ Units: lengths um, times us, angular frequencies rad/us.
 from .dynamics import (
     EvolutionResult,
     Pulse,
+    Register,
     SampledEnvelope,
     Schedule,
     StiffnessError,

@@ -36,8 +36,8 @@ import numpy as np
 
 from . import errors as errmod
 from . import geometry, oracle, protocols, units
-from .dynamics import (PhaseUndefinedError, Schedule, StiffnessError, evolve,
-                       fidelity)
+from .dynamics import (PhaseUndefinedError, Register, Schedule, StiffnessError,
+                       evolve, fidelity)
 from .geometry import GeometryError
 from .hilbert import N_ATOMS_MAX, N_ORACLE, BasisError
 from .protocols import CompilationError
@@ -456,13 +456,14 @@ def _run_superpose(p: dict, seed: int) -> Run:
     basis, static = protocols.register_basis(
         n, n_max=max(n_top, 1), blockade="ideal"
     )
-    res = evolve(sched, basis, static, basis.basis_vector({}))
+    register = Register(basis, static)
+    res = evolve(sched, basis, register, basis.basis_vector({}))
     rungs = [basis.state_index({"q": m}) for m in range(n_top + 1)]
     want = np.array(amps[: n_top + 1])
     tvec = np.zeros(basis.dim, dtype=complex)
     tvec[rungs] = want
     fid = fidelity(res.final_state, tvec)
-    back = evolve(sched.reversed(), basis, static, res.final_state)
+    back = evolve(sched.reversed(), basis, register, res.final_state)
     fid_round = fidelity(back.final_state, basis.basis_vector({}))
     got = res.final_state[rungs]
     return Run(

@@ -4,7 +4,7 @@ Constant-amplitude segments are propagated exactly, one invariant block of
 the generator at a time.  A pulse on a <-> b freezes every atom in any other
 level and the dipole term only exchanges rr <-> p'p'', so the generator of
 one event splits into blocks that never mix.  They are labelled once per
-transition per ``evolve`` call from the entries of the static terms and of
+transition per ``Register`` from the entries of the static terms and of
 the transition's collective operator (built once per basis).  A generator
 without an off-diagonal entry is blocks of size 1, a phase factor
 exp(-i h_jj t) per state; one below ``_BLOCK_MIN_DIM`` (the measured
@@ -13,6 +13,9 @@ not copied.  Blocks of one size share each numpy call: one ``eigh`` for
 Hermitian blocks, or, when the diagonal carries decay rates k as -i k (the
 norm-loss decoherence model), ``scipy.linalg.expm`` of -i (H - i k) per
 distinct step of the sample grid.
+
+A ``Register``, which ``evolve`` takes in place of the static terms, keeps
+what runs on one basis and set of terms share: see its docstring.
 
 A Hermitian block evaluates its samples as one product, ``_CHUNK`` samples
 at a time.  Sampled-envelope pulses are integrated on their event's blocks
@@ -214,8 +217,6 @@ def _split_static(basis: Basis, static_terms) -> np.ndarray:
     """
     h = np.zeros((basis.dim, basis.dim), dtype=complex)
     for op in static_terms:
-        if op.basis is not basis and op.basis != basis:
-            raise ValueError("static term basis mismatch")
         h[op.rows, op.cols] += op.vals
     if not np.isfinite(h).all():
         raise StiffnessError("static terms sum to a non-finite entry")
@@ -263,7 +264,7 @@ def _blocks(dim: int, ops):
     return [idx.reshape(-1, size[idx[0]]) for idx in np.split(order, cuts)]
 
 
-def _propagate_constant(h, psi, dts, out, blocks=None):
+def _propagate_constant(h, psi, dts, out, blocks=None, parts=None):
     """States at cumulative offsets dts (sorted, >= 0) under h = H - i k,
     written into the rows of ``out``, which is returned.
 
@@ -273,18 +274,29 @@ def _propagate_constant(h, psi, dts, out, blocks=None):
     real diagonal) takes one eigendecomposition.  A decaying one takes
     expm(-i (H - i k) span) per step; steps of the uniform sample grid that
     agree to 1e-12 (relative) share one exponential.
+
+    ``parts``, when given, is a list of h's decompositions, one per block
+    size: those it holds are used as they are (h is then not read and may
+    be None), and those it lacks are made here and appended to it.
     """
-    for idx in blocks or [None]:
-        # (blocks, size, size); idx None indexes the one block h[None]
-        sub = h[None] if idx is None else h[idx[:, :, None], idx[:, None, :]]
-        coef = psi[idx]
-        if sub.shape[-1] == 1:
-            w, u = sub[:, :, 0], None
-        elif sub.diagonal(axis1=1, axis2=2).imag.any():
-            _propagate_decaying(sub, coef, dts, out, idx)
+    parts = [] if parts is None else parts
+    for i, idx in enumerate(blocks or [None]):
+        if i == len(parts):
+            # (blocks, size, size); idx None indexes the one block h[None]
+            sub = h[None] if idx is None else h[idx[:, :, None], idx[:, None, :]]
+            if sub.shape[-1] == 1:
+                parts.append((sub[:, :, 0], None))
+            elif sub.diagonal(axis1=1, axis2=2).imag.any():
+                # the generator, its latest step and that step's exponential
+                parts.append([-1j * sub, None, None])
+            else:
+                parts.append(np.linalg.eigh(sub))
+        part, coef = parts[i], psi[idx]
+        if isinstance(part, list):
+            _propagate_decaying(part, coef, dts, out, idx)
             continue
-        else:
-            w, u = np.linalg.eigh(sub)
+        w, u = part
+        if u is not None:
             coef = (u.conj().mT @ coef[..., None])[..., 0]
         for lo in range(0, len(dts), _CHUNK):
             # (samples, blocks, size); u None is the identity
@@ -297,18 +309,164 @@ def _propagate_constant(h, psi, dts, out, blocks=None):
     return out
 
 
-def _propagate_decaying(h, psi, dts, out, idx):
+def _propagate_decaying(part, psi, dts, out, idx):
     """The decaying case of ``_propagate_constant`` for a stack of blocks
-    (one block or many), indexed in ``out`` by ``idx``."""
+    (one block or many), indexed in ``out`` by ``idx``.
+
+    ``part`` is [generator -i (H - i k), step, expm(generator step)]: the
+    first row reuses that exponential when its step is exactly equal, and
+    ``part`` keeps the last one this call used.
+    """
     import scipy.linalg   # deferred: only decaying blocks need it
 
-    gen, step, psi = -1j * h, None, psi[..., None]
+    psi = psi[..., None]
     for row, span in enumerate(np.diff(dts, prepend=0.0)):
-        if step is None or abs(span - step) > 1e-12 * span:
-            prop = None     # released before expm builds the next one
-            step, prop = span, scipy.linalg.expm(gen * span)
-        psi = prop @ psi
+        if span != part[1] if row == 0 else abs(span - part[1]) > 1e-12 * span:
+            part[2] = None      # released before expm builds the next one
+            part[1:] = span, scipy.linalg.expm(part[0] * span)
+        psi = part[2] @ psi
         out[row, idx] = psi[..., 0]
+
+
+class Register:
+    """A basis and its static terms, held across ``evolve`` runs.
+
+    For as long as it lives it keeps the summed and checked static
+    generator (built at its first run), each transition's collective
+    operator and invariant blocks, and per transition (None: the waits) the
+    per-size decompositions of the latest generator it ran.  An event with
+    the same transition, amplitude, phase and detuning reuses them; a
+    decaying block reuses its exponential only for an exactly equal first
+    step.  Every state is the one a fresh register gives, bit for bit.
+    Envelope pulses reuse nothing.
+    """
+
+    def __init__(self, basis: Basis, static_terms):
+        self.basis, self.static_terms, self._decays = basis, list(static_terms), False
+        for op in self.static_terms:
+            if op.basis is not basis and op.basis != basis:
+                raise ValueError("static term basis mismatch")
+            self._decays = self._decays or bool(op.vals[op.rows == op.cols].imag.any())
+        self._h = None
+        # transition -> (operator, blocks, bytes one kept decomposition holds)
+        self._labels = {}
+        # transition -> ((omega, phase, detuning), decompositions)
+        self._kept = {}
+
+    def __iter__(self):
+        """The static terms: a register stands wherever a list of them does."""
+        return iter(self.static_terms)
+
+    def _label(self, tr):
+        if tr not in self._labels:
+            dim = self.basis.dim
+            op = None if tr is None else collective_op(self.basis, *tr)
+            blocks = _blocks(dim, self.static_terms if op is None
+                             else [*self.static_terms, op])
+            cells = (dim * (dim + 1) if blocks is None
+                     else sum(b.size * (b.shape[1] + 1) for b in blocks))
+            # w and u; or a decaying generator and one exponential
+            self._labels[tr] = op, blocks, 16.0 * cells * (1 + self._decays)
+        return self._labels[tr]
+
+    def _kept_beside(self, schedule) -> float:
+        """Bytes of the decompositions kept for other transitions while an
+        event of the schedule runs (its own is among the dense copies)."""
+        own = {}
+        for ev in schedule.events:
+            if ev.duration != 0.0:
+                tr = None if isinstance(ev, Wait) else ev.transition
+                own[tr] = self._label(tr)[2]
+        held = sum(self._labels[tr][2] for tr in self._kept if tr not in own)
+        return held + sum(own.values()) - min(own.values(), default=0.0)
+
+    def evolve(self, schedule: Schedule, psi0: np.ndarray,
+               sample_dt: float | None = None) -> EvolutionResult:
+        """``evolve`` on this register's basis and static terms."""
+        basis = self.basis
+        psi0 = np.asarray(psi0, dtype=complex)
+        norm = np.linalg.norm(psi0)
+        if abs(norm - 1.0) > 1e-9:
+            raise ValueError(f"initial state norm {norm} is not 1 within 1e-9")
+        dim, total_t = basis.dim, schedule.total_duration
+        sampled = sample_dt is not None and sample_dt > 0
+        # the grid, t = 0 and each event end (a nan estimate reads as over)
+        n = (total_t / sample_dt if sampled else 0.0) + 1 + len(schedule.events)
+        need = (16.0 * (_DECAYING_COPIES if self._decays else HERMITIAN_COPIES) * dim**2
+                + n * (24.0 * dim + 40.0) + 32.0 * dim * min(n, _CHUNK))
+        if self._kept or len(schedule.events) > 1:     # else nothing is kept beside
+            need += self._kept_beside(schedule)
+        if not need <= MEMORY_BUDGET:
+            raise BasisError(f"dim {dim} with {n:.3g} samples needs {need:.3g} B "
+                             f"> budget {MEMORY_BUDGET:.3g} B")
+        if self._h is None:
+            self._h = _split_static(basis, self.static_terms)
+        h_static = self._h
+
+        # sample times: t = 0, then per event the grid points inside it (more
+        # than 1e-12 of its end time from either boundary) and its end
+        grid = (np.arange(0.0, total_t + 0.5 * sample_dt, sample_dt) if sampled
+                else np.zeros(0))
+        parts, events, t0 = [[0.0]], [], 0.0
+        for i_ev, ev in enumerate(schedule.events):
+            if ev.duration != 0.0:
+                t1 = t0 + ev.duration
+                inside = grid[np.searchsorted(grid, t0 + 1e-12 * t1, "right"):
+                              np.searchsorted(grid, t1 - 1e-12 * t1)]
+                parts += [inside, [t1]]
+                events.append((i_ev, ev, t0, len(inside) + 1))
+                t0 = t1
+        times = np.concatenate(parts)
+        del grid, parts
+
+        states = np.empty((len(times), dim), dtype=complex)
+        states[0] = psi = psi0
+        row, diag = 1, np.arange(dim)
+        # an overflow surfaces as the non-finite state checked per event
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i_ev, ev, t0, m in events:
+                # the event ends at its own duration ((t0 + d) - t0 is 0 below ulp(t0))
+                out, dts = states[row:row + m], times[row:row + m] - t0
+                dts[-1] = ev.duration
+                row += m
+                wait = isinstance(ev, Wait)
+                tr = None if wait else ev.transition
+                op, blocks, _ = self._label(tr)
+                envelope = not wait and isinstance(ev.omega, SampledEnvelope)
+                key = None if wait or envelope else (ev.omega, ev.phase, ev.detuning)
+                held = self._kept.pop(tr, None)
+                if envelope or held is None or held[0] != key:
+                    held = None     # released before the next decomposition
+                    if wait:
+                        h = h_static
+                    else:
+                        # H(amp) = h_static + detuning n_to + amp (up + up^dagger);
+                        # an envelope keeps its dense unit drive (amp = 1) beside h
+                        up, h = drive_generator(op, ev.phase), h_static.copy()
+                        if ev.detuning != 0.0:
+                            h[diag, diag] += ev.detuning * basis.occupations(tr[1])
+                        unit, amp = (np.zeros_like(h), 1.0) if envelope else (h, ev.omega)
+                        unit[op.rows, op.cols] += amp * up
+                        unit[op.cols, op.rows] += amp * up.conj()
+                    if envelope:
+                        _propagate_envelope(h, unit, ev, psi, dts, out, i_ev, blocks)
+                    else:
+                        held = key, []
+                        _propagate_constant(h, psi, dts, out, blocks, held[1])
+                    h = unit = None
+                else:
+                    _propagate_constant(None, psi, dts, out, blocks, held[1])
+                if held is not None:
+                    self._kept[tr] = held
+                psi = out[-1]
+                if not np.isfinite(psi).all():
+                    raise StiffnessError(f"event {i_ev} left a non-finite state")
+
+        populations = np.abs(states)
+        populations **= 2
+        return EvolutionResult(basis=basis, times=times, populations=populations,
+                               norm2=populations.sum(axis=1), initial_state=psi0,
+                               final_state=psi, states=states)
 
 
 def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
@@ -319,91 +477,26 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
     Pulse adds its drive term.  Samples are taken at t=0, at multiples of
     sample_dt when given, and at every event boundary; each event runs over
     its own duration from its start.  Deterministic for fixed inputs.
+    static_terms may be a ``Register`` on basis, which the run then uses
+    and updates; a list of terms runs on a fresh register.  Callers that
+    run several schedules or inputs under one set of terms hold one.
 
     Before anything dense is allocated the run's memory is estimated: 16 B
     per entry of each dense dim x dim copy its propagation holds at once
-    (HERMITIAN_COPIES, or _DECAYING_COPIES when a static term decays); per
-    sample 24 B per basis state (state and populations) plus 40 B (times,
-    norms, grid); and 32 B per basis state for each of the (up to
-    ``_CHUNK``) samples one product evaluates (its two temporaries).  An
-    estimate over MEMORY_BUDGET raises BasisError, and an event that leaves
-    a non-finite state StiffnessError.
+    (HERMITIAN_COPIES, or _DECAYING_COPIES when a static term decays); the
+    decompositions its register keeps for the transitions other than the
+    running one, 16 B per entry of their blocks' stacks (count x size x
+    (size + 1)), twice when a static term decays; per sample 24 B per basis
+    state (state and populations) plus 40 B (times, norms, grid); and 32 B
+    per basis state for each of the (up to ``_CHUNK``) samples one product
+    evaluates (its two temporaries).  An estimate over MEMORY_BUDGET raises
+    BasisError, and an event that leaves a non-finite state StiffnessError.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    norm = np.linalg.norm(psi0)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"initial state norm {norm} is not 1 within 1e-9")
-    dim, total_t = basis.dim, schedule.total_duration
-    sampled = sample_dt is not None and sample_dt > 0
-    # the grid, t = 0 and each event end (a nan estimate reads as over)
-    n = (total_t / sample_dt if sampled else 0.0) + 1 + len(schedule.events)
-    decaying = any(op.vals[op.rows == op.cols].imag.any() for op in static_terms)
-    need = (16.0 * (_DECAYING_COPIES if decaying else HERMITIAN_COPIES) * dim**2
-            + n * (24.0 * dim + 40.0) + 32.0 * dim * min(n, _CHUNK))
-    if not need <= MEMORY_BUDGET:
-        raise BasisError(f"dim {dim} with {n:.3g} samples needs {need:.3g} B "
-                         f"> budget {MEMORY_BUDGET:.3g} B")
-    h_static = _split_static(basis, static_terms)
-
-    # sample times: t = 0, then per event the grid points inside it (more
-    # than 1e-12 of its end time from either boundary) and its end
-    grid = (np.arange(0.0, total_t + 0.5 * sample_dt, sample_dt) if sampled
-            else np.zeros(0))
-    parts, events, t0 = [[0.0]], [], 0.0
-    for i_ev, ev in enumerate(schedule.events):
-        if ev.duration != 0.0:
-            t1 = t0 + ev.duration
-            inside = grid[np.searchsorted(grid, t0 + 1e-12 * t1, "right"):
-                          np.searchsorted(grid, t1 - 1e-12 * t1)]
-            parts += [inside, [t1]]
-            events.append((i_ev, ev, t0, len(inside) + 1))
-            t0 = t1
-    times = np.concatenate(parts)
-    del grid, parts
-
-    states = np.empty((len(times), dim), dtype=complex)
-    states[0] = psi = psi0
-    # per transition (None: the waits) its collective operator (built once
-    # per basis) and the invariant blocks of its generator, labelled once
-    row, parts, diag = 1, {}, np.arange(dim)
-    # an overflow surfaces as the non-finite state checked per event
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i_ev, ev, t0, m in events:
-            # the event ends at its own duration ((t0 + d) - t0 is 0 below ulp(t0))
-            out, dts = states[row:row + m], times[row:row + m] - t0
-            dts[-1] = ev.duration
-            row += m
-            tr = None if isinstance(ev, Wait) else ev.transition
-            if tr not in parts:
-                op = None if tr is None else collective_op(basis, *tr)
-                parts[tr] = op, _blocks(dim, static_terms if op is None
-                                        else [*static_terms, op])
-            op, blocks = parts[tr]
-            if op is None:
-                _propagate_constant(h_static, psi, dts, out, blocks)
-            else:
-                # H(amp) = h_static + detuning n_to + amp (up + up^dagger); an
-                # envelope keeps its dense unit drive (amp = 1) beside h
-                up, h = drive_generator(op, ev.phase), h_static.copy()
-                if ev.detuning != 0.0:
-                    h[diag, diag] += ev.detuning * basis.occupations(tr[1])
-                envelope = isinstance(ev.omega, SampledEnvelope)
-                unit, amp = (np.zeros_like(h), 1.0) if envelope else (h, ev.omega)
-                unit[op.rows, op.cols] += amp * up
-                unit[op.cols, op.rows] += amp * up.conj()
-                if envelope:
-                    _propagate_envelope(h, unit, ev, psi, dts, out, i_ev, blocks)
-                else:
-                    _propagate_constant(h, psi, dts, out, blocks)
-            psi = out[-1]
-            if not np.isfinite(psi).all():
-                raise StiffnessError(f"event {i_ev} left a non-finite state")
-
-    populations = np.abs(states)
-    populations **= 2
-    return EvolutionResult(basis=basis, times=times, populations=populations,
-                           norm2=populations.sum(axis=1), initial_state=psi0,
-                           final_state=psi, states=states)
+    if not isinstance(static_terms, Register):
+        static_terms = Register(basis, static_terms)
+    elif static_terms.basis is not basis and static_terms.basis != basis:
+        raise ValueError("register basis mismatch")
+    return static_terms.evolve(schedule, psi0, sample_dt)
 
 
 def _propagate_envelope(base, unit, pulse, psi, dts, out, i_ev, blocks):

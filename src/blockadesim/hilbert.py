@@ -120,6 +120,37 @@ class Basis:
         """Interacting-manifold quanta (pair modes count two)."""
         return self.occ @ _weights(self.levels, _is_rydberg)
 
+    @cached_property
+    def atom_codes(self) -> np.ndarray:
+        """Pair-resolved: (dim, N) position of each atom's level in the
+        sorted level names (ground included); its rows in base-len(names)
+        digits are the state keys ``_find`` looks up."""
+        names = np.array(sorted((GROUND, *self.levels)))
+        return np.searchsorted(names, np.array(self.states, dtype=names.dtype)
+                               ).reshape(self.dim, self.n_atoms)
+
+    @cached_property
+    def _sorted_keys(self):
+        """(keys in ascending order, the state index of each)."""
+        keys = self.atom_codes @ _digits(self)
+        order = np.argsort(keys)
+        return keys[order], order
+
+    @cached_property
+    def _dipole_channels(self):
+        """Symmetric: per pair channel (A, B) its (rows, cols, cross, A, B)
+        of ``dipole_term``'s up entries, A = sqrt(na (na - 1)) (or
+        sqrt(na nb) for a cross channel) and B = sqrt(n_pair + 1)."""
+        channels = []
+        for tok in (lev for lev in self.levels if is_pair_mode(lev)):
+            la, lb = pair_channel(tok)
+            r, c = _moves(self, [(la, -1), (lb, -1), (tok, 1)])
+            na, nb = self.occupations(la)[c], self.occupations(lb)[c]
+            amp = np.sqrt(na * (na - 1)) if la == lb else np.sqrt(na * nb)
+            channels.append((r, c, la != lb, amp,
+                             np.sqrt(self.occupations(tok)[c] + 1)))
+        return channels
+
     def occupations(self, level: str) -> np.ndarray:
         """Occupation of ``level`` in every state."""
         if level == GROUND:
@@ -251,6 +282,8 @@ def enumerate_basis(
         raise BasisError(f"unknown levels {sorted(unknown)}")
     if sum(lev in singles for lev in PAIR_LEVELS) == 1:
         raise BasisError("pair levels p' and p'' must be included together")
+    if n_atoms > N_ATOMS_MAX:
+        raise BasisError(f"n_atoms={n_atoms} exceeds {N_ATOMS_MAX}")
     if n_max > n_atoms:
         raise BasisError(f"n_max={n_max} exceeds n_atoms={n_atoms}")
     if n_max < 0:
@@ -342,6 +375,19 @@ def _moves(basis, changes):
     return found[cols], cols
 
 
+def _digits(basis) -> np.ndarray:
+    """Place value of each atom in a pair-resolved state key."""
+    base = len(basis.levels) + 1
+    return base ** np.arange(basis.n_atoms - 1, -1, -1, dtype=np.int64)
+
+
+def _find(basis, keys) -> np.ndarray:
+    """Index of the pair-resolved state with each key, -1 where none has it."""
+    sorted_keys, order = basis._sorted_keys
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(order) - 1)
+    return np.where(sorted_keys[pos] == keys, order[pos], -1)
+
+
 def _check_levels(basis, *levels):
     for lev in levels:
         if lev != GROUND and lev not in basis.levels:
@@ -375,15 +421,13 @@ def _collective_op(basis, frm, to):
             rows, cols = _moves(basis, [(frm, -1), (to, 1)])
             vals = np.sqrt(n_frm[cols] * (n_to[cols] + 1)) / rootn
         return _operator(basis, rows, cols, vals)
-    rows, cols = [], []
-    for j, state in enumerate(basis.states):
-        for i, lev in enumerate(state):
-            if lev != frm:
-                continue
-            new = state[:i] + (to,) + state[i + 1:]
-            if new in basis.index:
-                rows.append(basis.index[new])
-                cols.append(j)
+    # each atom in frm moved to to, one at a time
+    names = sorted((GROUND, *basis.levels))
+    codes, place = basis.atom_codes, _digits(basis)
+    cols, atom = np.nonzero(codes == names.index(frm))
+    rows = _find(basis, codes[cols] @ place
+                 + (names.index(to) - names.index(frm)) * place[atom])
+    cols, rows = cols[rows >= 0], rows[rows >= 0]
     return _operator(basis, rows, cols, np.full(len(rows), 1.0 / rootn))
 
 
@@ -443,7 +487,6 @@ def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
     sqrt(2) kappa_bar under "eq1" (exact projection of the literal uniform
     hopping); cross channels use the same calibrated element.
     """
-    rows, cols, vals = [], [], []
     if basis.mode == "pair-resolved":
         kappa = np.asarray(coupling, dtype=float)
         if kappa.shape != (basis.n_atoms, basis.n_atoms):
@@ -451,37 +494,35 @@ def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
                 f"coupling matrix shape {kappa.shape} does not match N={basis.n_atoms}"
             )
         _check_levels(basis, *PAIR_LEVELS)
-        for j, state in enumerate(basis.states):
-            excited = [a for a, lev in enumerate(state) if lev in R_TYPE_LEVELS]
-            for (a, b), pair in product(combinations(excited, 2),
-                                        (PAIR_LEVELS, PAIR_LEVELS[::-1])):
-                new = list(state)
-                new[a], new[b] = pair
-                i = basis.index.get(tuple(new))
-                if i is not None:
-                    rows.append(i)
-                    cols.append(j)
-                    vals.append(kappa[a, b])
+        names = sorted((GROUND, *basis.levels))
+        codes, place = basis.atom_codes, _digits(basis)
+        excited = np.isin(codes, [names.index(lev) for lev in R_TYPE_LEVELS
+                                  if lev in names])
+        # atoms a < b, both r-type, become (p', p'') or (p'', p'): each move
+        # made for every state at once
+        p1, p2 = names.index(PAIR_LEVELS[0]), names.index(PAIR_LEVELS[1])
+        a, b, pa, pb = np.array(
+            [(i, j, x, y) for (i, j), (x, y) in product(
+                combinations(range(basis.n_atoms), 2), ((p1, p2), (p2, p1)))],
+            dtype=np.intp).reshape(-1, 4).T
+        cols, k = np.nonzero(excited[:, a] & excited[:, b])
+        a, b = a[k], b[k]
+        rows = _find(basis, codes[cols] @ place + (pa[k] - codes[cols, a]) * place[a]
+                     + (pb[k] - codes[cols, b]) * place[b])
+        found = rows >= 0
+        rows, cols, vals = rows[found], cols[found], kappa[a, b][found]
     else:
         if convention not in ("split", "eq1"):
             raise ValueError(f"unknown splitting convention {convention!r}")
         kbar = float(coupling)
         s = kbar if convention == "eq1" else kbar / SPLITTING_CONVENTION_RATIO
-        channels = [lev for lev in basis.levels if is_pair_mode(lev)]
-        if not channels:
+        if not basis._dipole_channels:
             raise BasisError("basis has no transfer-pair quasi-modes")
-        for tok in channels:
-            la, lb = pair_channel(tok)
-            r, c = _moves(basis, [(la, -1), (lb, -1), (tok, 1)])
-            na, nb = basis.occupations(la)[c], basis.occupations(lb)[c]
-            if la == lb:
-                amp = s * np.sqrt(na * (na - 1))
-            else:   # cross channels use the same calibrated element
-                amp = s * sqrt(2.0) * np.sqrt(na * nb)
-            rows.extend(r)
-            cols.extend(c)
-            vals.extend(amp * np.sqrt(basis.occupations(tok)[c] + 1))
-    up = np.asarray(vals, dtype=complex)     # up + up^dagger
+        # cross channels use the same calibrated element
+        rows, cols, vals = map(np.concatenate, zip(*(
+            (r, c, ((s * sqrt(2.0) if cross else s) * a) * b)
+            for r, c, cross, a, b in basis._dipole_channels)))
+    up = vals.astype(complex)     # up + up^dagger
     return _operator(basis, np.concatenate([rows, cols]), np.concatenate([cols, rows]),
                      np.concatenate([up, up.conj()]))
 

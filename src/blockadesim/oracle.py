@@ -14,7 +14,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .dynamics import Pulse, Schedule, Wait, evolve
+from .dynamics import Pulse, Register, Schedule, Wait, evolve
 from .hilbert import dipole_term, enumerate_basis, symmetric_embedding
 from .protocols import rabi_pulse, register_basis
 
@@ -71,17 +71,17 @@ def oracle_equivalence(
     )
     emb = symmetric_embedding(sym, prb)
     km = np.full((n_atoms, n_atoms), kappa) - kappa * np.eye(n_atoms)
-    static_prb = [dipole_term(prb, km)]
+    reg_s = Register(sym, static_sym)
+    reg_p = Register(prb, [dipole_term(prb, km)])
+    psi_s, psi_p = sym.basis_vector({}), prb.basis_vector(("g",) * n_atoms)
 
     rows = []
     for name, sched in oracle_schedules(n_atoms, omega, omega_q).items():
         dt = sched.total_duration / samples_per_schedule
-        res_s = evolve(sched, sym, static_sym, sym.basis_vector({}), sample_dt=dt)
-        res_p = evolve(sched, prb, static_prb, prb.basis_vector(
-            tuple("g" for _ in range(n_atoms))), sample_dt=dt)
+        res_s = evolve(sched, sym, reg_s, psi_s, sample_dt=dt)
+        res_p = evolve(sched, prb, reg_p, psi_p, sample_dt=dt)
         if len(res_s.times) != len(res_p.times):
             raise RuntimeError("sample grids diverged between modes")
-        for k, t in enumerate(res_s.times):
-            overlap = abs(np.vdot(emb @ res_s.states[k], res_p.states[k])) ** 2
-            rows.append((name, float(t), float(overlap)))
+        overlaps = np.abs(np.vecdot(res_s.states @ emb.T, res_p.states)) ** 2
+        rows += [(name, t, o) for t, o in zip(res_s.times.tolist(), overlaps.tolist())]
     return rows

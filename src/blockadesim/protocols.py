@@ -24,6 +24,7 @@ import numpy as np
 
 from .dynamics import (
     Pulse,
+    Register,
     Schedule,
     accumulated_phase,
     evolve,
@@ -201,6 +202,7 @@ def superposition_schedule(
         return Schedule(())
     n_atoms = target.n_atoms
     basis, _ = register_basis(n_atoms, n_max=n, blockade="ideal")
+    register = Register(basis, [])
     psi = np.zeros(basis.dim, dtype=complex)
     for m, amp in enumerate(target.amplitudes[: n + 1]):
         psi[basis.state_index({"q": m})] = amp
@@ -216,14 +218,14 @@ def superposition_schedule(
         rate = 0.5 * omega_q * sqrt(k)
         pulse = Pulse(("q", "r"), omega_q, gt / rate, phase=phase)
         emptying.append(pulse)
-        psi = evolve(Schedule((pulse,)), basis, [], psi).final_state
+        psi = evolve(Schedule((pulse,)), basis, register, psi).final_state
 
         # g -> r pulse: drain |r q^(k-1)> into |q^(k-1)>; r is the to side
         gt, phase = _zero_rotation(psi[i_rq], psi[i_qk1], zero_is_from_side=False)
         rate = 0.5 * omega * sqrt(n_atoms - k + 1)
         pulse = Pulse(("g", "r"), omega, gt / rate, phase=phase)
         emptying.append(pulse)
-        psi = evolve(Schedule((pulse,)), basis, [], psi).final_state
+        psi = evolve(Schedule((pulse,)), basis, register, psi).final_state
 
     residual = 1.0 - abs(psi[basis.ground_index()]) ** 2
     if residual > 1e-9:
@@ -261,12 +263,14 @@ GATE_INPUTS = {
 def gate_truth_table(
     schedule: Schedule, basis: Basis, static_terms=()
 ) -> GateTruthTable:
-    """Run the four computational inputs and extract phases and fidelities."""
+    """Run the four computational inputs, on one register, and extract
+    phases and fidelities."""
+    register = Register(basis, static_terms)
     phases = {}
     fids = {}
     for name, occ in GATE_INPUTS.items():
         psi0 = basis.basis_vector(occ)
-        res = evolve(schedule, basis, list(static_terms), psi0)
+        res = evolve(schedule, basis, register, psi0)
         phases[name] = accumulated_phase(res, occ)
         fids[name] = fidelity(res.final_state, psi0)
     return GateTruthTable(phases=phases, fidelities=fids)

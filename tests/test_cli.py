@@ -215,6 +215,50 @@ def test_runs_enumerate_each_basis_and_build_each_operator_once(tmp_path, monkey
     assert [args[1:] for args in built] == [("q-", "r-"), ("q+", "r+"), ("r-", "q-")]
 
 
+_DECOMPOSITIONS = {
+    # argv: (eigh, expm, static sums, block labellings, pair-channel moves)
+    ("gate",): (3, 0, 1, 3, 0),
+    ("gate", "--kappa-bar", "100", "--omega-plus", "40", "--omega-minus", "40",
+     "--gamma-r", "0.01"): (0, 3, 1, 3, 3),
+    ("fock", "--n-target", "9"): (2, 0, 1, 2, 0),
+    ("oracle-check",): (22, 0, 2, 8, 1),
+    ("error-budget",): (13, 0, 14, 14, 1),
+}
+
+
+@pytest.mark.parametrize("argv", _DECOMPOSITIONS, ids=" ".join)
+def test_runs_decompose_each_distinct_generator_once(tmp_path, monkeypatch, argv):
+    # a register decomposes each distinct generator once: gate's four inputs
+    # share three, the fock ladder alternates two, the oracle's second
+    # pi-pulse reuses the first; error-budget builds one dipole pattern (one
+    # move per pair channel) for its 13 couplings, while each of its points
+    # is a register of its own
+    import scipy.linalg
+
+    from blockadesim import dynamics
+
+    calls = dict.fromkeys(("eigh", "expm", "_split_static", "_blocks", "moves"), 0)
+
+    def spy(mod, name, key=None):
+        fn = getattr(mod, name)
+
+        def counted(*args, **kwargs):
+            if key is None or key(*args):
+                calls[name if key is None else "moves"] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+
+    spy(np.linalg, "eigh")
+    spy(scipy.linalg, "expm")
+    spy(dynamics, "_split_static")
+    spy(dynamics, "_blocks")
+    # two r-type quanta into a pair mode: one dipole channel's entries
+    spy(hilbert, "_moves",
+        lambda basis, changes: any(hilbert.is_pair_mode(lev) for lev, _ in changes))
+    assert run_cli(*argv, "--out-dir", str(tmp_path)) == 0
+    assert tuple(calls.values()) == _DECOMPOSITIONS[argv]
+
+
 @pytest.mark.parametrize("convention", ["eq1", "split"])
 def test_error_budget_matches_adiabatic_prefactor(tmp_path, convention):
     code = run_cli("error-budget", "--out-dir", str(tmp_path),

@@ -177,9 +177,9 @@ def test_envelope_runs_on_its_event_blocks(monkeypatch, gamma_r):
     whole = evolve(sched, basis, static, psi0, sample_dt=0.1)
     seen, propagate = [], dynamics._propagate_constant
 
-    def spy(h, psi, dts, out, blocks=None):
+    def spy(h, psi, dts, out, blocks=None, parts=None):
         seen.append(None if blocks is None else [b.shape for b in blocks])
-        return propagate(h, psi, dts, out, blocks)
+        return propagate(h, psi, dts, out, blocks, parts)
 
     monkeypatch.setattr(dynamics, "_BLOCK_MIN_DIM", 1)
     monkeypatch.setattr(dynamics, "_propagate_constant", spy)
@@ -481,6 +481,10 @@ def test_static_term_basis_mismatch():
     with pytest.raises(ValueError):
         evolve(Schedule(()), basis, [dephasing_term(other, 0.1)],
                basis.basis_vector({}))
+    # a register held on another basis
+    with pytest.raises(ValueError, match="register basis"):
+        evolve(Schedule(()), basis, dynamics.Register(other, []),
+               basis.basis_vector({}))
 
 
 def _pair_resolved(n, kappa=40.0, gamma_r=0.0):
@@ -573,3 +577,130 @@ def test_samples_in_one_product_match_per_sample(blocked):
     coef = u.conj().T @ psi
     ref = np.array([u @ (np.exp(-1j * w * dt) * coef) for dt in dts])
     assert np.abs(out - ref).max() < 1e-13
+
+
+def _register_runs(register_or_none, basis, static, runs):
+    """States of each (schedule, psi0) run: on one held register, or (None)
+    on a fresh register per run."""
+    terms = static if register_or_none is None else register_or_none
+    return [evolve(sched, basis, terms, psi0, sample_dt=0.1).states
+            for sched, psi0 in runs]
+
+
+@pytest.mark.parametrize("gamma_r", [0.0, 0.3])
+@pytest.mark.parametrize("block_min_dim", [None, 1])
+def test_held_register_equals_a_fresh_one_per_run(monkeypatch, gamma_r, block_min_dim):
+    # the gate's four inputs, then the oracle's schedules (the pi-pulse twice,
+    # a wait, a detuned and phased pulse), on the register they share: every
+    # sample equals a fresh evolve's bit for bit, on the dense and the block
+    # route, Hermitian and decaying
+    if block_min_dim is not None:
+        monkeypatch.setattr(dynamics, "_BLOCK_MIN_DIM", block_min_dim)
+    gate_basis, gate_static = register_basis(5, 2, blockade=20.0, gamma_r=gamma_r,
+                                             gate=True)
+    gate = Schedule((Pulse(("q-", "r-"), 1.3, np.pi / 1.3),
+                     Pulse(("q+", "r+"), 1.1, 2 * np.pi / 1.1),
+                     Pulse(("r-", "q-"), 1.3, np.pi / 1.3)))
+    inputs = [{}, {"q+": 1}, {"q-": 1}, {"q+": 1, "q-": 1}]
+    oracle, oracle_static, psi0 = _pair_resolved(3, gamma_r=gamma_r)
+    scheds = list(oracle_schedules(3).values())
+    for basis, static, runs in (
+            (gate_basis, gate_static,
+             [(gate, gate_basis.basis_vector(occ)) for occ in inputs]),
+            (oracle, oracle_static, [(s, psi0) for s in scheds + scheds])):
+        held = _register_runs(dynamics.Register(basis, static), basis, static, runs)
+        fresh = _register_runs(None, basis, static, runs)
+        for a, b in zip(held, fresh):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_changed_amplitude_or_phase_decomposes_again(monkeypatch):
+    # a transition that ran another amplitude, phase or detuning takes a new
+    # eigh; the same generator again takes none
+    basis, static = _ideal(4, n_max=2)
+    register, psi0 = dynamics.Register(basis, static), basis.basis_vector({})
+    calls, eigh = [], np.linalg.eigh
+
+    def spy(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    for pulse, decomposed in ((Pulse(("g", "r"), 1.0, 0.7), 1),
+                              (Pulse(("g", "r"), 1.0, 0.3), 0),
+                              (Pulse(("g", "r"), 2.0, 0.3), 1),
+                              (Pulse(("g", "r"), 2.0, 0.3, phase=0.4), 1),
+                              (Pulse(("g", "r"), 2.0, 0.3, phase=0.4, detuning=0.1), 1),
+                              (Pulse(("g", "r"), 2.0, 0.9, phase=0.4, detuning=0.1), 0)):
+        calls.clear()
+        sched = Schedule((pulse,))
+        held = register.evolve(sched, psi0, sample_dt=0.05)
+        assert len(calls) == decomposed
+        fresh = evolve(sched, basis, static, psi0, sample_dt=0.05)
+        assert held.states.tobytes() == fresh.states.tobytes()
+
+
+def test_register_keeps_one_decomposition_per_transition(monkeypatch):
+    # many pulses of differing amplitudes on three transitions and a wait:
+    # one decomposition each, a decaying block keeping its generator and
+    # one exponential
+    monkeypatch.setattr(dynamics, "_BLOCK_MIN_DIM", 1)
+    basis, static, psi0 = _pair_resolved(3, gamma_r=0.2)
+    register = dynamics.Register(basis, static)
+    events = [Pulse(tr, amp, 0.3) for amp in (0.5, 1.0, 1.5)
+              for tr in (("g", "r"), ("r", "q"), ("q", "r"))]
+    for _ in range(2):
+        register.evolve(Schedule((*events, Wait(0.2))), psi0, sample_dt=0.07)
+    assert set(register._kept) == {("g", "r"), ("r", "q"), ("q", "r"), None}
+    for tr, (key, parts) in register._kept.items():
+        blocks = register._labels[tr][1]
+        assert len(parts) == len(blocks)
+        for part in parts:
+            if isinstance(part, list):
+                gen, step, prop = part
+                assert gen.shape == prop.shape and step > 0
+
+
+def test_held_decompositions_count_in_the_estimate(monkeypatch):
+    # a register that keeps an r -> q decomposition counts it while a g -> r
+    # pulse runs: a budget that admits the pulse on a fresh register
+    # refuses it on the held one
+    basis = enumerate_basis(60, ("q", "r"), 20, ryd_max=1)
+    assert basis.dim < dynamics._BLOCK_MIN_DIM      # one block: u is dim x dim
+    register, psi0 = dynamics.Register(basis, []), basis.basis_vector({})
+    register.evolve(Schedule((Pulse(("r", "q"), 1.0, 0.5),)), psi0)
+    kept = register._labels["r", "q"][2]
+    assert kept == 16.0 * basis.dim * (basis.dim + 1)
+    sched = Schedule((Pulse(("g", "r"), 1.0, 0.5),))
+    assert register._kept_beside(sched) == kept
+    monkeypatch.setattr(dynamics, "MEMORY_BUDGET", 0.0)
+    with pytest.raises(BasisError) as err:
+        evolve(sched, basis, [], psi0)
+    fresh_need = float(str(err.value).split("needs ")[1].split(" B")[0])
+    monkeypatch.setattr(dynamics, "MEMORY_BUDGET", fresh_need * 1.001 + 0.5 * kept)
+    evolve(sched, basis, [], psi0)
+    with pytest.raises(BasisError, match="budget"):
+        register.evolve(sched, psi0)
+
+
+@pytest.mark.parametrize("case", _PEAK_CASES)
+def test_held_register_peak_within_its_estimate(monkeypatch, case):
+    # the second run of a held register, which keeps a decomposition per
+    # transition from the first, peaks within the estimate of that run
+    n_max, decaying, events, dt = _PEAK_CASES[case]
+    basis = enumerate_basis(n_max, ("r",), n_max)
+    static = [dephasing_term(basis, 0.1)] if decaying else []
+    sched, psi0 = Schedule(events), basis.basis_vector({})
+    register = dynamics.Register(basis, static)
+    register.evolve(Schedule((Pulse(("r", "g"), 0.3, 0.2), Wait(0.1))), psi0,
+                    sample_dt=0.25)
+    tracemalloc.start()
+    try:
+        res = register.evolve(sched, psi0, sample_dt=dt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak > res.states.nbytes + res.populations.nbytes
+    monkeypatch.setattr(dynamics, "MEMORY_BUDGET", np.nextafter(peak, 0))
+    with pytest.raises(BasisError, match="budget"):
+        register.evolve(sched, psi0, sample_dt=dt)

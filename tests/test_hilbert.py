@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -523,3 +523,87 @@ def test_hermiticity_defect_matches_dense(mode):
     for op in ops:
         d = op.dense()
         assert hermiticity_defect(op) == np.abs(d - d.conj().T).max()
+
+
+def _same_triples(a, b):
+    for x, y in ((a.rows, b.rows), (a.cols, b.cols), (a.vals, b.vals)):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("gate", [False, True])
+def test_dipole_pattern_is_built_once_per_basis(gate):
+    """The symmetric dipole pattern (each channel's entries and factors) is
+    kept per basis: every coupling on one basis gives the triples of a
+    build on a fresh basis, and an equal but distinct basis builds its own
+    pattern."""
+    levels = ("q+", "q-", "r+", "r-", "p'", "p''") if gate else ("q", "r", "p'", "p''")
+    basis = enumerate_basis(10, levels, 3, ryd_max=2)
+    for convention, kbar in product(("split", "eq1"), (0.5, 3.7, 100.0, 1e6)):
+        fresh = enumerate_basis(10, levels, 3, ryd_max=2)
+        _same_triples(dipole_term(basis, kbar, convention),
+                      dipole_term(fresh, kbar, convention))
+    pattern = basis._dipole_channels
+    assert len(pattern) == (3 if gate else 1)
+    dipole_term(basis, 2.0)
+    assert basis._dipole_channels is pattern
+    twin = enumerate_basis(10, levels, 3, ryd_max=2)
+    assert twin == basis and twin._dipole_channels is not pattern
+
+
+def _collective_op_loop(basis, frm, to):
+    """The pair-resolved transfer operator by a loop over states and atoms."""
+    rows, cols = [], []
+    for j, state in enumerate(basis.states):
+        for i, lev in enumerate(state):
+            if lev == frm:
+                new = state[:i] + (to,) + state[i + 1:]
+                if new in basis.index:
+                    rows.append(basis.index[new])
+                    cols.append(j)
+    return hilbert._operator(basis, rows, cols,
+                             np.full(len(rows), 1.0 / np.sqrt(basis.n_atoms)))
+
+
+def _dipole_loop(basis, kappa):
+    """The pair-resolved dipole hopping by a loop over states and atom pairs."""
+    rows, cols, vals = [], [], []
+    for j, state in enumerate(basis.states):
+        excited = [a for a, lev in enumerate(state) if lev in hilbert.R_TYPE_LEVELS]
+        for (a, b), pair in product(combinations(excited, 2),
+                                    (hilbert.PAIR_LEVELS, hilbert.PAIR_LEVELS[::-1])):
+            new = list(state)
+            new[a], new[b] = pair
+            i = basis.index.get(tuple(new))
+            if i is not None:
+                rows.append(i)
+                cols.append(j)
+                vals.append(kappa[a, b])
+    up = np.asarray(vals, dtype=complex)
+    return hilbert._operator(basis, np.concatenate([rows, cols]),
+                             np.concatenate([cols, rows]),
+                             np.concatenate([up, up.conj()]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_pair_resolved_operators_match_the_loops(n):
+    # array-built operators carry the loops' triples bit for bit: every
+    # transition among g and the oracle's levels, and a random coupling
+    levels = ("q", "r", "p'", "p''")
+    basis = enumerate_basis(n, levels, min(3, n), mode="pair-resolved", ryd_max=2)
+    for frm, to in product(("g",) + levels, repeat=2):
+        _same_triples(hilbert._collective_op(basis, frm, to),
+                      _collective_op_loop(basis, frm, to))
+    kappa = np.random.default_rng(n).normal(size=(n, n))
+    kappa += kappa.T
+    _same_triples(dipole_term(basis, kappa), _dipole_loop(basis, kappa))
+
+
+def test_n_atoms_bound_is_enforced_by_the_basis():
+    # beyond N_ATOMS_MAX the occupation products overflow: refused at once
+    with pytest.raises(BasisError, match="n_atoms"):
+        collective_op(enumerate_basis(10**20, ("r",), 1), "g", "r")
+    with pytest.raises(BasisError, match="n_atoms"):
+        enumerate_basis(2**62 + 1, ("r",), 3)
+    op = collective_op(enumerate_basis(hilbert.N_ATOMS_MAX, ("r",), 3), "g", "r")
+    assert np.isfinite(op.vals).all() and len(op.vals) == 3
