@@ -3,24 +3,21 @@
 Constant-amplitude segments are propagated exactly, one invariant block of
 the generator at a time.  A pulse on a <-> b freezes every atom in any other
 level and the dipole term only exchanges rr <-> p'p'', so the generator of
-one event splits into blocks that never mix.  They are labelled once per
-transition per ``Register`` from the entries of the static terms and of
-the transition's collective operator (built once per basis).  A generator
+one event splits into blocks that never mix.  A ``Register``, which
+``evolve`` takes in place of the static terms, labels them once per
+transition from the entries of the static terms and of the transition's
+collective operator, and adds each event's terms straight into the blocks'
+flat stacks: no dense sum or copy of the generator is made.  A generator
 without an off-diagonal entry is blocks of size 1, a phase factor
 exp(-i h_jj t) per state; one below ``_BLOCK_MIN_DIM`` (the measured
-crossover) or of one block is a single block, the whole generator viewed,
-not copied.  Blocks of one size share each numpy call: one ``eigh`` for
-Hermitian blocks, or, when the diagonal carries decay rates k as -i k (the
-norm-loss decoherence model), ``scipy.linalg.expm`` of -i (H - i k) per
-distinct step of the sample grid.
-
-A ``Register``, which ``evolve`` takes in place of the static terms, keeps
-what runs on one basis and set of terms share: see its docstring.
-
-A Hermitian block evaluates its samples as one product, ``_CHUNK`` samples
-at a time.  Sampled-envelope pulses are integrated on their event's blocks
-by a fourth-order two-exponential scheme on sub-intervals, doubled until the
-final state changes by less than ``_ENVELOPE_TOL``.
+crossover) is one block.  Blocks of one size share each numpy call: one
+``eigh`` for Hermitian blocks, which evaluate their samples as one product,
+``_CHUNK`` samples at a time, or, when the diagonal carries decay rates k as
+-i k (the norm-loss decoherence model), ``scipy.linalg.expm`` of
+-i (H - i k) per distinct step of the sample grid.  Sampled-envelope pulses
+are integrated on their event's blocks by a fourth-order two-exponential
+scheme on sub-intervals, doubled until the final state changes by less than
+``_ENVELOPE_TOL``.
 
 Times are in us, angular frequencies in rad/us, phases in rad.
 """
@@ -209,40 +206,17 @@ def wrap_phase(a: float) -> float:
     return float(out)
 
 
-def _split_static(basis: Basis, static_terms) -> np.ndarray:
-    """Sum static terms into one dense effective Hamiltonian H - i k.
-
-    The anti-Hermitian content must be diagonal (the norm-loss model): the
-    decay rates k are minus the imaginary part of the diagonal.
-    """
-    h = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for op in static_terms:
-        h[op.rows, op.cols] += op.vals
-    if not np.isfinite(h).all():
-        raise StiffnessError("static terms sum to a non-finite entry")
-    # every nonzero entry sits where some term has one
-    for op in static_terms:
-        defect = abs(h[op.rows, op.cols] - h[op.cols, op.rows].conj())
-        if (defect[op.rows != op.cols] > 2e-12).any():
-            raise ValueError("non-diagonal anti-Hermitian static term")
-    if (h.diagonal().imag > 1e-12).any():
-        raise ValueError("decay rates must be non-negative")
-    return h
-
-
 def _blocks(dim: int, ops):
     """Invariant blocks of a generator whose entries lie where the operators
     ``ops`` have theirs: one (count, size) array of state indices per block
-    size, a block to a row.
-
-    None leaves the generator whole, one block: when it is one block, or
-    when it couples states and dim is below ``_BLOCK_MIN_DIM``.  A generator
-    without an off-diagonal entry is dim blocks of size 1 at any dim.
+    size, a block to a row.  A generator without an off-diagonal entry is
+    dim blocks of size 1; one that couples states is the one block
+    ``np.arange(dim)[None]`` below ``_BLOCK_MIN_DIM`` or when it does not split.
     """
     if not any(np.count_nonzero(op.rows != op.cols) for op in ops):
         return [np.arange(dim)[:, None]]
     if dim < _BLOCK_MIN_DIM:
-        return None
+        return [np.arange(dim)[None]]
     rows = np.concatenate([op.rows for op in ops])
     cols = np.concatenate([op.cols for op in ops])
     off = rows != cols
@@ -257,33 +231,31 @@ def _blocks(dim: int, ops):
         while not np.array_equal(jump := label[label], label):
             label = jump
     size = np.bincount(label, minlength=dim)[label]
-    if size[0] == dim:
-        return None
     order = np.lexsort((label, size))       # by block size, then block
     cuts = np.flatnonzero(np.diff(size[order])) + 1
     return [idx.reshape(-1, size[idx[0]]) for idx in np.split(order, cuts)]
 
 
-def _propagate_constant(h, psi, dts, out, blocks=None, parts=None):
+def _propagate_constant(h, psi, dts, out, blocks, parts=None):
     """States at cumulative offsets dts (sorted, >= 0) under h = H - i k,
     written into the rows of ``out``, which is returned.
 
-    ``blocks`` are h's invariant blocks as ``_blocks`` gives them; None is
-    h whole, viewed as a stack of one block.  Blocks of one size share each
-    numpy call.  A block of size 1 is a phase factor.  A Hermitian block (a
-    real diagonal) takes one eigendecomposition.  A decaying one takes
-    expm(-i (H - i k) span) per step; steps of the uniform sample grid that
-    agree to 1e-12 (relative) share one exponential.
+    ``blocks`` are h's invariant blocks as ``_blocks`` gives them, and h is
+    their flat stacks: each block size's (count, size, size) stack in turn.
+    Blocks of one size share each numpy call.  A block of size 1 is a phase
+    factor.  A Hermitian block (a real diagonal) takes one eigendecomposition.
+    A decaying one takes expm(-i (H - i k) span) per step; steps of the
+    uniform sample grid that agree to 1e-12 (relative) share one exponential.
 
     ``parts``, when given, is a list of h's decompositions, one per block
     size: those it holds are used as they are (h is then not read and may
     be None), and those it lacks are made here and appended to it.
     """
-    parts = [] if parts is None else parts
-    for i, idx in enumerate(blocks or [None]):
+    parts, end = [] if parts is None else parts, 0
+    for i, idx in enumerate(blocks):
+        at, end = end, end + idx.size * idx.shape[1]
         if i == len(parts):
-            # (blocks, size, size); idx None indexes the one block h[None]
-            sub = h[None] if idx is None else h[idx[:, :, None], idx[:, None, :]]
+            sub = h[at:end].reshape(*idx.shape, -1)     # (count, size, size)
             if sub.shape[-1] == 1:
                 parts.append((sub[:, :, 0], None))
             elif sub.diagonal(axis1=1, axis2=2).imag.any():
@@ -291,6 +263,7 @@ def _propagate_constant(h, psi, dts, out, blocks=None, parts=None):
                 parts.append([-1j * sub, None, None])
             else:
                 parts.append(np.linalg.eigh(sub))
+        idx = None if idx.shape[1] == len(psi) else idx     # all states: views
         part, coef = parts[i], psi[idx]
         if isinstance(part, list):
             _propagate_decaying(part, coef, dts, out, idx)
@@ -331,14 +304,14 @@ def _propagate_decaying(part, psi, dts, out, idx):
 class Register:
     """A basis and its static terms, held across ``evolve`` runs.
 
-    For as long as it lives it keeps the summed and checked static
-    generator (built at its first run), each transition's collective
-    operator and invariant blocks, and per transition (None: the waits) the
-    per-size decompositions of the latest generator it ran.  An event with
-    the same transition, amplitude, phase and detuning reuses them; a
-    decaying block reuses its exponential only for an exactly equal first
-    step.  Every state is the one a fresh register gives, bit for bit.
-    Envelope pulses reuse nothing.
+    For as long as it lives it keeps each transition's collective operator,
+    invariant blocks and flat stacks' layout (entry (i, j) of a generator at
+    start[i] + pos[j]), and per transition (None: the waits) the per-size
+    decompositions of the latest generator it ran.  An event with the same
+    transition, amplitude, phase and detuning reuses them; a decaying block
+    reuses its exponential only for an exactly equal first step.  Every state
+    is the one a fresh register gives, bit for bit.  Envelope pulses reuse
+    nothing.
     """
 
     def __init__(self, basis: Basis, static_terms):
@@ -347,8 +320,8 @@ class Register:
             if op.basis is not basis and op.basis != basis:
                 raise ValueError("static term basis mismatch")
             self._decays = self._decays or bool(op.vals[op.rows == op.cols].imag.any())
-        self._h = None
-        # transition -> (operator, blocks, bytes one kept decomposition holds)
+        self._checked = False
+        # transition -> (operator, blocks, start, pos, length, kept decomposition's bytes)
         self._labels = {}
         # transition -> ((omega, phase, detuning), decompositions)
         self._kept = {}
@@ -361,13 +334,37 @@ class Register:
         if tr not in self._labels:
             dim = self.basis.dim
             op = None if tr is None else collective_op(self.basis, *tr)
-            blocks = _blocks(dim, self.static_terms if op is None
-                             else [*self.static_terms, op])
-            cells = (dim * (dim + 1) if blocks is None
-                     else sum(b.size * (b.shape[1] + 1) for b in blocks))
+            blocks = _blocks(dim, self.static_terms + ([op] if tr else []))
+            start, pos, n = np.empty(dim, np.intp), np.empty(dim, np.intp), 0
+            for idx in blocks:
+                start[idx] = n + idx.shape[1] * np.arange(idx.size).reshape(idx.shape)
+                pos[idx] = np.arange(idx.shape[1])
+                n += idx.size * idx.shape[1]
             # w and u; or a decaying generator and one exponential
-            self._labels[tr] = op, blocks, 16.0 * cells * (1 + self._decays)
+            self._labels[tr] = (op, blocks, start, pos, n,
+                                16.0 * (n + dim) * (1 + self._decays))
         return self._labels[tr]
+
+    def _static(self, tr):
+        """The static terms added into zeroed flat stacks of transition tr, in
+        order; a register's first sum is checked: finite, and anti-Hermitian
+        only on the diagonal, as -i k with decay rates k >= 0 (norm loss)."""
+        _, _, start, pos, n, _ = self._label(tr)
+        h = np.zeros(n, dtype=complex)
+        for op in self.static_terms:
+            h[start[op.rows] + pos[op.cols]] += op.vals
+        if not self._checked:
+            if not np.isfinite(h).all():
+                raise StiffnessError("static terms sum to a non-finite entry")
+            for op in self.static_terms:    # nonzero entries sit where terms have theirs
+                defect = abs(h[start[op.rows] + pos[op.cols]]
+                             - h[start[op.cols] + pos[op.rows]].conj())
+                if (defect[op.rows != op.cols] > 2e-12).any():
+                    raise ValueError("non-diagonal anti-Hermitian static term")
+            if (h[start + pos].imag > 1e-12).any():
+                raise ValueError("decay rates must be non-negative")
+            self._checked = True
+        return h
 
     def _kept_beside(self, schedule) -> float:
         """Bytes of the decompositions kept for other transitions while an
@@ -376,8 +373,8 @@ class Register:
         for ev in schedule.events:
             if ev.duration != 0.0:
                 tr = None if isinstance(ev, Wait) else ev.transition
-                own[tr] = self._label(tr)[2]
-        held = sum(self._labels[tr][2] for tr in self._kept if tr not in own)
+                own[tr] = self._label(tr)[5]
+        held = sum(self._labels[tr][5] for tr in self._kept if tr not in own)
         return held + sum(own.values()) - min(own.values(), default=0.0)
 
     def evolve(self, schedule: Schedule, psi0: np.ndarray,
@@ -385,6 +382,10 @@ class Register:
         """``evolve`` on this register's basis and static terms."""
         basis = self.basis
         psi0 = np.asarray(psi0, dtype=complex)
+        if psi0.shape != (basis.dim,):
+            raise ValueError(f"initial state shape {psi0.shape} is not ({basis.dim},)")
+        if sample_dt is not None and not sample_dt >= 0:
+            raise ValueError(f"sample_dt {sample_dt} is not >= 0")
         norm = np.linalg.norm(psi0)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"initial state norm {norm} is not 1 within 1e-9")
@@ -399,9 +400,9 @@ class Register:
         if not need <= MEMORY_BUDGET:
             raise BasisError(f"dim {dim} with {n:.3g} samples needs {need:.3g} B "
                              f"> budget {MEMORY_BUDGET:.3g} B")
-        if self._h is None:
-            self._h = _split_static(basis, self.static_terms)
-        h_static = self._h
+        if not self._checked:       # check the static sum, in the first event's stacks
+            self._static(next((getattr(ev, "transition", None) for ev in schedule.events
+                               if ev.duration != 0.0), None))
 
         # sample times: t = 0, then per event the grid points inside it (more
         # than 1e-12 of its end time from either boundary) and its end
@@ -421,7 +422,7 @@ class Register:
 
         states = np.empty((len(times), dim), dtype=complex)
         states[0] = psi = psi0
-        row, diag = 1, np.arange(dim)
+        row, h = 1, None    # h: the event's new generator, if it builds one
         # an overflow surfaces as the non-finite state checked per event
         with np.errstate(over="ignore", invalid="ignore"):
             for i_ev, ev, t0, m in events:
@@ -431,33 +432,29 @@ class Register:
                 row += m
                 wait = isinstance(ev, Wait)
                 tr = None if wait else ev.transition
-                op, blocks, _ = self._label(tr)
+                op, blocks, start, pos, _, _ = self._label(tr)
                 envelope = not wait and isinstance(ev.omega, SampledEnvelope)
                 key = None if wait or envelope else (ev.omega, ev.phase, ev.detuning)
                 held = self._kept.pop(tr, None)
                 if envelope or held is None or held[0] != key:
                     held = None     # released before the next decomposition
-                    if wait:
-                        h = h_static
-                    else:
-                        # H(amp) = h_static + detuning n_to + amp (up + up^dagger);
-                        # an envelope keeps its dense unit drive (amp = 1) beside h
-                        up, h = drive_generator(op, ev.phase), h_static.copy()
+                    h = self._static(tr)
+                    if not wait:
+                        # H(amp) = static + detuning n_to + amp (up + up^dagger);
+                        # an envelope keeps its unit drive (amp = 1) beside h
+                        up = drive_generator(op, ev.phase)
                         if ev.detuning != 0.0:
-                            h[diag, diag] += ev.detuning * basis.occupations(tr[1])
+                            h[start + pos] += ev.detuning * basis.occupations(tr[1])
                         unit, amp = (np.zeros_like(h), 1.0) if envelope else (h, ev.omega)
-                        unit[op.rows, op.cols] += amp * up
-                        unit[op.cols, op.rows] += amp * up.conj()
+                        unit[start[op.rows] + pos[op.cols]] += amp * up
+                        unit[start[op.cols] + pos[op.rows]] += amp * up.conj()
                     if envelope:
                         _propagate_envelope(h, unit, ev, psi, dts, out, i_ev, blocks)
-                    else:
-                        held = key, []
-                        _propagate_constant(h, psi, dts, out, blocks, held[1])
-                    h = unit = None
-                else:
-                    _propagate_constant(None, psi, dts, out, blocks, held[1])
+                    held = None if envelope else (key, [])
                 if held is not None:
+                    _propagate_constant(h, psi, dts, out, blocks, held[1])
                     self._kept[tr] = held
+                h = unit = None
                 psi = out[-1]
                 if not np.isfinite(psi).all():
                     raise StiffnessError(f"event {i_ev} left a non-finite state")
@@ -475,22 +472,24 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
 
     static_terms (dipole coupling, dephasing) act during every event; each
     Pulse adds its drive term.  Samples are taken at t=0, at multiples of
-    sample_dt when given, and at every event boundary; each event runs over
+    sample_dt when it is > 0 (< 0 or NaN raises ValueError, as does a psi0
+    not of shape (dim,)), and at every event boundary; each event runs over
     its own duration from its start.  Deterministic for fixed inputs.
     static_terms may be a ``Register`` on basis, which the run then uses
     and updates; a list of terms runs on a fresh register.  Callers that
     run several schedules or inputs under one set of terms hold one.
 
-    Before anything dense is allocated the run's memory is estimated: 16 B
-    per entry of each dense dim x dim copy its propagation holds at once
-    (HERMITIAN_COPIES, or _DECAYING_COPIES when a static term decays); the
-    decompositions its register keeps for the transitions other than the
-    running one, 16 B per entry of their blocks' stacks (count x size x
-    (size + 1)), twice when a static term decays; per sample 24 B per basis
-    state (state and populations) plus 40 B (times, norms, grid); and 32 B
-    per basis state for each of the (up to ``_CHUNK``) samples one product
-    evaluates (its two temporaries).  An estimate over MEMORY_BUDGET raises
-    BasisError, and an event that leaves a non-finite state StiffnessError.
+    Before anything is allocated the run's memory is estimated: 16 B per
+    entry of each dense dim x dim copy a one-block propagation holds at once
+    (HERMITIAN_COPIES, or _DECAYING_COPIES when a static term decays; more
+    than the block path holds); the decompositions its register keeps for
+    the other transitions, 16 B per entry of their blocks' stacks (count x
+    size x (size + 1)), twice when a static term decays; per sample 24 B per
+    basis state (state and populations) plus 40 B (times, norms, grid); and
+    32 B per basis state for each of the (up to ``_CHUNK``) samples one
+    product evaluates (its two temporaries).  An estimate over MEMORY_BUDGET
+    raises BasisError, and an event that leaves a non-finite state
+    StiffnessError.
     """
     if not isinstance(static_terms, Register):
         static_terms = Register(basis, static_terms)

@@ -6,9 +6,10 @@ checkout, it runs in process, against that checkout's ``src`` and
 
 * the seven experiments at their defaults (``splitting-stats`` with
   ``--configs 2000``), ``splitting-stats`` over all pairs of 16 atoms,
-  ``oracle-check`` at 4 and 5 atoms, and ``fock`` to |q^30> of 60 atoms
-  (dim 63), without and with decay (dim 123), the symmetric registers
-  whose generators split into blocks;
+  ``oracle-check`` at 4 and 5 atoms (at 4 also with 4096 samples per
+  schedule, past one product's ``_CHUNK`` samples on the block route), and
+  ``fock`` to |q^30> of 60 atoms (dim 63), without and with decay (dim
+  123), the symmetric registers whose generators split into blocks;
 * every ``cli`` op of ``perfbench.workloads.build_ops`` for both workloads at
   seeds 1 and 2;
 * eleven edge runs at the limits of floating point, of the unit parser,
@@ -48,6 +49,7 @@ DEFAULT_RUNS = (
     ("rabi",), ("fock",), ("superpose",), ("gate",), ("error-budget",),
     ("oracle-check",), ("oracle-check", "--n-atoms", "4"),
     ("oracle-check", "--n-atoms", "5"),
+    ("oracle-check", "--n-atoms", "4", "--samples-per-schedule", "4096"),
     ("fock", "--n-atoms", "60", "--n-target", "30"),
     ("fock", "--n-atoms", "60", "--n-target", "30", "--kappa-bar", "20",
      "--gamma-r", "0.01"),

@@ -216,13 +216,13 @@ def test_runs_enumerate_each_basis_and_build_each_operator_once(tmp_path, monkey
 
 
 _DECOMPOSITIONS = {
-    # argv: (eigh, expm, static sums, block labellings, pair-channel moves)
-    ("gate",): (3, 0, 1, 3, 0),
+    # argv: (eigh, expm, block labellings, pair-channel moves)
+    ("gate",): (3, 0, 3, 0),
     ("gate", "--kappa-bar", "100", "--omega-plus", "40", "--omega-minus", "40",
-     "--gamma-r", "0.01"): (0, 3, 1, 3, 3),
-    ("fock", "--n-target", "9"): (2, 0, 1, 2, 0),
-    ("oracle-check",): (22, 0, 2, 8, 1),
-    ("error-budget",): (13, 0, 14, 14, 1),
+     "--gamma-r", "0.01"): (0, 3, 3, 3),
+    ("fock", "--n-target", "9"): (2, 0, 2, 0),
+    ("oracle-check",): (22, 0, 8, 1),
+    ("error-budget",): (13, 0, 14, 1),
 }
 
 
@@ -237,7 +237,7 @@ def test_runs_decompose_each_distinct_generator_once(tmp_path, monkeypatch, argv
 
     from blockadesim import dynamics
 
-    calls = dict.fromkeys(("eigh", "expm", "_split_static", "_blocks", "moves"), 0)
+    calls = dict.fromkeys(("eigh", "expm", "_blocks", "moves"), 0)
 
     def spy(mod, name, key=None):
         fn = getattr(mod, name)
@@ -250,7 +250,6 @@ def test_runs_decompose_each_distinct_generator_once(tmp_path, monkeypatch, argv
 
     spy(np.linalg, "eigh")
     spy(scipy.linalg, "expm")
-    spy(dynamics, "_split_static")
     spy(dynamics, "_blocks")
     # two r-type quanta into a pair mode: one dipole channel's entries
     spy(hilbert, "_moves",

@@ -17,7 +17,7 @@ from blockadesim.dynamics import (
     fidelity,
     wrap_phase,
 )
-from blockadesim.hilbert import (BasisError, collective_op, dephasing_term,
+from blockadesim.hilbert import (BasisError, Operator, collective_op, dephasing_term,
                                  dipole_term, drive_term, enumerate_basis)
 from blockadesim.oracle import oracle_schedules
 from blockadesim.protocols import fock_ladder, rabi_pulse, register_basis
@@ -55,6 +55,50 @@ def test_unnormalized_input_rejected():
     basis, static = _ideal(3)
     with pytest.raises(ValueError):
         evolve(Schedule(()), basis, static, 2.0 * basis.basis_vector({}))
+
+
+@pytest.mark.parametrize("sample_dt", [-0.1, float("nan")])
+def test_negative_or_nan_sample_step_rejected(sample_dt):
+    basis, static = _ideal(3)
+    with pytest.raises(ValueError, match="sample_dt"):
+        evolve(Schedule((Pulse(("g", "r"), 1.0, 1.0),)), basis, static,
+               basis.basis_vector({}), sample_dt=sample_dt)
+
+
+def test_no_grid_and_infinite_sample_step_keep_their_meaning():
+    basis, static = _ideal(3)
+    psi0 = basis.basis_vector({})
+    for sample_dt in (None, 0.0):
+        res = evolve(Schedule((Pulse(("g", "r"), 1.0, 1.0),)), basis, static, psi0,
+                     sample_dt=sample_dt)
+        assert len(res.times) == 2
+    # an infinite step over an infinite run reads as over the budget
+    with pytest.raises(BasisError, match="budget"):
+        evolve(Schedule((Pulse(("g", "r"), 1e-320, np.inf),)), basis, static, psi0,
+               sample_dt=np.inf)
+
+
+def test_initial_state_of_another_size_rejected():
+    basis, static = _ideal(3)
+    assert basis.dim == 3
+    with pytest.raises(ValueError, match=r"\(1,\) is not \(3,\)"):
+        evolve(Schedule((Pulse(("g", "r"), 1.0, 1.0),)), basis, static,
+               np.array([1.0]))
+
+
+@pytest.mark.parametrize("rows, cols, vals, error, message", [
+    ([0], [1], [1.0], ValueError, "non-diagonal anti-Hermitian"),
+    ([1], [1], [1.0j], ValueError, "decay rates must be non-negative"),
+    ([0, 1], [1, 0], [np.inf, np.inf], StiffnessError, "non-finite entry"),
+])
+def test_static_terms_checked_at_the_first_run(rows, cols, vals, error, message):
+    # a lone off-diagonal entry, a growing state and an infinite coupling are
+    # refused at a register's first run, also one without events
+    basis, _ = _ideal(3)
+    term = Operator(basis, np.array(rows), np.array(cols), np.array(vals, complex))
+    for sched in (Schedule(()), Schedule((Pulse(("g", "r"), 1.0, 1.0),))):
+        with pytest.raises(error, match=message):
+            evolve(sched, basis, [term], basis.basis_vector({}))
 
 
 def test_unitarity_without_decay():
@@ -249,8 +293,9 @@ def test_zero_decaying_step_returns_the_state():
     # a step that rounds to 0 takes expm(0), also when it is the first one
     h = np.array([[0.0, 1.0], [1.0, -1.0j]])
     psi = np.array([0.6, 0.8j])
-    (out,) = dynamics._propagate_constant(h, psi, np.array([0.0]),
-                                          np.empty((1, 2), complex))
+    (out,) = dynamics._propagate_constant(h.ravel(), psi, np.array([0.0]),
+                                          np.empty((1, 2), complex),
+                                          [np.arange(2)[None]])
     np.testing.assert_array_equal(out, psi)
 
 
@@ -534,7 +579,7 @@ def test_pi_pulse_blocks_of_the_oracle(n, dim, count, largest):
     perm = np.concatenate([b.ravel() for b in blocks])
     np.testing.assert_array_equal(np.sort(perm), np.arange(dim))
     # the generator permuted into block order is block diagonal
-    h = dynamics._split_static(basis, static)
+    h = sum(op.dense() for op in static)
     h += drive_term(basis, "g", "r", 0.7, phase=0.6, detuning=0.4).dense()
     sizes = np.concatenate([np.full(len(b), b.shape[1]) for b in blocks])
     owner = np.repeat(np.arange(len(sizes)), sizes)
@@ -547,13 +592,79 @@ def test_pi_pulse_blocks_of_the_oracle(n, dim, count, largest):
 def test_small_or_single_block_generators_run_dense():
     basis, static = _ideal(3)
     drive = collective_op(basis, "g", "r")
-    assert dynamics._blocks(basis.dim, [*static, drive]) is None
+    np.testing.assert_array_equal(dynamics._blocks(basis.dim, [*static, drive]),
+                                  [np.arange(basis.dim)[None]])
     # a diagonal generator is size-1 blocks at any dim
     (diag,) = dynamics._blocks(basis.dim, [dephasing_term(basis, 0.1)])
     np.testing.assert_array_equal(diag, np.arange(basis.dim)[:, None])
     chain = enumerate_basis(80, ("r",), 80)
     assert chain.dim >= dynamics._BLOCK_MIN_DIM
-    assert dynamics._blocks(chain.dim, [collective_op(chain, "g", "r")]) is None
+    np.testing.assert_array_equal(
+        dynamics._blocks(chain.dim, [collective_op(chain, "g", "r")]),
+        [np.arange(chain.dim)[None]])
+
+
+@pytest.mark.parametrize("n, gamma_r", [(3, 0.0), (3, 0.3), (4, 0.0), (4, 0.3),
+                                        (5, 0.0), (5, 0.3), (60, 0.0)])
+def test_flat_stacks_hold_every_entry(monkeypatch, n, gamma_r):
+    # on the pair-resolved oracle registers and fock's 60-atom register
+    # (dim 63), every static, detuning and drive entry of a transition (None:
+    # the waits) has its row and column in one block, and the stacks a
+    # detuned, phased pulse runs on are the dense generator's blocks, bit
+    # for bit
+    if n == 60:
+        basis, static = register_basis(60, 31)
+        transitions = [("g", "r"), ("r", "q")]
+        assert basis.dim == 63
+    else:
+        basis, static, _ = _pair_resolved(n, gamma_r=gamma_r)
+        transitions = [("g", "r"), ("r", "q"), ("q", "r")]
+    register, psi0 = dynamics.Register(basis, static), np.eye(basis.dim)[0]
+    seen, propagate = [], dynamics._propagate_constant
+
+    def spy(h, psi, dts, out, blocks, parts=None):
+        seen.append(h.copy())
+        return propagate(h, psi, dts, out, blocks, parts)
+
+    monkeypatch.setattr(dynamics, "_propagate_constant", spy)
+    static_sum = sum((op.dense() for op in static), np.zeros((basis.dim,) * 2, complex))
+    for tr in [*transitions, None]:
+        op, blocks = register._label(tr)[:2]
+        owner = np.empty(basis.dim, int)      # each state's block, by its first state
+        for idx in blocks:
+            owner[idx] = idx[:, :1]
+        states = np.concatenate([b.ravel() for b in blocks])
+        np.testing.assert_array_equal(np.sort(states), np.arange(basis.dim))
+        for term in static if op is None else [*static, op]:
+            assert (owner[term.rows] == owner[term.cols]).all()
+        if tr is None:
+            register.evolve(Schedule((Wait(0.2),)), psi0)
+            dense = static_sum
+        else:
+            register.evolve(Schedule((Pulse(tr, 0.7, 0.2, phase=0.6, detuning=0.4),)),
+                            psi0)
+            dense = static_sum + drive_term(basis, *tr, 0.7, phase=0.6,
+                                            detuning=0.4).dense()
+        flat, end = seen.pop(), 0
+        for idx in blocks:
+            at, end = end, end + idx.size * idx.shape[1]
+            stack = flat[at:end].reshape(*idx.shape, -1)
+            assert stack.tobytes() == dense[idx[:, :, None], idx[:, None, :]].tobytes()
+        assert end == flat.size
+
+
+@pytest.mark.parametrize("gamma_r", [0.0, 0.3])
+def test_block_path_holds_no_dense_copy(gamma_r):
+    # a fresh evolve of each N = 5 oracle schedule (dim 551) peaks within
+    # half a dense dim x dim copy beyond its trajectory
+    basis, static, psi0 = _pair_resolved(5, gamma_r=gamma_r)
+    assert basis.dim == 551
+    for sched in oracle_schedules(5).values():
+        dt = sched.total_duration / 24
+        evolve(sched, basis, static, psi0, sample_dt=dt)        # builds the operators
+        res, peak = _traced_evolve(sched, basis, static, psi0, sample_dt=dt)
+        beyond = peak - res.states.nbytes - res.populations.nbytes
+        assert beyond < 0.5 * 16.0 * basis.dim**2
 
 
 @pytest.mark.parametrize("blocked", [False, True])
@@ -563,16 +674,18 @@ def test_samples_in_one_product_match_per_sample(blocked):
     dim = 6
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = a + a.conj().T
-    blocks = None
+    blocks = [np.arange(dim)[None]]
     if blocked:      # blocks {0, 1, 2}, {3, 4} and {5}
         owner = np.array([0, 0, 0, 1, 1, 2])
         h[owner[:, None] != owner[None, :]] = 0.0
         blocks = [np.array([[5]]), np.array([[3, 4]]), np.array([[0, 1, 2]])]
+    # the blocks' flat stacks, one size class after another
+    stacks = np.concatenate([h[np.ix_(b, b)].ravel() for (b,) in blocks])
     psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     psi /= np.linalg.norm(psi)
     dts = np.linspace(0.0, 3.0, dynamics._CHUNK + 905)
-    out = dynamics._propagate_constant(h, psi, dts, np.empty((len(dts), dim), complex),
-                                       blocks)
+    out = dynamics._propagate_constant(stacks, psi, dts,
+                                       np.empty((len(dts), dim), complex), blocks)
     w, u = np.linalg.eigh(h)
     coef = u.conj().T @ psi
     ref = np.array([u @ (np.exp(-1j * w * dt) * coef) for dt in dts])
@@ -669,7 +782,7 @@ def test_held_decompositions_count_in_the_estimate(monkeypatch):
     assert basis.dim < dynamics._BLOCK_MIN_DIM      # one block: u is dim x dim
     register, psi0 = dynamics.Register(basis, []), basis.basis_vector({})
     register.evolve(Schedule((Pulse(("r", "q"), 1.0, 0.5),)), psi0)
-    kept = register._labels["r", "q"][2]
+    kept = register._labels["r", "q"][5]
     assert kept == 16.0 * basis.dim * (basis.dim + 1)
     sched = Schedule((Pulse(("g", "r"), 1.0, 0.5),))
     assert register._kept_beside(sched) == kept
