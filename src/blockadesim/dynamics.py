@@ -29,13 +29,14 @@ from math import sqrt
 
 import numpy as np
 
-from .hilbert import (HERMITIAN_COPIES, MEMORY_BUDGET, Basis, BasisError,
-                      collective_op, drive_generator)
+from .hilbert import MEMORY_BUDGET, Basis, BasisError, collective_op, drive_generator
 
 # envelope refinement stops once the final state moves less than this
 _ENVELOPE_TOL = 1e-10
-# dense copies a decaying propagation holds (scipy.linalg.expm keeps six)
-_DECAYING_COPIES = 18
+# copies of the largest flat generator a propagation holds beside its own
+# decomposition: Hermitian (eigh's workspace included), decaying (expm keeps six)
+HERMITIAN_COPIES = 9
+_DECAYING_COPIES = 14
 # samples a Hermitian block evaluates in one product
 _CHUNK = 4096
 # smallest dim whose coupled generators run block by block (measured crossover)
@@ -208,32 +209,44 @@ def wrap_phase(a: float) -> float:
 
 def _blocks(dim: int, ops):
     """Invariant blocks of a generator whose entries lie where the operators
-    ``ops`` have theirs: one (count, size) array of state indices per block
-    size, a block to a row.  A generator without an off-diagonal entry is
-    dim blocks of size 1; one that couples states is the one block
-    ``np.arange(dim)[None]`` below ``_BLOCK_MIN_DIM`` or when it does not split.
+    ``ops`` have theirs, and the blocks' flat layout: (blocks, start, pos, n).
+
+    ``blocks`` holds one (count, size) array of state indices per block size,
+    a block to a row, sizes ascending.  The flat stacks lay each size's
+    (count, size, size) stack end to end, n entries in all: entry (i, j) of
+    the generator lies at start[i] + pos[j].  A generator without an
+    off-diagonal entry is dim blocks of size 1; one that couples states is
+    one block below ``_BLOCK_MIN_DIM``.
     """
     if not any(np.count_nonzero(op.rows != op.cols) for op in ops):
-        return [np.arange(dim)[:, None]]
-    if dim < _BLOCK_MIN_DIM:
-        return [np.arange(dim)[None]]
-    rows = np.concatenate([op.rows for op in ops])
-    cols = np.concatenate([op.cols for op in ops])
-    off = rows != cols
-    rows, cols = rows[off], cols[off]
-    # min-label propagation: hook each coupled pair's larger label to the
-    # smaller, then point every state at the smallest index of its block
-    label = np.arange(dim)
-    while not np.array_equal(a := label[rows], b := label[cols]):
-        low = np.minimum(a, b)
-        np.minimum.at(label, a, low)
-        np.minimum.at(label, b, low)
-        while not np.array_equal(jump := label[label], label):
-            label = jump
+        label = np.arange(dim)
+    elif dim < _BLOCK_MIN_DIM:
+        label = np.zeros(dim, np.intp)
+    else:
+        rows = np.concatenate([op.rows for op in ops])
+        cols = np.concatenate([op.cols for op in ops])
+        off = rows != cols
+        # min-label propagation: hook each coupled pair's larger label to the
+        # smaller, then point every state at the smallest index of its block
+        rows, cols, label = rows[off], cols[off], np.arange(dim)
+        while not np.array_equal(a := label[rows], b := label[cols]):
+            low = np.minimum(a, b)
+            np.minimum.at(label, a, low)
+            np.minimum.at(label, b, low)
+            while not np.array_equal(jump := label[label], label):
+                label = jump
     size = np.bincount(label, minlength=dim)[label]
     order = np.lexsort((label, size))       # by block size, then block
-    cuts = np.flatnonzero(np.diff(size[order])) + 1
-    return [idx.reshape(-1, size[idx[0]]) for idx in np.split(order, cuts)]
+    # each state's place in that order; its block's first state is its label
+    place = np.empty(dim, np.intp)
+    place[order] = np.arange(dim)
+    # in that order each state opens size entries (a block of s holds s^2)
+    ends = size[order].cumsum()
+    start, pos = ends[place] - size, place - place[label]
+    per, blocks, at = np.bincount(size), [], 0     # states per block size
+    for s in per.nonzero()[0].tolist():
+        blocks.append(order[at:(at := at + per[s])].reshape(-1, s))
+    return blocks, start, pos, int(ends[-1])
 
 
 def _propagate_constant(h, psi, dts, out, blocks, parts=None):
@@ -321,7 +334,7 @@ class Register:
                 raise ValueError("static term basis mismatch")
             self._decays = self._decays or bool(op.vals[op.rows == op.cols].imag.any())
         self._checked = False
-        # transition -> (operator, blocks, start, pos, length, kept decomposition's bytes)
+        # transition -> (operator, blocks, start, pos, flat length)
         self._labels = {}
         # transition -> ((omega, phase, detuning), decompositions)
         self._kept = {}
@@ -332,24 +345,16 @@ class Register:
 
     def _label(self, tr):
         if tr not in self._labels:
-            dim = self.basis.dim
             op = None if tr is None else collective_op(self.basis, *tr)
-            blocks = _blocks(dim, self.static_terms + ([op] if tr else []))
-            start, pos, n = np.empty(dim, np.intp), np.empty(dim, np.intp), 0
-            for idx in blocks:
-                start[idx] = n + idx.shape[1] * np.arange(idx.size).reshape(idx.shape)
-                pos[idx] = np.arange(idx.shape[1])
-                n += idx.size * idx.shape[1]
-            # w and u; or a decaying generator and one exponential
-            self._labels[tr] = (op, blocks, start, pos, n,
-                                16.0 * (n + dim) * (1 + self._decays))
+            self._labels[tr] = (op, *_blocks(self.basis.dim,
+                                             self.static_terms + ([op] if tr else [])))
         return self._labels[tr]
 
     def _static(self, tr):
         """The static terms added into zeroed flat stacks of transition tr, in
         order; a register's first sum is checked: finite, and anti-Hermitian
         only on the diagonal, as -i k with decay rates k >= 0 (norm loss)."""
-        _, _, start, pos, n, _ = self._label(tr)
+        _, _, start, pos, n = self._label(tr)
         h = np.zeros(n, dtype=complex)
         for op in self.static_terms:
             h[start[op.rows] + pos[op.cols]] += op.vals
@@ -366,17 +371,6 @@ class Register:
             self._checked = True
         return h
 
-    def _kept_beside(self, schedule) -> float:
-        """Bytes of the decompositions kept for other transitions while an
-        event of the schedule runs (its own is among the dense copies)."""
-        own = {}
-        for ev in schedule.events:
-            if ev.duration != 0.0:
-                tr = None if isinstance(ev, Wait) else ev.transition
-                own[tr] = self._label(tr)[5]
-        held = sum(self._labels[tr][5] for tr in self._kept if tr not in own)
-        return held + sum(own.values()) - min(own.values(), default=0.0)
-
     def evolve(self, schedule: Schedule, psi0: np.ndarray,
                sample_dt: float | None = None) -> EvolutionResult:
         """``evolve`` on this register's basis and static terms."""
@@ -390,24 +384,28 @@ class Register:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"initial state norm {norm} is not 1 within 1e-9")
         dim, total_t = basis.dim, schedule.total_duration
-        sampled = sample_dt is not None and sample_dt > 0
-        # the grid, t = 0 and each event end (a nan estimate reads as over)
-        n = (total_t / sample_dt if sampled else 0.0) + 1 + len(schedule.events)
-        need = (16.0 * (_DECAYING_COPIES if self._decays else HERMITIAN_COPIES) * dim**2
+        # steps of the grid (None and 0: none), then t = 0 and each event end;
+        # a nan estimate reads as over
+        steps = total_t / sample_dt if sample_dt else 0.0
+        n = steps + 1 + len(schedule.events)
+        # the transitions the events run, in order (None: the waits)
+        runs = dict.fromkeys(getattr(ev, "transition", None) for ev in schedule.events
+                             if ev.duration != 0.0)
+        flat = {tr: self._label(tr)[4] for tr in [*runs, *self._kept]}
+        # the largest generator's copies, each decomposition held or made, the samples
+        need = (16.0 * (_DECAYING_COPIES if self._decays else HERMITIAN_COPIES)
+                * max((flat[tr] for tr in runs), default=0)
+                + 16.0 * (1 + self._decays) * sum(k + dim for k in flat.values())
                 + n * (24.0 * dim + 40.0) + 32.0 * dim * min(n, _CHUNK))
-        if self._kept or len(schedule.events) > 1:     # else nothing is kept beside
-            need += self._kept_beside(schedule)
         if not need <= MEMORY_BUDGET:
             raise BasisError(f"dim {dim} with {n:.3g} samples needs {need:.3g} B "
                              f"> budget {MEMORY_BUDGET:.3g} B")
         if not self._checked:       # check the static sum, in the first event's stacks
-            self._static(next((getattr(ev, "transition", None) for ev in schedule.events
-                               if ev.duration != 0.0), None))
+            self._static(next(iter(runs), None))
 
         # sample times: t = 0, then per event the grid points inside it (more
         # than 1e-12 of its end time from either boundary) and its end
-        grid = (np.arange(0.0, total_t + 0.5 * sample_dt, sample_dt) if sampled
-                else np.zeros(0))
+        grid = np.arange(0.0, total_t + 0.5 * sample_dt, sample_dt) if steps else np.zeros(0)
         parts, events, t0 = [[0.0]], [], 0.0
         for i_ev, ev in enumerate(schedule.events):
             if ev.duration != 0.0:
@@ -432,7 +430,7 @@ class Register:
                 row += m
                 wait = isinstance(ev, Wait)
                 tr = None if wait else ev.transition
-                op, blocks, start, pos, _, _ = self._label(tr)
+                op, blocks, start, pos, _ = self._label(tr)
                 envelope = not wait and isinstance(ev.omega, SampledEnvelope)
                 key = None if wait or envelope else (ev.omega, ev.phase, ev.detuning)
                 held = self._kept.pop(tr, None)
@@ -479,17 +477,18 @@ def evolve(schedule: Schedule, basis: Basis, static_terms, psi0: np.ndarray,
     and updates; a list of terms runs on a fresh register.  Callers that
     run several schedules or inputs under one set of terms hold one.
 
-    Before anything is allocated the run's memory is estimated: 16 B per
-    entry of each dense dim x dim copy a one-block propagation holds at once
-    (HERMITIAN_COPIES, or _DECAYING_COPIES when a static term decays; more
-    than the block path holds); the decompositions its register keeps for
-    the other transitions, 16 B per entry of their blocks' stacks (count x
-    size x (size + 1)), twice when a static term decays; per sample 24 B per
-    basis state (state and populations) plus 40 B (times, norms, grid); and
-    32 B per basis state for each of the (up to ``_CHUNK``) samples one
-    product evaluates (its two temporaries).  An estimate over MEMORY_BUDGET
-    raises BasisError, and an event that leaves a non-finite state
-    StiffnessError.
+    Before anything is allocated the run's memory is estimated from the
+    blocks of each transition the schedule drives (and of its waits), whose
+    flat stacks hold n = sum of count x size^2 entries (dim^2 for one
+    block): 16 B per entry of each copy of the largest such stack that a
+    propagation holds at once (HERMITIAN_COPIES, or _DECAYING_COPIES when a
+    static term decays); 16 B x (n + dim) for each decomposition the
+    register holds or makes (w and u), twice when a static term decays (a
+    generator and one exponential); per sample 24 B per basis state (state
+    and populations) plus 40 B (times, norms, grid); and 32 B per basis state
+    for each of the (up to ``_CHUNK``) samples one product evaluates (its two
+    temporaries).  An estimate over MEMORY_BUDGET raises BasisError, and an
+    event that leaves a non-finite state StiffnessError.
     """
     if not isinstance(static_terms, Register):
         static_terms = Register(basis, static_terms)

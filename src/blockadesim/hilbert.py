@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 
@@ -73,18 +73,14 @@ def pair_channel(token: str) -> tuple[str, str]:
     return a, b
 
 
-def level_weight(level: str) -> int:
-    """Atoms consumed by one quantum of this level (pair modes hold two)."""
-    return 2 if is_pair_mode(level) else 1
-
-
 def _is_rydberg(level: str) -> bool:
     return level in RYDBERG_LEVELS or is_pair_mode(level)
 
 
 def _weights(levels, counted=lambda lev: True) -> np.ndarray:
-    """Quanta per occupation of each level passing ``counted`` (else 0)."""
-    return np.array([level_weight(lev) * counted(lev) for lev in levels], dtype=int)
+    """Quanta per occupation of each level passing ``counted`` (else 0): the
+    atoms one quantum consumes, two for a pair mode."""
+    return np.array([(1 + is_pair_mode(lev)) * counted(lev) for lev in levels], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -239,16 +235,14 @@ def hermiticity_defect(op: Operator) -> float:
 
 
 # pair-resolved mode enumerates every per-atom assignment
-N_ORACLE = 5
-# largest atom count of a run: enumerate_basis admits at most 3726 states, so
-# n_max <= 3725 and the occupation products N (n_max + 1) fit in int64
+N_ORACLE = 12
+# largest atom count of a run: occupations N - n stay exact in float64, where
+# the collective elements sqrt(n_frm (n_to + 1)) are formed
 N_ATOMS_MAX = 2**50
 # candidate rows enumerate_basis holds at once (~2 MB per table column)
 _CANDIDATES = 1 << 18
 # bytes one run may hold; ``dynamics.evolve`` says what it counts
 MEMORY_BUDGET = 2e9
-# dense dim x dim copies a Hermitian propagation holds, eigh's workspace included
-HERMITIAN_COPIES = 9
 
 
 def enumerate_basis(
@@ -271,10 +265,11 @@ def enumerate_basis(
     States are built one choice at a time (a level's quanta, or an atom's
     level), dropping every partial state that already breaks a cap, and
     are ordered by excitation number, then state.  A basis is refused
-    (BasisError) once its states outnumber the largest dim whose
-    HERMITIAN_COPIES dense copies fit MEMORY_BUDGET: ``evolve`` would too.
+    (BasisError), while it is built, once its states would not fit
+    MEMORY_BUDGET in this function's own tables: 32 B per table column (one
+    per choice and per level) and 256 B per state for its tuple and index
+    entry.  What a run on it holds, ``evolve`` estimates.
     """
-    dim_cap = int(sqrt(MEMORY_BUDGET / (16 * HERMITIAN_COPIES)))
     req = set(levels) - {GROUND}
     singles = tuple(lev for lev in LEVEL_ORDER if lev in req)
     unknown = req - set(singles)
@@ -295,28 +290,14 @@ def enumerate_basis(
             r_present = [lev for lev in levs if lev in R_TYPE_LEVELS]
             if not r_present:
                 raise BasisError("pair levels require an r-type level")
-            levs += tuple(
-                pair_mode(a, b)
-                for i, a in enumerate(r_present)
-                for b in r_present[i:]
-            )
-        # a choice per level: its number of quanta (more than dim_cap + 1
-        # values that pass the caps would break dim_cap anyway)
-        unit = np.eye(len(levs), dtype=int)
-        choices = []
-        for a, lev in enumerate(levs):
-            counts = range(min(n_max // level_weight(lev), dim_cap) + 1)
-            choices.append((counts, np.outer(counts, unit[a])))
+            levs += tuple(pair_mode(a, b) for i, a in enumerate(r_present)
+                          for b in r_present[i:])
+        n_fix = len(levs)
     elif mode == "pair-resolved":
         if n_atoms > N_ORACLE:
-            raise BasisError(
-                f"pair-resolved mode supports n_atoms <= {N_ORACLE}, got {n_atoms}"
-            )
-        levs = singles
-        # a choice per atom: its level, listed in the order states sort by
-        names = sorted((GROUND,) + levs)
-        counts = np.array([[lev == name for lev in levs] for name in names], dtype=int)
-        choices = [(names, counts)] * n_atoms
+            raise BasisError(f"pair-resolved mode supports n_atoms <= {N_ORACLE}, "
+                             f"got {n_atoms}")
+        levs, n_fix = singles, n_atoms
     else:
         raise BasisError(f"unknown basis mode {mode!r}")
 
@@ -326,8 +307,24 @@ def enumerate_basis(
     pairs = np.array([is_pair_mode(lev) for lev in levs], dtype=int)
     caps = np.column_stack([weights, pairs, _weights(levs, _is_rydberg)])
     limits = [n_max, 1, n_max if ryd_max is None else ryd_max]
-    n_fix = len(choices)
     width = n_fix + len(levs)
+    dim_cap = int(MEMORY_BUDGET // (256 + 32 * width))
+    if mode == "symmetric":
+        # a choice per level: its number of quanta, up to the most that pass
+        # the caps alone; each way to put at most n_max quanta in the free
+        # levels (weight 1, n_max quanta each) is a state of its own
+        tops = [min(lim // c for c, lim in zip(row, limits) if c) for row in caps.tolist()]
+        free = sum(top == n_max and w == 1 for top, w in zip(tops, weights.tolist()))
+        if comb(n_max + free, free) > dim_cap:
+            raise BasisError(f"basis dimension exceeds the budget's cap {dim_cap}")
+        unit = np.eye(len(levs), dtype=int)
+        choices = [(range(top + 1), np.outer(range(top + 1), unit[a]))
+                   for a, top in enumerate(tops)]
+    else:
+        # a choice per atom: its level, listed in the order states sort by
+        names = sorted((GROUND,) + levs)
+        counts = np.array([[lev == name for lev in levs] for name in names], dtype=int)
+        choices = [(names, counts)] * n_atoms
     table = np.zeros((1, width), dtype=int)
     for f, (labels, counts) in enumerate(choices):
         step = np.zeros((len(labels), width), dtype=int)
@@ -419,7 +416,7 @@ def _collective_op(basis, frm, to):
             vals = n_frm[cols] / rootn
         else:
             rows, cols = _moves(basis, [(frm, -1), (to, 1)])
-            vals = np.sqrt(n_frm[cols] * (n_to[cols] + 1)) / rootn
+            vals = np.sqrt(n_frm[cols] * (n_to[cols] + 1.0)) / rootn
         return _operator(basis, rows, cols, vals)
     # each atom in frm moved to to, one at a time
     names = sorted((GROUND, *basis.levels))

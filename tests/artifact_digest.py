@@ -6,8 +6,9 @@ checkout, it runs in process, against that checkout's ``src`` and
 
 * the seven experiments at their defaults (``splitting-stats`` with
   ``--configs 2000``), ``splitting-stats`` over all pairs of 16 atoms,
-  ``oracle-check`` at 4 and 5 atoms (at 4 also with 4096 samples per
-  schedule, past one product's ``_CHUNK`` samples on the block route), and
+  ``oracle-check`` at 4, 5, 8 and 12 atoms (12 is the pair-resolved cap;
+  at 4 also with 4096 samples per schedule, past one product's ``_CHUNK``
+  samples on the block route), and
   ``fock`` to |q^30> of 60 atoms (dim 63), without and with decay (dim
   123), the symmetric registers whose generators split into blocks;
 * every ``cli`` op of ``perfbench.workloads.build_ops`` for both workloads at
@@ -48,7 +49,8 @@ DEFAULT_RUNS = (
      "--atoms", "16"),
     ("rabi",), ("fock",), ("superpose",), ("gate",), ("error-budget",),
     ("oracle-check",), ("oracle-check", "--n-atoms", "4"),
-    ("oracle-check", "--n-atoms", "5"),
+    ("oracle-check", "--n-atoms", "5"), ("oracle-check", "--n-atoms", "8"),
+    ("oracle-check", "--n-atoms", "12"),
     ("oracle-check", "--n-atoms", "4", "--samples-per-schedule", "4096"),
     ("fock", "--n-atoms", "60", "--n-target", "30"),
     ("fock", "--n-atoms", "60", "--n-target", "30", "--kappa-bar", "20",

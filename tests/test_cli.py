@@ -529,18 +529,21 @@ sys.exit(code)
 
 @pytest.mark.parametrize("limit", ["limited", "unlimited"])
 def test_oversized_basis_is_refused_at_once(tmp_path, limit):
-    # a dim-10001 register: its dense copies would take gigabytes, so the
-    # basis is refused while it is built, before anything dense exists
+    # a dim-10001 register, which a g <-> r pulse splits into blocks of at
+    # most 2 states, with 1.2M samples: its trajectory alone would take
+    # ~3e11 B, so the run is refused at the estimate, before it allocates
     out = tmp_path / "out"
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", _TIMED_RUN, limit, src, "rabi", "--n-atoms", "5000",
-         "--n-max", "5000", "--periods", "0.01", "--out-dir", str(out)],
+         "--n-max", "5000", "--periods", "300", "--samples-per-period", "4096",
+         "--out-dir", str(out)],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
     assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
-    assert "numerical failure: basis dimension exceeds" in proc.stderr
+    assert proc.stderr.startswith("numerical failure: dim 10001 with 1.23e+06 samples")
+    assert proc.stderr.count("\n") == 1, proc.stderr
     assert float(proc.stdout) < 1.0
     assert not out.exists()
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg  # noqa: F401  (loaded before any traced decaying run)
 
-from blockadesim import dynamics
+from blockadesim import dynamics, hilbert
 from blockadesim.dynamics import (
     PhaseUndefinedError,
     Pulse,
@@ -19,7 +19,7 @@ from blockadesim.dynamics import (
 )
 from blockadesim.hilbert import (BasisError, Operator, collective_op, dephasing_term,
                                  dipole_term, drive_term, enumerate_basis)
-from blockadesim.oracle import oracle_schedules
+from blockadesim.oracle import oracle_equivalence, oracle_schedules
 from blockadesim.protocols import fock_ladder, rabi_pulse, register_basis
 
 from .reference import (
@@ -68,10 +68,11 @@ def test_negative_or_nan_sample_step_rejected(sample_dt):
 def test_no_grid_and_infinite_sample_step_keep_their_meaning():
     basis, static = _ideal(3)
     psi0 = basis.basis_vector({})
-    for sample_dt in (None, 0.0):
+    # an infinite step over a finite run samples t = 0 and the event end
+    for sample_dt in (None, 0.0, np.inf):
         res = evolve(Schedule((Pulse(("g", "r"), 1.0, 1.0),)), basis, static, psi0,
                      sample_dt=sample_dt)
-        assert len(res.times) == 2
+        assert res.times.tolist() == [0.0, 1.0]
     # an infinite step over an infinite run reads as over the budget
     with pytest.raises(BasisError, match="budget"):
         evolve(Schedule((Pulse(("g", "r"), 1e-320, np.inf),)), basis, static, psi0,
@@ -571,7 +572,7 @@ def test_decaying_block_path_matches_dense_expm(monkeypatch):
                          [(3, 98, 44, 13), (4, 261, 107, 23), (5, 551, 216, 36)])
 def test_pi_pulse_blocks_of_the_oracle(n, dim, count, largest):
     basis, static, _ = _pair_resolved(n)
-    blocks = dynamics._blocks(basis.dim, [*static, collective_op(basis, "g", "r")])
+    blocks = dynamics._blocks(basis.dim, [*static, collective_op(basis, "g", "r")])[0]
     assert basis.dim == dim
     assert sum(len(b) for b in blocks) == count
     assert max(b.shape[1] for b in blocks) == largest
@@ -592,15 +593,15 @@ def test_pi_pulse_blocks_of_the_oracle(n, dim, count, largest):
 def test_small_or_single_block_generators_run_dense():
     basis, static = _ideal(3)
     drive = collective_op(basis, "g", "r")
-    np.testing.assert_array_equal(dynamics._blocks(basis.dim, [*static, drive]),
+    np.testing.assert_array_equal(dynamics._blocks(basis.dim, [*static, drive])[0],
                                   [np.arange(basis.dim)[None]])
     # a diagonal generator is size-1 blocks at any dim
-    (diag,) = dynamics._blocks(basis.dim, [dephasing_term(basis, 0.1)])
+    (diag,) = dynamics._blocks(basis.dim, [dephasing_term(basis, 0.1)])[0]
     np.testing.assert_array_equal(diag, np.arange(basis.dim)[:, None])
     chain = enumerate_basis(80, ("r",), 80)
     assert chain.dim >= dynamics._BLOCK_MIN_DIM
     np.testing.assert_array_equal(
-        dynamics._blocks(chain.dim, [collective_op(chain, "g", "r")]),
+        dynamics._blocks(chain.dim, [collective_op(chain, "g", "r")])[0],
         [np.arange(chain.dim)[None]])
 
 
@@ -665,6 +666,34 @@ def test_block_path_holds_no_dense_copy(gamma_r):
         res, peak = _traced_evolve(sched, basis, static, psi0, sample_dt=dt)
         beyond = peak - res.states.nbytes - res.populations.nbytes
         assert beyond < 0.5 * 16.0 * basis.dim**2
+
+
+@pytest.mark.parametrize("gamma_r", [0.0, 0.3])
+def test_block_path_peak_within_its_estimate(monkeypatch, gamma_r):
+    # each N = 9 oracle schedule (dim 3721): the budget check refuses it
+    # under any budget below its traced peak, and the peak stays under one
+    # dense dim x dim copy beyond its trajectory
+    basis, static, psi0 = _pair_resolved(9, gamma_r=gamma_r)
+    assert basis.dim == 3721
+    for tr in (("g", "r"), ("r", "q"), ("q", "r")):
+        collective_op(basis, *tr)       # kept on the basis, built outside the trace
+    for sched in oracle_schedules(9).values():
+        dt = sched.total_duration / 24
+        res, peak = _traced_evolve(sched, basis, static, psi0, sample_dt=dt)
+        assert peak - res.states.nbytes - res.populations.nbytes < 16.0 * basis.dim**2
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "MEMORY_BUDGET", np.nextafter(peak, 0))
+            with pytest.raises(BasisError, match="budget"):
+                evolve(sched, basis, static, psi0, sample_dt=dt)
+
+
+@pytest.mark.parametrize("n", [6, hilbert.N_ORACLE])
+def test_oracle_modes_agree_up_to_the_cap(n):
+    # symmetric and pair-resolved trajectories agree on every schedule, at
+    # N = 6 and at the pair-resolved cap (dim 1005 and 9245)
+    rows = oracle_equivalence(n, 40.0)
+    assert {r[0] for r in rows} == set(oracle_schedules(n))
+    assert min(r[2] for r in rows) > 1 - 1e-8
 
 
 @pytest.mark.parametrize("blocked", [False, True])
@@ -782,10 +811,8 @@ def test_held_decompositions_count_in_the_estimate(monkeypatch):
     assert basis.dim < dynamics._BLOCK_MIN_DIM      # one block: u is dim x dim
     register, psi0 = dynamics.Register(basis, []), basis.basis_vector({})
     register.evolve(Schedule((Pulse(("r", "q"), 1.0, 0.5),)), psi0)
-    kept = register._labels["r", "q"][5]
-    assert kept == 16.0 * basis.dim * (basis.dim + 1)
+    kept = 16.0 * basis.dim * (basis.dim + 1)       # its w and u
     sched = Schedule((Pulse(("g", "r"), 1.0, 0.5),))
-    assert register._kept_beside(sched) == kept
     monkeypatch.setattr(dynamics, "MEMORY_BUDGET", 0.0)
     with pytest.raises(BasisError) as err:
         evolve(sched, basis, [], psi0)

@@ -1,4 +1,5 @@
 from itertools import combinations, product
+from math import sqrt
 
 import numpy as np
 import pytest
@@ -54,11 +55,11 @@ def test_enumeration_errors():
     with pytest.raises(BasisError):
         enumerate_basis(2, ("r",), 3)          # n_max > N
     with pytest.raises(BasisError):
-        enumerate_basis(9, ("r",), 2, mode="pair-resolved")
+        enumerate_basis(hilbert.N_ORACLE + 1, ("r",), 2, mode="pair-resolved")
     with pytest.raises(BasisError):
         enumerate_basis(4, ("r", "p'"), 2)     # lone pair level
     with pytest.raises(BasisError):
-        enumerate_basis(400, ("q", "r"), 200)  # dim 20301, over the budget
+        enumerate_basis(4000, ("q", "r"), 4000)  # dim 8006001, over the cap
 
 
 def test_oversized_basis_refused_while_built(deadline):
@@ -607,3 +608,12 @@ def test_n_atoms_bound_is_enforced_by_the_basis():
         enumerate_basis(2**62 + 1, ("r",), 3)
     op = collective_op(enumerate_basis(hilbert.N_ATOMS_MAX, ("r",), 3), "g", "r")
     assert np.isfinite(op.vals).all() and len(op.vals) == 3
+
+
+def test_collective_elements_at_the_bounds_are_correctly_rounded():
+    # N (n_max + 1) passes int64 here (2**50 x 20001): each element is
+    # sqrt((N - n) (n + 1)) / sqrt(N) of the correctly rounded product
+    n_atoms = hilbert.N_ATOMS_MAX
+    op = collective_op(enumerate_basis(n_atoms, ("r",), 20000), "g", "r")
+    want = [sqrt(float((n_atoms - n) * (n + 1))) / sqrt(n_atoms) for n in range(20000)]
+    assert op.vals.tolist() == want
