@@ -168,14 +168,14 @@ def blockade_scaling_experiment(
     basis, static = register_basis(n_atoms, n_max=2, blockade=kts[0] / T,
                                    convention=convention)
     psi0 = basis.basis_vector({})
+    i_g, i_r = basis.state_index({}), basis.state_index({"r": 1})
     for i, kt in enumerate(kts):
         kbar = kt / T
         if i:
             static = [dipole_term(basis, kbar, convention=convention)]
         res = evolve(Schedule((pulse,)), basis, static, psi0)
         pop = res.populations[-1]
-        stay = pop[basis.state_index({})] + pop[basis.state_index({"r": 1})]
-        p_sim[i] = max(res.norm2[-1] - stay, 0.0)
+        p_sim[i] = max(res.norm2[-1] - (pop[i_g] + pop[i_r]), 0.0)
         p_est[i] = p_doub_estimate(kbar, T)
     if not p_sim.all():
         raise StiffnessError(f"leakage at kappa_bar T = {kts[p_sim == 0][0]:.3g} "

@@ -2,9 +2,10 @@
 
 Levels per atom: the ground state "g", storage sublevels "q", "q+", "q-",
 and the strongly interacting manifold "r", "r+", "r-", "p'", "p''".  Two
-basis modes are supported:
+basis modes are supported, each a table of integer codes with one row per
+state (found by a sorted search of the row's mixed-radix key):
 
-* symmetric: permutation-symmetric states labelled by level occupations.
+* symmetric: permutation-symmetric states, a row the level occupations.
   Transition amplitudes carry the exact bosonized enhancement
   sqrt(n_from (n_to + 1)), so a drive of single-atom Rabi frequency omega
   couples the ground state to the singly-excited symmetric state with
@@ -36,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, product
-from math import comb, sqrt
+from math import comb, prod, sqrt
 
 import numpy as np
 
@@ -83,29 +84,43 @@ def _weights(levels, counted=lambda lev: True) -> np.ndarray:
     return np.array([(1 + is_pair_mode(lev)) * counted(lev) for lev in levels], dtype=int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Basis:
-    """Ordered collective basis with dense index lookup.
+    """Ordered collective basis: one row of integer codes per state.
 
-    For mode "symmetric" each state is a tuple of occupations aligned with
-    ``levels`` (ground occupancy is implicit: N minus the weighted sum).
-    For mode "pair-resolved" each state is a length-N tuple of level names.
+    For mode "symmetric" a row holds the occupations of ``levels`` (ground
+    occupancy is implicit: N minus the weighted sum).  For mode
+    "pair-resolved" it holds each atom's position in ``atom_levels``.
+    Column f takes ``radix[f]`` values, and a row read in that mixed radix
+    is the state's key, which ``state_index`` and the operators look up.
     In both modes ``occ[i, a]`` holds the quanta of ``levels[a]`` in state i.
     """
 
     mode: str
     n_atoms: int
     levels: tuple[str, ...]        # non-ground levels, canonical order
-    states: tuple[tuple, ...]
-    index: dict
-    occ: np.ndarray = field(compare=False, repr=False)
+    codes: np.ndarray = field(repr=False)
+    radix: tuple[int, ...] = field(repr=False)
+    occ: np.ndarray = field(repr=False)
     # the operators collective_op built on this basis, by (frm, to)
-    _collective_ops: dict = field(default_factory=dict, init=False, compare=False,
-                                  repr=False)
+    _collective_ops: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __eq__(self, other):
+        """Same mode, atoms and levels, and the same states in the same order."""
+        return (isinstance(other, Basis)
+                and (self.mode, self.n_atoms, self.levels)
+                == (other.mode, other.n_atoms, other.levels)
+                and np.array_equal(self.codes, other.codes))
 
     @property
     def dim(self) -> int:
-        return len(self.states)
+        return len(self.codes)
+
+    @property
+    def atom_levels(self) -> tuple[str, ...]:
+        """Pair-resolved: the level each atom code stands for (the sorted
+        level names, ground included)."""
+        return tuple(sorted((GROUND, *self.levels)))
 
     @cached_property
     def excitation_counts(self) -> np.ndarray:
@@ -117,20 +132,16 @@ class Basis:
         return self.occ @ _weights(self.levels, _is_rydberg)
 
     @cached_property
-    def atom_codes(self) -> np.ndarray:
-        """Pair-resolved: (dim, N) position of each atom's level in the
-        sorted level names (ground included); its rows in base-len(names)
-        digits are the state keys ``_find`` looks up."""
-        names = np.array(sorted((GROUND, *self.levels)))
-        return np.searchsorted(names, np.array(self.states, dtype=names.dtype)
-                               ).reshape(self.dim, self.n_atoms)
-
-    @cached_property
-    def _sorted_keys(self):
-        """(keys in ascending order, the state index of each)."""
-        keys = self.atom_codes @ _digits(self)
+    def _lookup(self):
+        """(place value of each column in a state key, the keys in ascending
+        order, the state index of each).  Keys fit int64: the radix product
+        is at most 9**12 pair-resolved; symmetric, occupations up to top/6 in
+        each single level (at most 6) pass the caps and a pair mode (at most
+        6) takes 2 values, so it is at most 6**6 2**6 dim (~2e13)."""
+        place = np.array([prod(self.radix[f + 1:]) for f in range(len(self.radix))], int)
+        keys = self.codes @ place
         order = np.argsort(keys)
-        return keys[order], order
+        return place, keys[order], order
 
     @cached_property
     def _dipole_channels(self):
@@ -163,12 +174,19 @@ class Basis:
             unknown = set(occ) - set(self.levels) - {GROUND}
             if unknown:
                 raise KeyError(f"levels {sorted(unknown)} not in basis")
-            key = tuple(occ.get(lev, 0) for lev in self.levels)
+            row = [occ.get(lev, 0) for lev in self.levels]
         else:
-            key = tuple(spec)
-        if key not in self.index:
+            names = self.atom_levels
+            row = [names.index(lev) if lev in names else -1 for lev in spec]
+        # the row's key, -1 (no state's) if it has a value out of its range
+        key = 0 if len(row) == len(self.radix) else -1
+        for value, size in zip(row, self.radix):
+            key = key * size + value if key >= 0 and 0 <= value < size else -1
+        _, sorted_keys, order = self._lookup
+        pos = int(sorted_keys.searchsorted(key))
+        if pos == len(order) or sorted_keys.item(pos) != key:
             raise KeyError(f"state {spec!r} not in basis")
-        return self.index[key]
+        return order.item(pos)
 
     def ground_index(self) -> int:
         """States are ordered by excitation number: the ground state is first."""
@@ -266,9 +284,9 @@ def enumerate_basis(
     level), dropping every partial state that already breaks a cap, and
     are ordered by excitation number, then state.  A basis is refused
     (BasisError), while it is built, once its states would not fit
-    MEMORY_BUDGET in this function's own tables: 32 B per table column (one
-    per choice and per level) and 256 B per state for its tuple and index
-    entry.  What a run on it holds, ``evolve`` estimates.
+    MEMORY_BUDGET at 256 B per state and 32 B per table column (one per
+    choice and per level), an allowance for the table, its candidate blocks
+    and its sort.  What a run on it holds, ``evolve`` estimates.
     """
     req = set(levels) - {GROUND}
     singles = tuple(lev for lev in LEVEL_ORDER if lev in req)
@@ -318,20 +336,20 @@ def enumerate_basis(
         if comb(n_max + free, free) > dim_cap:
             raise BasisError(f"basis dimension exceeds the budget's cap {dim_cap}")
         unit = np.eye(len(levs), dtype=int)
-        choices = [(range(top + 1), np.outer(range(top + 1), unit[a]))
-                   for a, top in enumerate(tops)]
+        choices = [np.outer(np.arange(top + 1), unit[a]) for a, top in enumerate(tops)]
     else:
         # a choice per atom: its level, listed in the order states sort by
         names = sorted((GROUND,) + levs)
-        counts = np.array([[lev == name for lev in levs] for name in names], dtype=int)
-        choices = [(names, counts)] * n_atoms
+        choices = [np.array([[lev == name for lev in levs] for name in names], int)] * n_atoms
+    # each choice's values in turn: value v of choice f adds row v of
+    # choices[f] to the occupations
     table = np.zeros((1, width), dtype=int)
-    for f, (labels, counts) in enumerate(choices):
-        step = np.zeros((len(labels), width), dtype=int)
-        step[:, f] = np.arange(len(labels))
+    for f, counts in enumerate(choices):
+        step = np.zeros((len(counts), width), dtype=int)
+        step[:, f] = np.arange(len(counts))
         step[:, n_fix:] = counts
         # extend a block of rows at a time: at most _CANDIDATES rows at once
-        block = max(1, _CANDIDATES // len(labels))
+        block = max(1, _CANDIDATES // len(counts))
         kept = []
         for lo in range(0, len(table), block):
             rows = (table[lo:lo + block, None, :] + step).reshape(-1, width)
@@ -342,20 +360,12 @@ def enumerate_basis(
         table = np.concatenate(kept)
     picks, occ = table[:, :n_fix], table[:, n_fix:]
     order = np.lexsort([*picks[:, ::-1].T, occ @ weights])
-    picks, occ = picks[order], occ[order]
-    named = np.empty(picks.shape, dtype=object)
-    for f, (labels, _) in enumerate(choices):
-        named[:, f] = np.array(labels, dtype=object)[picks[:, f]]
-    states = tuple(map(tuple, named.tolist()))
-    occ.flags.writeable = False
-    return Basis(
-        mode=mode,
-        n_atoms=n_atoms,
-        levels=levs,
-        states=states,
-        index={s: i for i, s in enumerate(states)},
-        occ=occ,
-    )
+    picks = picks[order]
+    # a symmetric state's choices are its occupations
+    occ = picks if mode == "symmetric" else occ[order]
+    picks.flags.writeable = occ.flags.writeable = False
+    return Basis(mode=mode, n_atoms=n_atoms, levels=levs, codes=picks,
+                 radix=tuple(map(len, choices)), occ=occ)
 
 
 def _moves(basis, changes):
@@ -365,22 +375,16 @@ def _moves(basis, changes):
     for lev, d in changes:
         if lev != GROUND:
             delta[basis.levels.index(lev)] += d
-    found = np.array(
-        [basis.index.get(tuple(row), -1) for row in (basis.occ + delta).tolist()]
-    )
+    found = _find(basis, basis.codes + delta)
     cols = np.flatnonzero(found >= 0)
     return found[cols], cols
 
 
-def _digits(basis) -> np.ndarray:
-    """Place value of each atom in a pair-resolved state key."""
-    base = len(basis.levels) + 1
-    return base ** np.arange(basis.n_atoms - 1, -1, -1, dtype=np.int64)
-
-
-def _find(basis, keys) -> np.ndarray:
-    """Index of the pair-resolved state with each key, -1 where none has it."""
-    sorted_keys, order = basis._sorted_keys
+def _find(basis, codes) -> np.ndarray:
+    """Index of the state with each row of codes, -1 where none has it (as
+    for a value out of its column's range, whose key would carry over)."""
+    place, sorted_keys, order = basis._lookup
+    keys = np.where(((codes >= 0) & (codes < basis.radix)).all(axis=-1), codes @ place, -1)
     pos = np.minimum(np.searchsorted(sorted_keys, keys), len(order) - 1)
     return np.where(sorted_keys[pos] == keys, order[pos], -1)
 
@@ -419,11 +423,11 @@ def _collective_op(basis, frm, to):
             vals = np.sqrt(n_frm[cols] * (n_to[cols] + 1.0)) / rootn
         return _operator(basis, rows, cols, vals)
     # each atom in frm moved to to, one at a time
-    names = sorted((GROUND, *basis.levels))
-    codes, place = basis.atom_codes, _digits(basis)
-    cols, atom = np.nonzero(codes == names.index(frm))
-    rows = _find(basis, codes[cols] @ place
-                 + (names.index(to) - names.index(frm)) * place[atom])
+    names = basis.atom_levels
+    cols, atom = np.nonzero(basis.codes == names.index(frm))
+    moved = basis.codes[cols]
+    moved[np.arange(len(cols)), atom] = names.index(to)
+    rows = _find(basis, moved)
     cols, rows = cols[rows >= 0], rows[rows >= 0]
     return _operator(basis, rows, cols, np.full(len(rows), 1.0 / rootn))
 
@@ -491,8 +495,7 @@ def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
                 f"coupling matrix shape {kappa.shape} does not match N={basis.n_atoms}"
             )
         _check_levels(basis, *PAIR_LEVELS)
-        names = sorted((GROUND, *basis.levels))
-        codes, place = basis.atom_codes, _digits(basis)
+        names, codes = basis.atom_levels, basis.codes
         excited = np.isin(codes, [names.index(lev) for lev in R_TYPE_LEVELS
                                   if lev in names])
         # atoms a < b, both r-type, become (p', p'') or (p'', p'): each move
@@ -504,8 +507,9 @@ def dipole_term(basis: Basis, coupling, convention: str = "split") -> Operator:
             dtype=np.intp).reshape(-1, 4).T
         cols, k = np.nonzero(excited[:, a] & excited[:, b])
         a, b = a[k], b[k]
-        rows = _find(basis, codes[cols] @ place + (pa[k] - codes[cols, a]) * place[a]
-                     + (pb[k] - codes[cols, b]) * place[b])
+        moved, hop = codes[cols], np.arange(len(cols))
+        moved[hop, a], moved[hop, b] = pa[k], pb[k]
+        rows = _find(basis, moved)
         found = rows >= 0
         rows, cols, vals = rows[found], cols[found], kappa[a, b][found]
     else:
@@ -556,28 +560,21 @@ def symmetric_embedding(sym_basis: Basis, pr_basis: Basis) -> np.ndarray:
     if sym_basis.n_atoms != pr_basis.n_atoms:
         raise BasisError("atom numbers differ")
 
-    # per-atom level counts of each symmetric state: P[r,r] holds one p'
-    # and one p'' atom; a state in a level the pair-resolved basis lacks
-    # has no counterpart
     for a, lev in enumerate(sym_basis.levels):
         cross = is_pair_mode(lev) and len(set(pair_channel(lev))) == 2
         if cross and sym_basis.occ[:, a].any():
             raise BasisError("cross-channel pair modes have no literal counterpart")
+    # per-atom level counts of each symmetric level (P[r,r] holds one p' and
+    # one p'' atom), and back: an assignment's single-level and p' counts are
+    # a state's occupations if they give its counts back
     parts = [PAIR_LEVELS if is_pair_mode(lev) else (lev,) for lev in sym_basis.levels]
     pr_levels = pr_basis.levels
     to_pr = np.array([[lev in part for lev in pr_levels] for part in parts],
                      dtype=int).reshape(len(parts), len(pr_levels))
-    missing = [not set(part) <= set(pr_levels) for part in parts]
-    keep = ~sym_basis.occ[:, missing].any(axis=1)
-    targets = {
-        tuple(counts): k
-        for k, counts in enumerate((sym_basis.occ @ to_pr).tolist())
-        if keep[k]
-    }
-    match = np.array(
-        [targets.get(tuple(counts), -1) for counts in pr_basis.occ.tolist()],
-        dtype=int,
-    )
+    from_pr = np.array([[lev == part[0] for part in parts] for lev in pr_levels],
+                       dtype=int).reshape(len(pr_levels), len(parts))
+    occ = pr_basis.occ @ from_pr
+    match = np.where((occ @ to_pr == pr_basis.occ).all(axis=1), _find(sym_basis, occ), -1)
     rows = np.flatnonzero(match >= 0)
     cols = match[rows]
     # each column is spread evenly over the assignments it matches

@@ -8,9 +8,11 @@ checkout, it runs in process, against that checkout's ``src`` and
   ``--configs 2000``), ``splitting-stats`` over all pairs of 16 atoms,
   ``oracle-check`` at 4, 5, 8 and 12 atoms (12 is the pair-resolved cap;
   at 4 also with 4096 samples per schedule, past one product's ``_CHUNK``
-  samples on the block route), and
+  samples on the block route),
   ``fock`` to |q^30> of 60 atoms (dim 63), without and with decay (dim
-  123), the symmetric registers whose generators split into blocks;
+  123), the symmetric registers whose generators split into blocks, and
+  ``rabi`` on 200000 atoms with ``--n-max 200000`` for a quarter period
+  (dim 400001), a large basis and its operators built from the state keys;
 * every ``cli`` op of ``perfbench.workloads.build_ops`` for both workloads at
   seeds 1 and 2;
 * eleven edge runs at the limits of floating point, of the unit parser,
@@ -55,6 +57,7 @@ DEFAULT_RUNS = (
     ("fock", "--n-atoms", "60", "--n-target", "30"),
     ("fock", "--n-atoms", "60", "--n-target", "30", "--kappa-bar", "20",
      "--gamma-r", "0.01"),
+    ("rabi", "--n-atoms", "200000", "--n-max", "200000", "--periods", "0.25"),
 )
 
 # a 2e-307 us pulse sampled 96 times; sqrt(N) omega overflowing to inf; a

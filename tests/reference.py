@@ -5,7 +5,8 @@ no matrix exponential), one mpmath matrix exponential per event at 40
 digits, the closed-form resonant/detuned two-level propagator
 and its decaying counterpart, the exact distance distribution of two
 uniform points in a box by deterministic quadrature (no sampling, no package
-geometry code), and a state-by-state recount of basis occupations.
+geometry code), a listing of a basis's states read from its codes, and a
+state-by-state recount of basis occupations.
 """
 
 from itertools import product
@@ -92,6 +93,15 @@ def mpmath_evolve(schedule, basis, static_terms, psi0):
 
 
 _RYDBERG = {"r", "r+", "r-", "p'", "p''"}
+
+
+def listed_states(basis):
+    """Every state of ``basis`` in order, as a tuple read from its codes: its
+    occupations aligned with basis.levels (symmetric), or its per-atom level
+    names (pair-resolved)."""
+    if basis.mode == "symmetric":
+        return [tuple(row) for row in basis.codes.tolist()]
+    return [tuple(basis.atom_levels[c] for c in row) for row in basis.codes.tolist()]
 
 
 def recount(basis, state):

@@ -527,24 +527,35 @@ sys.exit(code)
 """
 
 
-@pytest.mark.parametrize("limit", ["limited", "unlimited"])
-def test_oversized_basis_is_refused_at_once(tmp_path, limit):
-    # a dim-10001 register, which a g <-> r pulse splits into blocks of at
-    # most 2 states, with 1.2M samples: its trajectory alone would take
-    # ~3e11 B, so the run is refused at the estimate, before it allocates
+# id suffix: (rabi arguments, start of the stderr line, seconds allowed). A
+# dim-10001 register, which a g <-> r pulse splits into blocks of at most 2
+# states, with 1.2M samples, whose trajectory alone would take ~3e11 B; and a
+# dim-3000001 register, which is built before the estimate refuses it
+_OVERSIZED_RUNS = {
+    "": (("--n-atoms", "5000", "--n-max", "5000", "--periods", "300",
+          "--samples-per-period", "4096"), "dim 10001 with 1.23e+06 samples", 1.0),
+    "-dim3000001": (("--n-atoms", "1500000", "--n-max", "1500000"),
+                    "dim 3000001 with 98 samples", 5.0),
+}
+
+
+@pytest.mark.parametrize("limit, argv, message, seconds", [
+    pytest.param(limit, *run, id=limit + suffix)
+    for suffix, run in _OVERSIZED_RUNS.items() for limit in ("limited", "unlimited")])
+def test_oversized_basis_is_refused_at_once(tmp_path, limit, argv, message, seconds):
+    # refused at the estimate, before the run allocates its trajectory
     out = tmp_path / "out"
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", _TIMED_RUN, limit, src, "rabi", "--n-atoms", "5000",
-         "--n-max", "5000", "--periods", "300", "--samples-per-period", "4096",
+        [sys.executable, "-c", _TIMED_RUN, limit, src, "rabi", *argv,
          "--out-dir", str(out)],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
     )
     assert proc.returncode == cli.EXIT_NUMERICAL, proc.stderr
-    assert proc.stderr.startswith("numerical failure: dim 10001 with 1.23e+06 samples")
+    assert proc.stderr.startswith(f"numerical failure: {message}")
     assert proc.stderr.count("\n") == 1, proc.stderr
-    assert float(proc.stdout) < 1.0
+    assert float(proc.stdout) < seconds
     assert not out.exists()
 
 

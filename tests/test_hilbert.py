@@ -21,7 +21,7 @@ from blockadesim.hilbert import (
     symmetric_embedding,
 )
 
-from .reference import expected_states, recount
+from .reference import expected_states, listed_states, recount
 
 
 def test_enumeration_counts():
@@ -72,27 +72,28 @@ def test_oversized_basis_refused_while_built(deadline):
                         ryd_max=2)
 
 
+# (n_atoms, levels, n_max, ryd_max) of small bases; n_max reaches 4 so that
+# the one-pair cap is exercised
+_SWEEP = [case for case in product(
+    range(2, 6), (("r",), ("q", "r"), ("q", "r", "p'", "p''"), ("q+", "q-", "r+", "r-")),
+    range(1, 5), (None, 1, 2)) if case[2] <= case[0]]
+
+
 def test_occupation_table_matches_recount():
     # the same states in the same order as a brute-force listing, and every
-    # count read from the occupation table equals a plain recount; n_max
-    # reaches 4 so that the one-pair cap is exercised
-    level_sets = (("r",), ("q", "r"), ("q", "r", "p'", "p''"),
-                  ("q+", "q-", "r+", "r-"))
-    for n_atoms, levels, n_max, ryd_max in product(
-            range(2, 6), level_sets, range(1, 5), (None, 1, 2)):
-        if n_max > n_atoms:
-            continue
+    # count read from the occupation table equals a plain recount
+    for n_atoms, levels, n_max, ryd_max in _SWEEP:
         bases = [enumerate_basis(n_atoms, levels, n_max, mode=mode,
                                  ryd_max=ryd_max)
                  for mode in ("symmetric", "pair-resolved")]
         for b in bases:
             case = (b.mode, n_atoms, levels, n_max, ryd_max)
-            assert list(b.states) == expected_states(b, n_max, ryd_max), case
+            assert listed_states(b) == expected_states(b, n_max, ryd_max), case
             assert b.ground_index() == 0, case
             ryd_diag = rydberg_number(b).dense().diagonal()
             number_diags = {lev: number_op(b, lev).dense().diagonal()
                             for lev in b.levels + ("g",)}
-            for i, state in enumerate(b.states):
+            for i, state in enumerate(listed_states(b)):
                 occ, excitations, rydberg = recount(b, state)
                 assert b.excitation_counts[i] == excitations, case
                 assert b.rydberg_counts[i] == rydberg, case
@@ -106,10 +107,54 @@ def test_occupation_table_matches_recount():
 
 
 def test_index_lookup_dense():
-    b = enumerate_basis(5, ("q", "r"), 2)
-    for i, state in enumerate(b.states):
-        assert b.index[state] == i
-    assert b.state_index({}) == b.ground_index()
+    # state_index finds every state of a symmetric and a pair-resolved basis
+    sym = enumerate_basis(5, ("q", "r"), 2)
+    for i, state in enumerate(listed_states(sym)):
+        assert sym.state_index(dict(zip(sym.levels, state))) == i
+    assert sym.state_index({}) == sym.ground_index()
+    prb = enumerate_basis(4, ("q", "r", "p'", "p''"), 3, mode="pair-resolved")
+    for i, state in enumerate(listed_states(prb)):
+        assert prb.state_index(state) == i
+
+
+def _moves_by_dict(basis, changes):
+    """_moves by a dict over the listed states."""
+    index = {state: i for i, state in enumerate(listed_states(basis))}
+    delta = np.zeros(len(basis.levels), dtype=int)
+    for lev, d in changes:
+        if lev != "g":
+            delta[basis.levels.index(lev)] += d
+    found = np.array([index.get(tuple(row), -1) for row in (basis.occ + delta).tolist()])
+    cols = np.flatnonzero(found >= 0)
+    return found[cols], cols
+
+
+def test_state_keys_never_alias(monkeypatch):
+    # a move or a lookup past a column's range finds no state: its key would
+    # carry into the next column, onto a state of its own
+    for n_atoms, levels, n_max, ryd_max in _SWEEP:
+        b, ref = (enumerate_basis(n_atoms, levels, n_max, ryd_max=ryd_max)
+                  for _ in range(2))
+        singles = [lev for lev in b.levels if not hilbert.is_pair_mode(lev)]
+        moves = [(frm, to) for frm, to in product(["g", *singles], repeat=2) if frm != to]
+        with monkeypatch.context() as m:
+            m.setattr(hilbert, "_moves", _moves_by_dict)
+            want = [hilbert._collective_op(ref, frm, to) for frm, to in moves]
+            want_channels = ref._dipole_channels
+        for op, ref_op in zip((hilbert._collective_op(b, *move) for move in moves), want):
+            _same_triples(op, ref_op)
+        assert len(b._dipole_channels) == len(want_channels)
+        for got, ref_channel in zip(b._dipole_channels, want_channels):
+            assert all(np.array_equal(x, y) for x, y in zip(got, ref_channel))
+        # the keys fit int64: each single level's range is at most 6 times the
+        # side of a box of states inside the caps, and each pair mode's is 2
+        assert np.prod(b.radix) <= 6**len(singles) * 2**(len(b.levels) - len(singles)) * b.dim
+    sym = enumerate_basis(5, ("q", "r"), 2, ryd_max=1)
+    prb = enumerate_basis(3, ("q", "r"), 2, mode="pair-resolved")
+    for basis, spec in ((sym, {"r": 2}), (sym, {"q": 1, "r": -1}),
+                        (prb, ("g", "x", "g")), (prb, ("g", "g")), (prb, ("g",) * 4)):
+        with pytest.raises(KeyError):
+            basis.state_index(spec)
 
 
 def test_collective_op_elements():
@@ -365,9 +410,10 @@ def test_blockade_gap_bound():
             kap[i, j] = kap[j, i] = rng.uniform(kmin, 5 * kmin)
     vd = dipole_term(b, kap).dense()
     two_exc = [i for i in range(b.dim) if b.excitation_counts[i] == 2]
+    states = listed_states(b)
     rr = [
         i for i in two_exc
-        if sum(lev == "r" for lev in b.states[i]) == 2
+        if sum(lev == "r" for lev in states[i]) == 2
     ]
     block = vd[np.ix_(two_exc, two_exc)]
     vals, vecs = np.linalg.eigh(block)
@@ -554,13 +600,15 @@ def test_dipole_pattern_is_built_once_per_basis(gate):
 
 def _collective_op_loop(basis, frm, to):
     """The pair-resolved transfer operator by a loop over states and atoms."""
+    states = listed_states(basis)
+    index = {state: i for i, state in enumerate(states)}
     rows, cols = [], []
-    for j, state in enumerate(basis.states):
+    for j, state in enumerate(states):
         for i, lev in enumerate(state):
             if lev == frm:
                 new = state[:i] + (to,) + state[i + 1:]
-                if new in basis.index:
-                    rows.append(basis.index[new])
+                if new in index:
+                    rows.append(index[new])
                     cols.append(j)
     return hilbert._operator(basis, rows, cols,
                              np.full(len(rows), 1.0 / np.sqrt(basis.n_atoms)))
@@ -568,14 +616,16 @@ def _collective_op_loop(basis, frm, to):
 
 def _dipole_loop(basis, kappa):
     """The pair-resolved dipole hopping by a loop over states and atom pairs."""
+    states = listed_states(basis)
+    index = {state: i for i, state in enumerate(states)}
     rows, cols, vals = [], [], []
-    for j, state in enumerate(basis.states):
+    for j, state in enumerate(states):
         excited = [a for a, lev in enumerate(state) if lev in hilbert.R_TYPE_LEVELS]
         for (a, b), pair in product(combinations(excited, 2),
                                     (hilbert.PAIR_LEVELS, hilbert.PAIR_LEVELS[::-1])):
             new = list(state)
             new[a], new[b] = pair
-            i = basis.index.get(tuple(new))
+            i = index.get(tuple(new))
             if i is not None:
                 rows.append(i)
                 cols.append(j)
