@@ -287,26 +287,36 @@ def _field(text: str, alone: bool) -> str:
     return text
 
 
-def _csv_text(header: list[str], columns) -> str:
+# rows of the CSV table rendered at once: bounds the text and the Python
+# cells a large table holds while it is written
+_CSV_ROWS = 1 << 16
+
+
+def _csv_text(header: list[str], columns):
     """The CSV table of equally long columns, as ``csv.writer`` writes the
-    ``_fmt`` of each cell: one format string renders each row, with ``%.12g``
-    for a float column, ``%d`` for an int column and quoted ``_fmt`` text
-    for any other."""
-    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
-    alone = len(cells) == 1     # csv.writer quotes a lone empty field
-    specs = []
-    for i, column in enumerate(cells):
-        kinds = set(map(type, column))
-        if kinds <= {float, np.float64}:
-            specs.append("%.12g")
-        elif kinds == {int}:
-            specs.append("%d")
-        else:
-            cells[i] = [_field(_fmt(x), alone) for x in column]
-            specs.append("%s")
-    fmt = ",".join(specs) + "\r\n"
-    head = ",".join(_field(name, alone) for name in header)
-    return head + "\r\n" + "".join(map(fmt.__mod__, zip(*cells)))
+    ``_fmt`` of each cell: the header line, then the rows in chunks of at
+    most ``_CSV_ROWS``.  One format string renders each row of a chunk,
+    with ``%.12g`` for a float column, ``%d`` for an int column and quoted
+    ``_fmt`` text for any other; the two give the same text for the floats
+    and ints of a mixed column, so chunks may differ in their format."""
+    alone = len(columns) == 1   # csv.writer quotes a lone empty field
+    yield ",".join(_field(name, alone) for name in header) + "\r\n"
+    n_rows = len(columns[0]) if columns else 0
+    for r0 in range(0, n_rows, _CSV_ROWS):
+        cells = [c[r0 : r0 + _CSV_ROWS] for c in columns]
+        cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in cells]
+        specs = []
+        for i, column in enumerate(cells):
+            kinds = set(map(type, column))
+            if kinds <= {float, np.float64}:
+                specs.append("%.12g")
+            elif kinds == {int}:
+                specs.append("%d")
+            else:
+                cells[i] = [_field(_fmt(x), alone) for x in column]
+                specs.append("%s")
+        fmt = ",".join(specs) + "\r\n"
+        yield "".join(map(fmt.__mod__, zip(*cells)))
 
 
 def _json_text(obj: dict) -> str:
@@ -721,7 +731,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
 def _artifacts(config: dict, p: dict, run: Run) -> dict:
     """The CSV table, optional schedule dump and JSON summary of one run,
     as {path: text}, named after the experiment (splitting-stats writes its
-    table to ``out`` when set)."""
+    table to ``out`` when set); the table's text is its chunks, rendered as
+    they are written."""
     out_dir = Path(config["out_dir"])
     stem = config["experiment"].replace("-", "_")
     table = Path(p["out"]) if p.get("out") else out_dir / f"{stem}.csv"
@@ -735,15 +746,16 @@ def _artifacts(config: dict, p: dict, run: Run) -> dict:
 
 
 def _write_all(artifacts: dict) -> None:
-    """Write each file under a temporary name beside its target and move
-    them all into place only once every write has succeeded; a failed
-    write leaves none of them behind."""
+    """Write each file, a text or an iterable of text chunks, under a
+    temporary name beside its target and move them all into place only once
+    every write has succeeded; a failed write leaves none of them behind."""
     staged = []
     try:
         for path, text in artifacts.items():
             tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             staged.append((tmp, path))
-            tmp.write_text(text, newline="")
+            with open(tmp, "w", newline="") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:

@@ -9,10 +9,15 @@ Monte-Carlo statistics draw configuration k from counter block k of one
 ``Philox(key=seed)`` stream (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11), so any chunk of configurations is reached
 directly and reproduces the serial run.  Pair distances are reduced one
-chunk of configurations at a time over the upper-triangle pairs only.
-A single ensemble is two plain arrays: ``sample_positions`` returns its
-(n, 3) positions, configuration 0 of that stream, and ``coupling_matrix``
-their (n, n) couplings by the same pair kernel.
+chunk of configurations at a time over the upper-triangle pairs only, and
+``splitting_distribution`` allocates its samples once: each chunk's kernel
+writes its couplings straight into its own slice of them, the min-pair
+statistic from one reused block buffer, all pairs through one pair-major
+array per chunk.  ``splitting_ks`` scans the empirical cdf steps a block at
+a time, in four array passes per block.  A single ensemble is two plain
+arrays: ``sample_positions`` returns its (n, 3) positions, configuration 0
+of that stream, and ``coupling_matrix`` their (n, n) couplings by the same
+pair kernel.
 """
 
 from __future__ import annotations
@@ -159,11 +164,15 @@ def splitting_distribution(
         raise ValueError(f"unknown statistic {statistic!r}")
     kb = kappa_bar(float(np.prod(box)), c3)
     if statistic == "min-pair":
-        kernel = _kernels.min_pair_kappa
+        kernel, per_config = _kernels.min_pair_kappa, 1
     else:
-        kernel = _kernels.all_pair_kappa
-    chunks = _position_chunks(n_configs, n_atoms, box, seed)
-    x = np.concatenate([kernel(pos, c3) for pos in chunks])
+        kernel, per_config = _kernels.all_pair_kappa, n_atoms * (n_atoms - 1) // 2
+    x = np.empty(n_configs * per_config)
+    k = 0
+    for pos in _position_chunks(n_configs, n_atoms, box, seed):
+        end = k + len(pos) * per_config
+        kernel(pos, c3, out=x[k:end])
+        k = end
     x /= kb
     lo = x.min() * (1.0 - 1e-12)
     hi = x.max() * (1.0 + 1e-12)
@@ -246,5 +255,7 @@ def splitting_ks(
         f = fa[k:k + _KS_BLOCK]
         steps = np.arange(k, k + len(f) + 1, dtype=float)
         steps /= n
-        d = max(d, np.abs(steps[1:] - f).max(), np.abs(steps[:-1] - f).max())
+        # steps[1:] >= steps[:-1], so max(|steps[1:] - f|, |steps[:-1] - f|)
+        # is max(steps[1:] - f, f - steps[:-1]), bit for bit
+        d = max(d, (steps[1:] - f).max(), (f - steps[:-1]).max())
     return float(d)

@@ -5,7 +5,10 @@ checkout, it runs in process, against that checkout's ``src`` and
 ``perfbench``:
 
 * the seven experiments at their defaults (``splitting-stats`` with
-  ``--configs 2000``), ``splitting-stats`` over all pairs of 16 atoms,
+  ``--configs 2000``), ``splitting-stats`` over all pairs of 16 atoms for
+  2000 configurations (one chunk of the sampler) and for 9000 (chunks of
+  3971, 3971 and 1058 configurations, each written into its own slice of
+  the samples),
   ``oracle-check`` at 4, 5, 8 and 12 atoms (12 is the pair-resolved cap;
   at 4 also with 4096 samples per schedule, past one product's ``_CHUNK``
   samples on the block route),
@@ -48,6 +51,8 @@ from pathlib import Path
 DEFAULT_RUNS = (
     ("splitting-stats", "--configs", "2000"),
     ("splitting-stats", "--configs", "2000", "--statistic", "all-pairs",
+     "--atoms", "16"),
+    ("splitting-stats", "--configs", "9000", "--statistic", "all-pairs",
      "--atoms", "16"),
     ("rabi",), ("fock",), ("superpose",), ("gate",), ("error-budget",),
     ("oracle-check",), ("oracle-check", "--n-atoms", "4"),

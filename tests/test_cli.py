@@ -907,8 +907,8 @@ def test_csv_text_renders_each_type():
         ["a", "b,c", 'q"d', "", "x y", "line\nbreak", "z"],
         [1, 2.5, "s", np.float32(0.5), None, np.bool_(False), 1e20],
     ]
-    assert cli._csv_text(["py", "np", "int", "npint", "bool", "str", "mixed"],
-                         columns) == (
+    assert "".join(cli._csv_text(
+        ["py", "np", "int", "npint", "bool", "str", "mixed"], columns)) == (
         "py,np,int,npint,bool,str,mixed\r\n"
         "inf,inf,0,-7,true,a,1\r\n"
         '-inf,-inf,-1,8,false,"b,c",2.5\r\n'
@@ -918,7 +918,7 @@ def test_csv_text_renders_each_type():
         '0.3,0.3,5,2,true,"line\nbreak",false\r\n'
         "0.333333333333,0.333333333333,6,3,false,z,1e+20\r\n"
     )
-    assert cli._csv_text(["a", "b"], [[], []]) == "a,b\r\n"
+    assert "".join(cli._csv_text(["a", "b"], [[], []])) == "a,b\r\n"
 
 
 def _csv_writer_text(header, columns) -> str:
@@ -974,4 +974,16 @@ def test_csv_text_matches_csv_writer(data):
                                min_size=1, max_size=6))
     columns = [data.draw(_column(kind, n_rows)) for kind in kinds]
     header = data.draw(st.lists(_TEXT, min_size=len(kinds), max_size=len(kinds)))
-    assert cli._csv_text(header, columns) == _csv_writer_text(header, columns)
+    assert "".join(cli._csv_text(header, columns)) == _csv_writer_text(header, columns)
+
+
+def test_csv_chunks_join_to_the_one_chunk_table(monkeypatch):
+    """Rows split across chunks render as in one chunk, a column whose
+    chunks hold different types (floats, then strings) included."""
+    columns = [[0.1, 2.5, "s", None, 1e20], np.arange(5.0), [1, 2, 3, 4, 2**70],
+               ["a", "b,c", 'q"d', "", "z"]]
+    whole = "".join(cli._csv_text(["a", "b", "c", "d"], columns))
+    monkeypatch.setattr(cli, "_CSV_ROWS", 2)
+    chunks = list(cli._csv_text(["a", "b", "c", "d"], columns))
+    assert len(chunks) == 4         # the header, then rows 2 + 2 + 1
+    assert "".join(chunks) == whole == _csv_writer_text(["a", "b", "c", "d"], columns)

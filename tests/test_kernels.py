@@ -61,3 +61,41 @@ def test_kernels_are_bit_identical_to_the_pair_loop(n_atoms, n_configs):
                               1000.0 / want.max(axis=1) ** 1.5)
         assert np.array_equal(_kernels.all_pair_kappa(pos, 1000.0),
                               (1000.0 / want ** 1.5).ravel())
+
+
+@pytest.mark.parametrize("n_atoms", [2, 3, 16])
+def test_out_slices_are_the_returned_arrays(n_atoms):
+    # each kernel's out= result is its returned array, bit for bit, in a
+    # slice of a larger array whose neighbours it leaves alone
+    pos = geometry._config_positions(29, n_atoms, (7.0, 5.0, 3.0), 5)
+    r2 = _reference_pair_r2(pos)
+    for kernel, want in ((_kernels.min_pair_kappa, 1000.0 / r2.max(axis=1) ** 1.5),
+                         (_kernels.all_pair_kappa, (1000.0 / r2 ** 1.5).ravel())):
+        got = kernel(pos, 1000.0)
+        x = np.full(len(want) + 2, -1.0)
+        inner = x[1:-1]
+        assert kernel(pos, 1000.0, out=inner) is inner
+        assert np.array_equal(got, want) and np.array_equal(inner, want)
+        assert x[0] == x[-1] == -1.0
+
+
+@pytest.mark.parametrize("statistic", ["min-pair", "all-pairs"])
+@pytest.mark.parametrize("n_atoms", [2, 3, 16])
+def test_uneven_chunks_fill_the_one_chunk_samples(n_atoms, statistic, monkeypatch):
+    # chunk budgets that split 101 configurations unevenly: every chunk's
+    # kernel fills its own slice of the sample array
+    def run():
+        h = geometry.splitting_distribution(101, n_atoms, (10.0, 7.0, 5.0),
+                                            1000.0, 6, statistic)
+        return h, geometry.splitting_ks(h.samples, window=(1e-3, 1e3))
+
+    whole, ks = run()
+    n_pairs = n_atoms * (n_atoms - 1) // 2
+    per_config = 4 * geometry._counter_block(n_atoms) + 6 * n_atoms + n_pairs
+    for step in (1, 7, 40):
+        monkeypatch.setattr(geometry, "_CHUNK_DOUBLES", step * per_config)
+        h, ks_h = run()
+        assert np.array_equal(h.samples, whole.samples)
+        assert np.array_equal(h.counts, whole.counts)
+        assert np.array_equal(h.bin_edges, whole.bin_edges)
+        assert ks_h == ks
