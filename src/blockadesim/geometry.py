@@ -13,15 +13,19 @@ chunk of configurations at a time over the upper-triangle pairs only, and
 ``splitting_distribution`` allocates its samples once: each chunk's kernel
 writes its couplings straight into its own slice of them, the min-pair
 statistic from one reused block buffer, all pairs through one pair-major
-array per chunk.  ``splitting_ks`` scans the empirical cdf steps a block at
-a time, in four array passes per block.  A single ensemble is two plain
-arrays: ``sample_positions`` returns its (n, 3) positions, configuration 0
-of that stream, and ``coupling_matrix`` their (n, n) couplings by the same
-pair kernel.
+array per chunk.  A run sorts its samples once: the histogram counts are
+searches in the sorted copy, and the first ``splitting_ks`` of the returned
+(read-only) samples takes that copy instead of sorting again.
+``splitting_ks`` bounds the KS terms of each block of 64 sorted samples by
+its end terms and evaluates only the blocks that can reach the supremum.
+A single ensemble is two plain arrays: ``sample_positions`` returns its
+(n, 3) positions, configuration 0 of that stream, and ``coupling_matrix``
+their (n, n) couplings by the same pair kernel.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +46,7 @@ class SplittingHistogram:
 
     bin_edges: np.ndarray
     counts: np.ndarray
-    samples: np.ndarray            # raw x values, one per config or per pair
+    samples: np.ndarray            # raw x values, one per config or pair; read-only
 
     def density(self) -> np.ndarray:
         """Per-bin probability density of the in-range samples."""
@@ -119,10 +123,10 @@ def _config_positions(
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(first * block)
     u = np.random.Generator(bitgen).random((n_configs, 4 * block))
-    pts = np.empty((3, n_atoms, n_configs)).transpose(2, 1, 0)
-    np.multiply(u[:, : 3 * n_atoms].reshape(n_configs, n_atoms, 3),
-                np.asarray(box, dtype=float), out=pts)
-    return pts
+    pts = np.empty((3, n_atoms, n_configs))
+    np.multiply(u[:, : 3 * n_atoms].reshape(n_configs, n_atoms, 3).transpose(2, 1, 0),
+                np.asarray(box, dtype=float)[:, None, None], out=pts)
+    return pts.transpose(2, 1, 0)
 
 
 def _position_chunks(n_configs: int, n_atoms: int, box, seed: int):
@@ -137,6 +141,12 @@ def _position_chunks(n_configs: int, n_atoms: int, box, seed: int):
     step = max(1, _CHUNK_DOUBLES // per_config)
     for k0 in range(0, n_configs, step):
         yield _config_positions(min(step, n_configs - k0), n_atoms, box, seed, k0)
+
+
+# [weak reference to the samples, their sorted copy] of the last
+# ``splitting_distribution``, for the first ``splitting_ks`` of those samples;
+# emptied when taken or when they die (a replaced reference is freed uncalled)
+_SORTED: list = []
 
 
 def splitting_distribution(
@@ -174,11 +184,16 @@ def splitting_distribution(
         kernel(pos, c3, out=x[k:end])
         k = end
     x /= kb
-    lo = x.min() * (1.0 - 1e-12)
-    hi = x.max() * (1.0 + 1e-12)
+    x.flags.writeable = False
+    xs = np.sort(x)
+    lo = xs[0] * (1.0 - 1e-12)
+    hi = xs[-1] * (1.0 + 1e-12)
     hi = hi if hi > lo else lo * (1.0 + 1e-9)
     edges = np.geomspace(lo, hi, bins + 1)
-    counts, _ = np.histogram(x, bins=edges)
+    # np.histogram's rules for explicit edges: the last bin is closed
+    counts = np.diff(np.append(np.searchsorted(xs, edges[:-1], "left"),
+                               np.searchsorted(xs, edges[-1], "right")))
+    _SORTED[:] = [weakref.ref(x, lambda _: _SORTED.clear()), xs]
     return SplittingHistogram(
         bin_edges=edges,
         counts=counts,
@@ -209,12 +224,8 @@ def analytic_splitting_pdf(x):
     return out if out.ndim else float(out)
 
 
-def analytic_window_cdf(xgrid: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    """CDF of the analytic pdf renormalized to unit mass on the window.
-
-    Raises GeometryError when the analytic mass on the window is zero or not
-    finite, i.e. there is nothing to renormalize.
-    """
+def _window_cdf(window: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """(grid, cdf) of ``analytic_window_cdf``: 8001 geometric nodes."""
     lo, hi = window
     grid = np.geomspace(lo, hi, 8001)
     pdf = analytic_splitting_pdf(grid)
@@ -223,11 +234,20 @@ def analytic_window_cdf(xgrid: np.ndarray, window: tuple[float, float]) -> np.nd
         raise GeometryError(f"analytic density has mass {cdf[-1]:g} on the "
                             f"comparison window {lo:g}..{hi:g}")
     cdf /= cdf[-1]
-    return np.interp(xgrid, grid, cdf)
+    return grid, cdf
 
 
-# cdf steps ``splitting_ks`` holds at once
-_KS_BLOCK = 1 << 14
+def analytic_window_cdf(xgrid: np.ndarray, window: tuple[float, float]) -> np.ndarray:
+    """CDF of the analytic pdf renormalized to unit mass on the window.
+
+    Raises GeometryError when the analytic mass on the window is zero or not
+    finite, i.e. there is nothing to renormalize.
+    """
+    return np.interp(xgrid, *_window_cdf(window))
+
+
+# sorted samples per block of the bounded KS scan
+_KS_BLOCK = 64
 
 
 def splitting_ks(
@@ -241,21 +261,30 @@ def splitting_ks(
     Raises GeometryError when either has no mass on the window.
     """
     lo, hi = window
-    # one sort of a float copy of all samples (NaN sorts last); the window
-    # is a slice of it
-    xs = np.sort(np.asarray(samples, dtype=float))
+    if _SORTED and _SORTED[0]() is samples:
+        xs = _SORTED.pop()
+        _SORTED.clear()
+    else:
+        # one sort of a float copy of all samples (NaN sorts last)
+        xs = np.sort(np.asarray(samples, dtype=float))
     xs = xs[np.searchsorted(xs, lo, "left"):np.searchsorted(xs, hi, "right")]
     if len(xs) == 0:
         raise GeometryError("no samples inside the comparison window")
-    fa = analytic_window_cdf(xs, window)
+    grid, cdf = _window_cdf(window)
     n = len(xs)
-    d = 0.0
-    # the empirical cdf steps k / n, made one block at a time
-    for k in range(0, n, _KS_BLOCK):
-        f = fa[k:k + _KS_BLOCK]
-        steps = np.arange(k, k + len(f) + 1, dtype=float)
-        steps /= n
-        # steps[1:] >= steps[:-1], so max(|steps[1:] - f|, |steps[:-1] - f|)
-        # is max(steps[1:] - f, f - steps[:-1]), bit for bit
-        d = max(d, (steps[1:] - f).max(), (f - steps[:-1]).max())
-    return float(d)
+    # The terms at sample i are (i+1)/n - F(x_i) and F(x_i) - i/n.  On a block
+    # a .. b-1, i/n ascends and F is monotone (up to a few ulp where np.interp
+    # crosses a grid node), so b/n - F(x_a) and F(x_{b-1}) - a/n bound every
+    # term of the block.  The exact terms at the block ends give a lower
+    # bound d of the supremum; a block whose bound is below d - 1e-12 cannot
+    # hold it, and only the others are evaluated, in one gather.
+    a = np.arange(0, n, _KS_BLOCK)
+    z = np.minimum(a + _KS_BLOCK, n) - 1
+    fa, fz = np.interp(xs[a], grid, cdf), np.interp(xs[z], grid, cdf)
+    d = max(((a + 1) / n - fa).max(), (fa - a / n).max(),
+            ((z + 1) / n - fz).max(), (fz - z / n).max())
+    blocks = a[np.maximum((z + 1) / n - fa, fz - a / n) >= d - 1e-12]
+    i = (blocks[:, None] + np.arange(_KS_BLOCK)).ravel()
+    i = i[i < n]
+    f = np.interp(xs[i], grid, cdf)
+    return float(max(d, ((i + 1) / n - f).max(), (f - i / n).max()))

@@ -8,7 +8,9 @@ checkout, it runs in process, against that checkout's ``src`` and
   ``--configs 2000``), ``splitting-stats`` over all pairs of 16 atoms for
   2000 configurations (one chunk of the sampler) and for 9000 (chunks of
   3971, 3971 and 1058 configurations, each written into its own slice of
-  the samples),
+  the samples), and on two non-default KS windows, min-pair of 16 atoms on
+  0.5..3 and all pairs of 16 atoms on 0.001..1000 (the bounded KS scan
+  away from its default window),
   ``oracle-check`` at 4, 5, 8 and 12 atoms (12 is the pair-resolved cap;
   at 4 also with 4096 samples per schedule, past one product's ``_CHUNK``
   samples on the block route),
@@ -54,6 +56,9 @@ DEFAULT_RUNS = (
      "--atoms", "16"),
     ("splitting-stats", "--configs", "9000", "--statistic", "all-pairs",
      "--atoms", "16"),
+    ("splitting-stats", "--configs", "2000", "--atoms", "16", "--window", "0.5,3"),
+    ("splitting-stats", "--configs", "2000", "--statistic", "all-pairs",
+     "--atoms", "16", "--window", "0.001,1000"),
     ("rabi",), ("fock",), ("superpose",), ("gate",), ("error-budget",),
     ("oracle-check",), ("oracle-check", "--n-atoms", "4"),
     ("oracle-check", "--n-atoms", "5"), ("oracle-check", "--n-atoms", "8"),

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from functools import partial
 from math import sqrt
@@ -5,7 +6,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from blockadesim import geometry
+from blockadesim import cli, geometry
 from blockadesim.errors import geometry_factor
 from blockadesim.geometry import (
     GeometryError,
@@ -249,9 +250,9 @@ def test_min_pair_memory_is_bounded_by_the_chunk():
 
 
 def test_ks_memory_is_below_2_3_sample_copies():
-    # 5000 configs x 16 atoms, all pairs: 600k samples; splitting_ks holds a
-    # sorted copy and the analytic cdf of the in-window part, never an array
-    # of all the empirical cdf steps
+    # 5000 configs x 16 atoms, all pairs: 600k samples; splitting_ks takes
+    # the run's sorted copy (or sorts one itself) and interpolates the cdf at
+    # block ends and candidate blocks only, never at every in-window sample
     samples = splitting_distribution(5000, 16, (10.0, 10.0, 10.0), c3=1000.0,
                                      seed=0, statistic="all-pairs").samples
     tracemalloc.start()
@@ -331,3 +332,84 @@ def test_ks_window_slice_matches_masked_sort():
             _masked_ks(samples, window)
         with pytest.raises(GeometryError):
             splitting_ks(samples, window)
+
+
+@pytest.mark.parametrize("statistic", ["min-pair", "all-pairs"])
+def test_a_run_sorts_its_samples_once(monkeypatch, tmp_path, statistic):
+    sorts, real_sort = [], np.sort
+
+    def spy(a, *args, **kwargs):
+        sorts.append(len(a))
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy)
+    h = splitting_distribution(300, 5, (10, 10, 10), 1000.0, seed=3, statistic=statistic)
+    ks = splitting_ks(h.samples)
+    assert sorts == [len(h.samples)]
+    sorts.clear()
+    argv = ["splitting-stats", "--configs", "300", "--atoms", "5",
+            "--statistic", statistic, "--seed", "3", "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    assert sorts == [len(h.samples)]
+    summary = json.loads((tmp_path / "splitting_stats_summary.json").read_text())
+    assert summary["results"]["ks_distance"] == splitting_ks(h.samples.copy())
+    assert splitting_ks(h.samples) == ks
+
+
+def test_sorted_samples_are_handed_to_one_ks_only():
+    h1 = splitting_distribution(400, 6, (10, 10, 10), 1000.0, seed=5,
+                                statistic="all-pairs")
+    with pytest.raises(ValueError):
+        h1.samples[0] = 1.0
+    ks = splitting_ks(h1.samples)
+    assert not geometry._SORTED
+    assert splitting_ks(h1.samples) == ks
+    assert splitting_ks(h1.samples.copy()) == ks
+    h1 = splitting_distribution(400, 6, (10, 10, 10), 1000.0, seed=5,
+                                statistic="all-pairs")
+    h2 = splitting_distribution(400, 6, (10, 10, 10), 1000.0, seed=6,
+                                statistic="all-pairs")
+    assert splitting_ks(h1.samples) == ks          # h2 holds the slot
+    assert geometry._SORTED[0]() is h2.samples
+    del h2
+    assert not geometry._SORTED
+    h = splitting_distribution(50, 3, (10, 10, 10), 1000.0, seed=1)
+    assert geometry._SORTED[0]() is h.samples
+    del h
+    assert not geometry._SORTED
+
+
+def _sup_index(samples, window):
+    """In-window sorted index of the largest KS term, as ``_masked_ks``
+    computes the terms."""
+    lo, hi = window
+    xs = np.sort(samples[(samples >= lo) & (samples <= hi)])
+    fa = geometry.analytic_window_cdf(xs, window)
+    n = len(xs)
+    i = np.arange(n)
+    return int(np.argmax(np.maximum((i + 1) / n - fa, fa - i / n))), n
+
+
+def test_bounded_ks_scan_matches_the_full_scan():
+    rng = np.random.default_rng(31)
+    window = (0.2, 20.0)
+    grid = np.geomspace(*window, 20001)
+    pdf = analytic_splitting_pdf(grid)
+    cdf = np.concatenate([[0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
+    cdf /= cdf[-1]
+    cases = [(rng.lognormal(0.5, 1.0, size), window) for size in (1, 63, 64, 65, 10**5)]
+    # ties, and window edges that fall on samples
+    ties = np.round(rng.lognormal(0.5, 1.0, 5000), 1)
+    cases += [(ties, window), (ties, tuple(np.sort(ties)[[500, 4000]]))]
+    # inverse-cdf samples: D is tiny and most blocks are candidates
+    smooth = np.interp((np.arange(50000) + 0.5) / 50000, cdf, grid)
+    cases.append((smooth, window))
+    # a tie run ending mid-block lifts the upper term there: the supremum
+    # lies strictly inside a block
+    bumped = smooth.copy()
+    bumped[20000:20040] = bumped[20000]
+    cases.append((bumped, window))
+    i, n = _sup_index(bumped, window)
+    assert 0 < i % geometry._KS_BLOCK < geometry._KS_BLOCK - 1 and i < n - 1
+    for samples, w in cases:
+        assert splitting_ks(samples, w) == _masked_ks(samples, w)
