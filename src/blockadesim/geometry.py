@@ -13,9 +13,25 @@ chunk of configurations at a time over the upper-triangle pairs only, and
 ``splitting_distribution`` allocates its samples once: each chunk's kernel
 writes its couplings straight into its own slice of them, the min-pair
 statistic from one reused block buffer, all pairs through one pair-major
-array per chunk.  A run sorts its samples once: the histogram counts are
-searches in the sorted copy, and the first ``splitting_ks`` of the returned
-(read-only) samples takes that copy instead of sorting again.
+array per chunk.
+
+A run large enough to pay for it (``_PARALLEL_MIN_DOUBLES``) samples on a
+thread pool of one thread per CPU the process may run on
+(``os.sched_getaffinity``, else ``os.cpu_count``): its configurations are
+split into one contiguous share per thread, each walked in equal chunks.
+numpy's Philox fill and ufuncs release the GIL, so the shares run side by
+side, and since every chunk is its own counter blocks and its own slice of
+the samples, any thread count and chunk plan gives the serial run's samples
+bit for bit.  The calling thread allocates every thread's scratch (draws,
+positions, block buffers) once per run, all of it within one
+``_CHUNK_DOUBLES`` budget on any number of CPUs, and releases it before the
+sort.  The pool is made at the first parallel run and dropped in a forked
+child, whose copy of it has no threads; a failed share stops the others at
+their next chunk and its exception reaches the caller.
+
+A run sorts its samples once: the histogram counts are searches in the
+sorted copy, and the first ``splitting_ks`` of the returned (read-only)
+samples takes that copy instead of sorting again.
 ``splitting_ks`` bounds the KS terms of each block of 64 sorted samples by
 its end terms and evaluates only the blocks that can reach the supremum.
 A single ensemble is two plain arrays: ``sample_positions`` returns its
@@ -25,6 +41,7 @@ their (n, n) couplings by the same pair kernel.
 
 from __future__ import annotations
 
+import os
 import weakref
 from dataclasses import dataclass
 
@@ -96,8 +113,37 @@ def min_pair_splitting(kappa: np.ndarray) -> float:
 
 
 # Doubles one chunk of configurations may hold: its draws, its positions and
-# its squared pair distances.  Bounds the memory of a Monte-Carlo run.
+# its squared pair distances.  Bounds the memory of a Monte-Carlo run; the
+# sampling threads of a run share one such budget.
 _CHUNK_DOUBLES = 1 << 20
+
+# Scratch doubles of a run (configurations x doubles each) below which it
+# samples on the calling thread.  On two CPUs (x86_64) the pool lost below
+# ~350k (5000 x 6 all pairs, 1000 x 40 min-pair, 2000 x 16 min-pair), where
+# numpy calls on short rows trade the GIL more than they compute, and won
+# from ~460k up (2000 x 16 all pairs, 4000 x 16 min-pair, 30000 x 2).
+_PARALLEL_MIN_DOUBLES = 1 << 19
+
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:                 # a platform without CPU affinity
+    _WORKERS = os.cpu_count() or 1
+
+# [ThreadPoolExecutor of _WORKERS threads], made at the first parallel run.
+# Two threads racing to make it make two, and both use the first: an
+# executor starts no thread before its first task.
+_POOL: list = []
+if hasattr(os, "register_at_fork"):
+    # a forked child holds the parent's pool but none of its threads
+    os.register_at_fork(after_in_child=_POOL.clear)
+
+
+def _pool():
+    """The sampling thread pool, made at its first use."""
+    if not _POOL:
+        from concurrent.futures import ThreadPoolExecutor
+        _POOL.append(ThreadPoolExecutor(_WORKERS, "blockadesim-sample"))
+    return _POOL[0]
 
 
 def _counter_block(n_atoms: int) -> int:
@@ -106,7 +152,8 @@ def _counter_block(n_atoms: int) -> int:
 
 
 def _config_positions(
-    n_configs: int, n_atoms: int, box, seed: int, first: int = 0
+    n_configs: int, n_atoms: int, box, seed: int, first: int = 0,
+    u: np.ndarray | None = None, pts: np.ndarray | None = None,
 ) -> np.ndarray:
     """Uniform configurations first .. first + n_configs - 1 of one stream.
 
@@ -117,13 +164,15 @@ def _config_positions(
     configuration k is a pure function of (seed, k, n_atoms) and a chunked
     run reproduces the serial batch bit for bit.  The (n_configs, n_atoms, 3)
     result is a view of (3, n_atoms, n_configs) storage, the layout of the
-    pair kernels.
+    pair kernels.  The draws and that storage go into the heads of the flat
+    buffers ``u`` and ``pts`` when given.
     """
     block = _counter_block(n_atoms)
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(first * block)
-    u = np.random.Generator(bitgen).random((n_configs, 4 * block))
-    pts = np.empty((3, n_atoms, n_configs))
+    u = _kernels._head(u, n_configs, 4 * block)
+    np.random.Generator(bitgen).random(out=u)
+    pts = _kernels._head(pts, 3 * n_atoms, n_configs).reshape(3, n_atoms, n_configs)
     np.multiply(u[:, : 3 * n_atoms].reshape(n_configs, n_atoms, 3).transpose(2, 1, 0),
                 np.asarray(box, dtype=float)[:, None, None], out=pts)
     return pts.transpose(2, 1, 0)
@@ -141,6 +190,79 @@ def _position_chunks(n_configs: int, n_atoms: int, box, seed: int):
     step = max(1, _CHUNK_DOUBLES // per_config)
     for k0 in range(0, n_configs, step):
         yield _config_positions(min(step, n_configs - k0), n_atoms, box, seed, k0)
+
+
+def _fill_share(x, kernel, per_config, n_atoms, box, c3, kb, seed, bounds,
+                scratch, j, stop):
+    """Chunks bounds[0]..bounds[1], bounds[1]..bounds[2], ... of a run, their
+    samples x / kb written into their slices of x, in ``scratch[j]``.  Starts
+    no chunk once ``stop`` is set."""
+    u, pts, buf, tmp = scratch[j]
+    for k0, k1 in zip(bounds, bounds[1:]):
+        if stop:
+            return
+        pos = _config_positions(k1 - k0, n_atoms, box, seed, k0, u, pts)
+        out = x[k0 * per_config : k1 * per_config]
+        kernel(pos, c3, out, buf, tmp)
+        out /= kb
+
+
+def _sample(n_configs, n_atoms, box, c3, kb, seed, statistic):
+    """The run's samples x = kappa / kb, configuration-major.
+
+    A run whose scratch reaches ``_PARALLEL_MIN_DOUBLES`` gives one
+    contiguous share of its configurations to each of ``_WORKERS`` pool
+    threads; a smaller one, or one on a single CPU, runs on the calling
+    thread.  Chunks are equal to within one configuration, a whole number of
+    them per share, and all shares' scratch together is at most
+    ``_CHUNK_DOUBLES`` doubles (one configuration's at least).  A failed
+    share's exception is raised here once every share has stopped.
+    """
+    n_pairs = n_atoms * (n_atoms - 1) // 2
+    if statistic == "min-pair":
+        kernel, per_config, rows = _kernels._min_pair, 1, n_atoms - 1
+    else:
+        kernel, per_config, rows = _kernels._all_pairs, n_pairs, n_pairs
+    # per configuration: draws, positions, block rows and the kernel's tmp
+    sizes = (4 * _counter_block(n_atoms), 3 * n_atoms, rows, n_atoms - 1)
+    doubles = sum(sizes)
+    workers = _WORKERS if n_configs * doubles >= _PARALLEL_MIN_DOUBLES else 1
+    workers = min(workers, n_configs)
+    step = max(1, _CHUNK_DOUBLES // workers // doubles)
+    n_chunks = -(-n_configs // (step * workers)) * workers
+    bounds = [i * n_configs // n_chunks for i in range(n_chunks + 1)]
+    m = -(-n_configs // n_chunks)
+    # the samples before the scratch: glibc then keeps the freed scratch
+    # above them, where the sort's copy reuses it; scratch first raised the
+    # peak RSS of the benchmark's splitting workload by 4.6 MB
+    x = np.empty(n_configs * per_config)
+    scratch = [[np.empty(m * d) for d in sizes] for _ in range(workers)]
+    run = (x, kernel, per_config, n_atoms, box, c3, kb, seed)
+    stop: list = []
+    if workers == 1:
+        _fill_share(*run, bounds, scratch, 0, stop)
+        return x
+    from concurrent.futures import FIRST_EXCEPTION, wait
+
+    share = n_chunks // workers
+    futures = [_pool().submit(_fill_share, *run, bounds[j * share : (j + 1) * share + 1],
+                              scratch, j, stop)
+               for j in range(workers)]
+    try:
+        wait(futures, return_when=FIRST_EXCEPTION)
+    finally:
+        # after a failure or an interrupt, no share starts another chunk
+        stop.append(True)
+        for f in futures:
+            f.cancel()
+        wait(futures)
+        # a pool thread drops a task's arguments only after its future is
+        # done, so the shares hold the list, not the buffers: freed here
+        scratch.clear()
+    for f in futures:
+        if not f.cancelled():
+            f.result()
+    return x
 
 
 # [weak reference to the samples, their sorted copy] of the last
@@ -172,18 +294,12 @@ def splitting_distribution(
         raise ValueError(f"need at least 2 atoms, got {n_atoms}")
     if statistic not in ("min-pair", "all-pairs"):
         raise ValueError(f"unknown statistic {statistic!r}")
+    if not 0.0 < c3 < np.inf:
+        raise ValueError(f"c3 must be positive and finite, got {c3}")
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
     kb = kappa_bar(float(np.prod(box)), c3)
-    if statistic == "min-pair":
-        kernel, per_config = _kernels.min_pair_kappa, 1
-    else:
-        kernel, per_config = _kernels.all_pair_kappa, n_atoms * (n_atoms - 1) // 2
-    x = np.empty(n_configs * per_config)
-    k = 0
-    for pos in _position_chunks(n_configs, n_atoms, box, seed):
-        end = k + len(pos) * per_config
-        kernel(pos, c3, out=x[k:end])
-        k = end
-    x /= kb
+    x = _sample(n_configs, n_atoms, box, c3, kb, seed, statistic)
     x.flags.writeable = False
     xs = np.sort(x)
     lo = xs[0] * (1.0 - 1e-12)

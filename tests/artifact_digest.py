@@ -6,9 +6,12 @@ checkout, it runs in process, against that checkout's ``src`` and
 
 * the seven experiments at their defaults (``splitting-stats`` with
   ``--configs 2000``), ``splitting-stats`` over all pairs of 16 atoms for
-  2000 configurations (one chunk of the sampler) and for 9000 (chunks of
-  3971, 3971 and 1058 configurations, each written into its own slice of
-  the samples), and on two non-default KS windows, min-pair of 16 atoms on
+  2000 configurations (below the sampler's parallel threshold: one chunk on
+  the calling thread) and for 9000 (on two CPUs, two threads with two
+  chunks of 2250 configurations each; on one CPU, two chunks of 4500; each
+  chunk written into its own slice of the samples), min-pair of 16 atoms
+  for 50000 configurations (on two CPUs, seven chunks of 3571 or 3572 per
+  thread), and on two non-default KS windows, min-pair of 16 atoms on
   0.5..3 and all pairs of 16 atoms on 0.001..1000 (the bounded KS scan
   away from its default window),
   ``oracle-check`` at 4, 5, 8 and 12 atoms (12 is the pair-resolved cap;
@@ -56,6 +59,7 @@ DEFAULT_RUNS = (
      "--atoms", "16"),
     ("splitting-stats", "--configs", "9000", "--statistic", "all-pairs",
      "--atoms", "16"),
+    ("splitting-stats", "--configs", "50000", "--atoms", "16"),
     ("splitting-stats", "--configs", "2000", "--atoms", "16", "--window", "0.5,3"),
     ("splitting-stats", "--configs", "2000", "--statistic", "all-pairs",
      "--atoms", "16", "--window", "0.001,1000"),

@@ -1,7 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future
 from functools import partial
 from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,14 +262,213 @@ def test_ks_memory_is_below_2_3_sample_copies():
     # block ends and candidate blocks only, never at every in-window sample
     samples = splitting_distribution(5000, 16, (10.0, 10.0, 10.0), c3=1000.0,
                                      seed=0, statistic="all-pairs").samples
+    # the run's sorted copy, then a KS of a copy and a second KS of the same
+    # samples, both of which sort
+    for ks in (lambda: splitting_ks(samples), lambda: splitting_ks(samples.copy()),
+               lambda: splitting_ks(samples)):
+        tracemalloc.start()
+        try:
+            ks()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        print(f"peak traced memory {peak / samples.nbytes:.2f} x the samples")
+        assert peak < 2.3 * samples.nbytes
+
+
+class _Inline:
+    """A pool that runs each task on the calling thread as it is submitted."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+@pytest.mark.parametrize("workers", [1, 2, 64])
+def test_min_pair_scratch_is_one_chunk_budget_on_any_cpu_count(monkeypatch, workers):
+    # every share's scratch is allocated before the first runs: run inline,
+    # 64 shares show the memory a 64-CPU machine would hold, without threads
+    monkeypatch.setattr(geometry, "_WORKERS", workers)
+    monkeypatch.setattr(geometry, "_pool", _Inline)
     tracemalloc.start()
     try:
-        splitting_ks(samples)
+        h = splitting_distribution(2000, 100, (10.0, 10.0, 10.0), c3=1000.0,
+                                   seed=3, statistic="min-pair")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    print(f"peak traced memory {peak / samples.nbytes:.2f} x the samples")
-    assert peak < 2.3 * samples.nbytes
+    print(f"peak traced memory {peak / 2**20:.2f} MB")
+    assert peak < 8 * geometry._CHUNK_DOUBLES + 2 * h.samples.nbytes + 2**20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n_configs, bound", [(5000, 2.38), (50000, 2.02)])
+def test_all_pairs_sampling_memory_is_bounded(monkeypatch, workers, n_configs, bound):
+    # sampling alone, scratch released before the sort: no more than the
+    # one-thread sampler of the previous release (2.38x and 2.02x the samples)
+    monkeypatch.setattr(geometry, "_WORKERS", workers)
+    tracemalloc.start()
+    try:
+        h = splitting_distribution(n_configs, 16, (10.0, 10.0, 10.0), c3=1000.0,
+                                   seed=0, statistic="all-pairs")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"peak traced memory {peak / h.samples.nbytes:.3f} x the samples")
+    assert peak < bound * h.samples.nbytes
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"c3": 0.0}, "c3"), ({"c3": float("nan")}, "c3"), ({"c3": float("inf")}, "c3"),
+    ({"c3": -1000.0}, "c3"), ({"bins": 0}, "bins"), ({"bins": -5}, "bins"),
+])
+def test_bad_c3_or_bins_is_rejected_before_sampling(monkeypatch, kwargs, name):
+    def never(*args):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(geometry, "_sample", never)
+    args = {"n_configs": 150, "n_atoms": 2, "box": (10, 10, 10), "c3": 1000.0,
+            "seed": 1} | kwargs
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        splitting_distribution(**args)
+
+
+def _run(n_configs, n_atoms, statistic):
+    h = splitting_distribution(n_configs, n_atoms, (10.0, 7.0, 5.0), 1000.0, 6,
+                               statistic, bins=40)
+    return h, splitting_ks(h.samples, window=(1e-3, 1e3))
+
+
+_POOL_CASES = [(stat, n_atoms, n_configs) for stat in ("min-pair", "all-pairs")
+               for n_atoms, n_configs in ((2, 101), (3, 77), (16, 50))]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pool_runs_equal_the_serial_run(monkeypatch, workers):
+    serial = {case: _run(case[2], case[1], case[0]) for case in _POOL_CASES}
+    shares = []
+    fill = geometry._fill_share
+
+    def spy(*args):
+        shares.append((threading.current_thread() is threading.main_thread(),
+                       args[8][0], args[8][-1], len(args[8]) - 1))
+        fill(*args)
+
+    monkeypatch.setattr(geometry, "_fill_share", spy)
+    monkeypatch.setattr(geometry, "_PARALLEL_MIN_DOUBLES", 0)
+    monkeypatch.setattr(geometry, "_WORKERS", workers)
+    for stat, n_atoms, n_configs in _POOL_CASES:
+        doubles = 4 * geometry._counter_block(n_atoms) + 3 * n_atoms + n_atoms - 1 + (
+            n_atoms * (n_atoms - 1) // 2 if stat == "all-pairs" else n_atoms - 1)
+        # chunks of up to 1, 4 and 9 configurations per thread, and one chunk
+        for step in (1, 4, 9, n_configs):
+            monkeypatch.setattr(geometry, "_CHUNK_DOUBLES", step * workers * doubles)
+            shares.clear()
+            h, ks = _run(n_configs, n_atoms, stat)
+            want, want_ks = serial[stat, n_atoms, n_configs]
+            assert np.array_equal(h.samples, want.samples)
+            assert np.array_equal(h.counts, want.counts)
+            assert np.array_equal(h.bin_edges, want.bin_edges)
+            assert ks == want_ks
+            # one contiguous share per thread, a whole number of chunks each
+            assert len(shares) == workers
+            assert all(on_main == (workers == 1) for on_main, *_ in shares)
+            assert sorted((k0, k1) for _, k0, k1, _ in shares)[0][0] == 0
+            assert sum(k1 - k0 for _, k0, k1, _ in shares) == n_configs
+            assert len({chunks for *_, chunks in shares}) == 1
+            assert shares[0][3] * workers >= -(-n_configs // step)
+
+
+def test_more_threads_than_cpus_under_fast_switching(monkeypatch, deadline):
+    # four threads on a fresh pool, many small chunks, a thread switch every
+    # microsecond: every share still fills only its own slice
+    want = {stat: _run(3000, 16, stat) for stat in ("min-pair", "all-pairs")}
+    monkeypatch.setattr(geometry, "_POOL", [])
+    monkeypatch.setattr(geometry, "_WORKERS", 4)
+    monkeypatch.setattr(geometry, "_PARALLEL_MIN_DOUBLES", 0)
+    monkeypatch.setattr(geometry, "_CHUNK_DOUBLES", 1 << 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with deadline(60):
+            for _ in range(3):
+                for stat, (h0, ks0) in want.items():
+                    h, ks = _run(3000, 16, stat)
+                    assert np.array_equal(h.samples, h0.samples) and ks == ks0
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in geometry._POOL:
+            pool.shutdown()
+
+
+def test_a_failed_share_reaches_the_caller_and_stops_the_others(monkeypatch):
+    positions, started = geometry._config_positions, []
+
+    def fail_first(n_configs, n_atoms, box, seed, first=0, *bufs):
+        started.append(first)
+        if first == 0:
+            raise FloatingPointError("chunk 0")
+        time.sleep(0.05)
+        return positions(n_configs, n_atoms, box, seed, first, *bufs)
+
+    want = _run(400, 3, "all-pairs")
+    monkeypatch.setattr(geometry, "_config_positions", fail_first)
+    monkeypatch.setattr(geometry, "_PARALLEL_MIN_DOUBLES", 0)
+    # 3 atoms, all pairs: 26 scratch doubles a configuration; 20 chunks on
+    # two threads, 10 on one
+    monkeypatch.setattr(geometry, "_CHUNK_DOUBLES", 2 * 20 * 26)
+    for workers in (1, 2):
+        monkeypatch.setattr(geometry, "_WORKERS", workers)
+        started.clear()
+        with pytest.raises(FloatingPointError, match="chunk 0"):
+            _run(400, 3, "all-pairs")
+        # the second share's first chunk may have started; no further one
+        assert started == [0] or sorted(started) == [0, 200]
+    monkeypatch.setattr(geometry, "_config_positions", positions)
+    h, ks = _run(400, 3, "all-pairs")
+    assert np.array_equal(h.samples, want[0].samples) and ks == want[1]
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    src = str(Path(geometry.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import blockadesim.cli; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_samples_on_a_pool_of_its_own(monkeypatch):
+    monkeypatch.setattr(geometry, "_PARALLEL_MIN_DOUBLES", 0)
+    monkeypatch.setattr(geometry, "_WORKERS", 2)
+    want = _run(300, 5, "all-pairs")
+    assert geometry._POOL
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 2 if geometry._POOL else 3
+            h, ks = _run(300, 5, "all-pairs")
+            if code == 3 and np.array_equal(h.samples, want[0].samples) and ks == want[1]:
+                code = 0
+        finally:
+            os._exit(code)
+    end = time.monotonic() + 30.0
+    while time.monotonic() < end:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not finish within 30 s")
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_single_config_histogram():
