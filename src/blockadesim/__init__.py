@@ -41,7 +41,6 @@ from .geometry import (
     analytic_splitting_pdf,
     coupling_matrix,
     kappa_bar,
-    min_pair_splitting,
     sample_positions,
     splitting_distribution,
     splitting_ks,

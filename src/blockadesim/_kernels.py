@@ -18,14 +18,14 @@ buffer, and never holds all pairs.  The all-pairs kernels write the blocks
 straight into consecutive rows of one pair-major (n_pairs, m) array:
 ``_all_pairs`` raises it to c3/r^3 in place and makes its one transposed
 copy into the configuration-major result, or into the caller's slice of a
-larger sample array; ``pair_r2`` is the C-contiguous transpose of the
-squared distances.
+larger sample array; ``_pair_rows`` returns the squared distances as they
+are, for ``geometry.coupling_matrix`` and ``errors.geometry_factor``.
 
-``_min_pair`` and ``_all_pairs`` take their buffers from the caller as flat
-arrays, of which they use the head a chunk needs, so that one allocation
-serves every chunk of a run.  ``geometry`` calls them from its sampling
-threads; ``min_pair_kappa`` and ``all_pair_kappa`` are the same kernels with
-buffers of their own.
+``_min_pair``, ``_all_pairs`` and ``_pair_rows`` take their buffers from the
+caller as flat arrays, of which they use the head a chunk needs, so that one
+allocation serves every chunk of a run.  ``geometry._sample`` calls them from
+its sampling threads; ``min_pair_kappa`` and ``all_pair_kappa`` are the same
+kernels with buffers of their own.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ def _pair_rows(positions: np.ndarray, rows: np.ndarray | None = None,
     for _ in _r2_blocks(positions, rows, _head(tmp, n - 1, m), pair_major=True):
         pass
     return rows
-
-
-def pair_r2(positions: np.ndarray) -> np.ndarray:
-    """Squared pair distances, (m, n_pairs), pairs in row-major (i < j) order."""
-    return np.ascontiguousarray(_pair_rows(positions).T)
 
 
 def _min_pair(positions: np.ndarray, c3: float, out: np.ndarray | None = None,

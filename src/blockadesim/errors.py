@@ -7,9 +7,10 @@ The closed-form budget for a full-transfer pulse of duration T:
 
 Both are order-of-magnitude estimators; the geometry-resolved variant
 replaces the closed form by the exact pair sum (1/N^2) sum 1/(kappa_ij T)^2
-over a sampled coupling matrix.  ``blockade_scaling_experiment`` measures
-the actual leakage of the simulated pulse against these estimates; the
-simulation reproduces the (kappa_bar T)^-2 law while its prefactor is
+over a sampled coupling matrix (``geometry_factor``: its mean over the
+configurations of ``geometry``'s one sampler).  ``blockade_scaling_experiment``
+measures the actual leakage of the simulated pulse against these estimates;
+the simulation reproduces the (kappa_bar T)^-2 law while its prefactor is
 larger than 1/(4 pi) (the closed form drops order-pi^2 dynamical factors;
 see the experiment's docstring).
 """
@@ -22,8 +23,8 @@ from math import pi
 import numpy as np
 
 from .dynamics import Schedule, StiffnessError, Wait, evolve, fidelity
-from ._kernels import pair_r2
-from .geometry import _position_chunks
+from ._kernels import _pair_rows
+from .geometry import _checked_box, _sample
 from .hilbert import dephasing_term, dipole_term, enumerate_basis
 from .protocols import rabi_pulse, register_basis
 
@@ -75,6 +76,12 @@ def p_doub_geometry(kappa: np.ndarray, T: float) -> float:
     return _clamp01(s / n**2)
 
 
+def _r6_sums(positions, out, rows, tmp):
+    """Per configuration of a chunk, the sum of r^6 over its pairs, in ``out``."""
+    r6 = np.ascontiguousarray(_pair_rows(positions, rows, tmp).T)
+    np.power(r6, 3, out=r6).sum(axis=1, out=out)
+
+
 def geometry_factor(
     n_atoms: int,
     box,
@@ -89,12 +96,9 @@ def geometry_factor(
     The coupling constant cancels.  Configurations and pair distances come
     from the same chunked sampler as ``geometry.splitting_distribution``.
     """
-    vol = float(np.prod(box))
-    u2 = np.concatenate([
-        (pair_r2(pos) ** 3).sum(axis=1)
-        for pos in _position_chunks(n_configs, n_atoms, box, seed)
-    ])
-    return float(2.0 * u2.mean() / (n_atoms**2 * vol**2))
+    box = _checked_box(n_configs, n_atoms, box)
+    u2 = _sample(n_configs, n_atoms, box, seed, _r6_sums, 1, n_atoms * (n_atoms - 1) // 2)
+    return float(2.0 * u2.mean() / (n_atoms**2 * float(np.prod(box))**2))
 
 
 @dataclass(frozen=True)

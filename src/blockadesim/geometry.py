@@ -8,12 +8,12 @@ manifold for an ensemble confined to volume V.
 Monte-Carlo statistics draw configuration k from counter block k of one
 ``Philox(key=seed)`` stream (Salmon et al., "Parallel random numbers: as
 easy as 1, 2, 3", SC'11), so any chunk of configurations is reached
-directly and reproduces the serial run.  Pair distances are reduced one
-chunk of configurations at a time over the upper-triangle pairs only, and
-``splitting_distribution`` allocates its samples once: each chunk's kernel
-writes its couplings straight into its own slice of them, the min-pair
-statistic from one reused block buffer, all pairs through one pair-major
-array per chunk.
+directly and reproduces the serial run.  Every sampled quantity comes from
+one sampler, ``_sample``: one chunk of configurations at a time, over the
+upper-triangle pairs only, a kernel writes each chunk's values straight into
+its own slice of one result array.  ``splitting_distribution`` passes the
+min-pair kernel (one reused block buffer) or all pairs (one pair-major array
+per chunk) over kappa_bar, ``errors.geometry_factor`` the pair sums of r^6.
 
 A run large enough to pay for it (``_PARALLEL_MIN_DOUBLES``) samples on a
 thread pool of one thread per CPU the process may run on
@@ -74,22 +74,30 @@ class SplittingHistogram:
         return self.counts / (total * widths)
 
 
+def _checked_box(n_configs: int, n_atoms: int, box) -> tuple[float, float, float]:
+    """The box as three floats; a ValueError naming the parameter unless
+    n_configs >= 1, n_atoms >= 2 and the box is three positive finite lengths."""
+    if n_configs < 1:
+        raise ValueError(f"n_configs must be >= 1, got {n_configs}")
+    if n_atoms < 2:
+        raise ValueError(f"n_atoms must be >= 2, got {n_atoms}")
+    box = tuple(float(b) for b in box)
+    if len(box) != 3 or not all(0.0 < b < np.inf for b in box):
+        raise ValueError(f"box must be three positive finite lengths, got {box}")
+    return box
+
+
 def sample_positions(n: int, box: tuple[float, float, float], seed: int) -> np.ndarray:
     """(n, 3) uniform positions (um) in the box: Monte-Carlo configuration 0
     of ``Philox(key=seed)`` (``_config_positions``)."""
-    if n < 2:
-        raise ValueError(f"need at least 2 atoms, got {n}")
-    box = tuple(float(b) for b in box)
-    if min(box) <= 0:
-        raise ValueError(f"box dimensions must be positive, got {box}")
-    return _config_positions(1, n, box, seed)[0]
+    return _config_positions(1, n, _checked_box(1, n, box), seed)[0]
 
 
 def coupling_matrix(positions: np.ndarray, c3: float) -> np.ndarray:
     """(n, n) couplings kappa_ij = c3 / r_ij^3 (rad/us), zero on the diagonal,
     of (n, 3) positions by the Monte-Carlo pair kernel."""
     n = len(positions)
-    r2 = _kernels.pair_r2(positions[None])[0]
+    r2 = _kernels._pair_rows(positions[None])[:, 0]
     if (r2 < _R_MIN**2).any():
         raise GeometryError("coincident atoms: pair distance below 1e-9 um")
     iu, ju = np.triu_indices(n, 1)
@@ -103,13 +111,6 @@ def kappa_bar(volume: float, c3: float) -> float:
     if volume <= 0:
         raise ValueError(f"volume must be positive, got {volume}")
     return c3 / volume
-
-
-def min_pair_splitting(kappa: np.ndarray) -> float:
-    """Smallest pair coupling of an (n, n) array (the most distant pair)."""
-    n = len(kappa)
-    iu, ju = np.triu_indices(n, 1)
-    return float(kappa[iu, ju].min())
 
 
 # Doubles one chunk of configurations may hold: its draws, its positions and
@@ -178,37 +179,22 @@ def _config_positions(
     return pts.transpose(2, 1, 0)
 
 
-def _position_chunks(n_configs: int, n_atoms: int, box, seed: int):
-    """Configurations 0 .. n_configs - 1 in consecutive chunks.
-
-    A chunk, together with the pair arrays a kernel builds from it, holds
-    about ``_CHUNK_DOUBLES`` doubles, so memory does not grow with
-    configs x atoms^2.
-    """
-    n_pairs = n_atoms * (n_atoms - 1) // 2
-    per_config = 4 * _counter_block(n_atoms) + 6 * n_atoms + n_pairs
-    step = max(1, _CHUNK_DOUBLES // per_config)
-    for k0 in range(0, n_configs, step):
-        yield _config_positions(min(step, n_configs - k0), n_atoms, box, seed, k0)
-
-
-def _fill_share(x, kernel, per_config, n_atoms, box, c3, kb, seed, bounds,
-                scratch, j, stop):
-    """Chunks bounds[0]..bounds[1], bounds[1]..bounds[2], ... of a run, their
-    samples x / kb written into their slices of x, in ``scratch[j]``.  Starts
-    no chunk once ``stop`` is set."""
+def _fill_share(x, kernel, per_config, n_atoms, box, seed, bounds, scratch, j, stop):
+    """Chunks bounds[0]..bounds[1], bounds[1]..bounds[2], ... of a run, each
+    chunk's values written by ``kernel`` into its slice of x, in
+    ``scratch[j]``.  Starts no chunk once ``stop`` is set."""
     u, pts, buf, tmp = scratch[j]
     for k0, k1 in zip(bounds, bounds[1:]):
         if stop:
             return
         pos = _config_positions(k1 - k0, n_atoms, box, seed, k0, u, pts)
-        out = x[k0 * per_config : k1 * per_config]
-        kernel(pos, c3, out, buf, tmp)
-        out /= kb
+        kernel(pos, x[k0 * per_config : k1 * per_config], buf, tmp)
 
 
-def _sample(n_configs, n_atoms, box, c3, kb, seed, statistic):
-    """The run's samples x = kappa / kb, configuration-major.
+def _sample(n_configs, n_atoms, box, seed, kernel, per_config, rows):
+    """A run's ``per_config`` values a configuration, configuration-major:
+    ``kernel(positions, out, buf, tmp)`` writes a chunk's into its slice
+    ``out``, with flat scratch of ``rows`` and n_atoms - 1 doubles a config.
 
     A run whose scratch reaches ``_PARALLEL_MIN_DOUBLES`` gives one
     contiguous share of its configurations to each of ``_WORKERS`` pool
@@ -216,13 +202,7 @@ def _sample(n_configs, n_atoms, box, c3, kb, seed, statistic):
     thread.  Chunks are equal to within one configuration, a whole number of
     them per share, and all shares' scratch together is at most
     ``_CHUNK_DOUBLES`` doubles (one configuration's at least).  A failed
-    share's exception is raised here once every share has stopped.
-    """
-    n_pairs = n_atoms * (n_atoms - 1) // 2
-    if statistic == "min-pair":
-        kernel, per_config, rows = _kernels._min_pair, 1, n_atoms - 1
-    else:
-        kernel, per_config, rows = _kernels._all_pairs, n_pairs, n_pairs
+    share's exception is raised here once every share has stopped."""
     # per configuration: draws, positions, block rows and the kernel's tmp
     sizes = (4 * _counter_block(n_atoms), 3 * n_atoms, rows, n_atoms - 1)
     doubles = sum(sizes)
@@ -237,7 +217,7 @@ def _sample(n_configs, n_atoms, box, c3, kb, seed, statistic):
     # peak RSS of the benchmark's splitting workload by 4.6 MB
     x = np.empty(n_configs * per_config)
     scratch = [[np.empty(m * d) for d in sizes] for _ in range(workers)]
-    run = (x, kernel, per_config, n_atoms, box, c3, kb, seed)
+    run = (x, kernel, per_config, n_atoms, box, seed)
     stop: list = []
     if workers == 1:
         _fill_share(*run, bounds, scratch, 0, stop)
@@ -288,10 +268,7 @@ def splitting_distribution(
     counts sum to the sample count.  Configuration k is a pure function of
     (seed, k, n_atoms); see ``_config_positions``.
     """
-    if n_configs < 1:
-        raise ValueError(f"n_configs must be >= 1, got {n_configs}")
-    if n_atoms < 2:
-        raise ValueError(f"need at least 2 atoms, got {n_atoms}")
+    box = _checked_box(n_configs, n_atoms, box)
     if statistic not in ("min-pair", "all-pairs"):
         raise ValueError(f"unknown statistic {statistic!r}")
     if not 0.0 < c3 < np.inf:
@@ -299,7 +276,15 @@ def splitting_distribution(
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     kb = kappa_bar(float(np.prod(box)), c3)
-    x = _sample(n_configs, n_atoms, box, c3, kb, seed, statistic)
+    n_pairs = n_atoms * (n_atoms - 1) // 2
+    kernel, per_config, rows = ((_kernels._min_pair, 1, n_atoms - 1) if statistic == "min-pair"
+                                else (_kernels._all_pairs, n_pairs, n_pairs))
+
+    def scaled(pos, out, buf, tmp):
+        kernel(pos, c3, out, buf, tmp)
+        out /= kb
+
+    x = _sample(n_configs, n_atoms, box, seed, scaled, per_config, rows)
     x.flags.writeable = False
     xs = np.sort(x)
     lo = xs[0] * (1.0 - 1e-12)
@@ -377,8 +362,9 @@ def splitting_ks(
     Raises GeometryError when either has no mass on the window.
     """
     lo, hi = window
-    if _SORTED and _SORTED[0]() is samples:
-        xs = _SORTED.pop()
+    entry = _SORTED[:]        # one read: a run started meanwhile cannot swap it
+    if entry and entry[0]() is samples:
+        xs = entry[1]
         _SORTED.clear()
     else:
         # one sort of a float copy of all samples (NaN sorts last)

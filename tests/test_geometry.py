@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 from concurrent.futures import Future
 from functools import partial
 from math import sqrt
@@ -13,14 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockadesim import cli, geometry
+from blockadesim import cli, errors, geometry
 from blockadesim.errors import geometry_factor
 from blockadesim.geometry import (
     GeometryError,
     analytic_splitting_pdf,
     coupling_matrix,
     kappa_bar,
-    min_pair_splitting,
     sample_positions,
     splitting_distribution,
     splitting_ks,
@@ -58,7 +58,8 @@ def test_single_ensemble_is_monte_carlo_configuration_zero(n):
         pos = sample_positions(n, box, seed)
         assert np.array_equal(pos, config0)
         c3 = 1000.0
-        x = min_pair_splitting(coupling_matrix(pos, c3)) / kappa_bar(np.prod(box), c3)
+        kappa = coupling_matrix(pos, c3)
+        x = kappa[np.triu_indices(n, 1)].min() / kappa_bar(np.prod(box), c3)
         assert x == splitting_distribution(1, n, box, c3, seed).samples[0]
 
 
@@ -111,29 +112,11 @@ def test_kappa_bar():
         kappa_bar(0.0, 1.0)
 
 
-def test_min_pair_splitting_explicit():
-    kappa = np.array([[0, 3, 7], [3, 0, 5], [7, 5, 0]], dtype=float)
-    assert min_pair_splitting(kappa) == 3.0
-
-
-def test_min_pair_splitting_two_atoms():
-    kappa = coupling_matrix(sample_positions(2, (4, 4, 4), seed=9), c3=3.0)
-    assert min_pair_splitting(kappa) == pytest.approx(kappa[0, 1])
-
-
-def test_min_pair_splitting_brute_force():
-    kappa = coupling_matrix(sample_positions(50, (9, 9, 9), seed=13), c3=2.5)
-    best = min(
-        kappa[i, j] for i in range(50) for j in range(i + 1, 50)
-    )
-    assert min_pair_splitting(kappa) == pytest.approx(best, rel=1e-14)
-
-
 def test_min_splitting_lower_bound():
     # worst case is the box diagonal
     kappa = coupling_matrix(sample_positions(20, (6, 5, 4), seed=17), c3=11.0)
     diag = np.sqrt(6.0**2 + 5.0**2 + 4.0**2)
-    assert min_pair_splitting(kappa) >= 11.0 / diag**3
+    assert kappa[np.triu_indices(20, 1)].min() >= 11.0 / diag**3
 
 
 def test_analytic_pdf_values():
@@ -213,21 +196,28 @@ def test_config_samples_are_pure_in_seed_and_index():
 
 def test_chunked_runs_reproduce_the_serial_run(monkeypatch):
     box = (5.0, 4.0, 3.0)
-    serial = {
-        stat: splitting_distribution(50, 6, box, c3=10.0, seed=9,
-                                     statistic=stat).samples
+    runs = {
+        stat: partial(splitting_distribution, 50, 6, box, c3=10.0, seed=9,
+                      statistic=stat)
         for stat in ("min-pair", "all-pairs")
     }
+    serial = {stat: run().samples for stat, run in runs.items()}
     factor = geometry_factor(6, box, seed=9, n_configs=50)
-    # 6 atoms take 4*5 + 36 + 15 = 71 doubles each: chunks of 21, 21 and 8
-    monkeypatch.setattr(geometry, "_CHUNK_DOUBLES", 1500)
-    sizes = [len(pos) for pos in geometry._position_chunks(50, 6, box, 9)]
-    assert sizes == [21, 21, 8]
+    plans, fill = [], geometry._fill_share
+
+    def spy(*args):
+        plans.append(args[6])
+        fill(*args)
+
+    monkeypatch.setattr(geometry, "_fill_share", spy)
+    monkeypatch.setattr(geometry, "_WORKERS", 1)
+    # 6 atoms take 4*5 + 18 + 5 doubles each, and 5 (min-pair) or 15 (all
+    # pairs, pair sums) block rows: steps of 20 and 17, three chunks either way
+    monkeypatch.setattr(geometry, "_CHUNK_DOUBLES", 1000)
     for stat, samples in serial.items():
-        chunked = splitting_distribution(50, 6, box, c3=10.0, seed=9,
-                                         statistic=stat).samples
-        np.testing.assert_array_equal(chunked, samples)
+        np.testing.assert_array_equal(runs[stat]().samples, samples)
     assert geometry_factor(6, box, seed=9, n_configs=50) == factor
+    assert plans == [[0, 16, 33, 50]] * 3
 
 
 def test_sampler_matches_exact_box_distribution():
@@ -343,19 +333,28 @@ def _run(n_configs, n_atoms, statistic):
     return h, splitting_ks(h.samples, window=(1e-3, 1e3))
 
 
-_POOL_CASES = [(stat, n_atoms, n_configs) for stat in ("min-pair", "all-pairs")
+def _pool_run(n_configs, n_atoms, statistic):
+    """A splitting run's samples, counts, edges and KS, or a geometry factor."""
+    if statistic == "geometry-factor":
+        return (geometry_factor(n_atoms, (10.0, 7.0, 5.0), 6, n_configs),)
+    h, ks = _run(n_configs, n_atoms, statistic)
+    return h.samples, h.counts, h.bin_edges, ks
+
+
+_POOL_CASES = [(stat, n_atoms, n_configs)
+               for stat in ("min-pair", "all-pairs", "geometry-factor")
                for n_atoms, n_configs in ((2, 101), (3, 77), (16, 50))]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_pool_runs_equal_the_serial_run(monkeypatch, workers):
-    serial = {case: _run(case[2], case[1], case[0]) for case in _POOL_CASES}
+    serial = {case: _pool_run(case[2], case[1], case[0]) for case in _POOL_CASES}
     shares = []
     fill = geometry._fill_share
 
     def spy(*args):
         shares.append((threading.current_thread() is threading.main_thread(),
-                       args[8][0], args[8][-1], len(args[8]) - 1))
+                       args[6][0], args[6][-1], len(args[6]) - 1))
         fill(*args)
 
     monkeypatch.setattr(geometry, "_fill_share", spy)
@@ -368,12 +367,9 @@ def test_pool_runs_equal_the_serial_run(monkeypatch, workers):
         for step in (1, 4, 9, n_configs):
             monkeypatch.setattr(geometry, "_CHUNK_DOUBLES", step * workers * doubles)
             shares.clear()
-            h, ks = _run(n_configs, n_atoms, stat)
-            want, want_ks = serial[stat, n_atoms, n_configs]
-            assert np.array_equal(h.samples, want.samples)
-            assert np.array_equal(h.counts, want.counts)
-            assert np.array_equal(h.bin_edges, want.bin_edges)
-            assert ks == want_ks
+            got = _pool_run(n_configs, n_atoms, stat)
+            want = serial[stat, n_atoms, n_configs]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
             # one contiguous share per thread, a whole number of chunks each
             assert len(shares) == workers
             assert all(on_main == (workers == 1) for on_main, *_ in shares)
@@ -583,6 +579,53 @@ def test_sorted_samples_are_handed_to_one_ks_only():
     assert geometry._SORTED[0]() is h.samples
     del h
     assert not geometry._SORTED
+
+
+def test_a_ks_takes_no_sorted_copy_of_a_run_started_during_its_check():
+    # the slot's reference starts another run when it is called: the KS of
+    # the first run's samples must still use the first run's sorted copy
+    other = []
+
+    class StartsARun(weakref.ref):
+        def __call__(self):
+            if not other:
+                other.append(splitting_distribution(400, 6, (10, 10, 10), 1000.0,
+                                                    seed=6, statistic="all-pairs"))
+            return super().__call__()
+
+    h1 = splitting_distribution(400, 6, (10, 10, 10), 1000.0, seed=5,
+                                statistic="all-pairs")
+    want = splitting_ks(h1.samples.copy())
+    geometry._SORTED[0] = StartsARun(h1.samples)
+    assert splitting_ks(h1.samples) == want
+    assert other and splitting_ks(other[0].samples) != want
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"box": (_NAN, 10, 10)}, "box"), ({"box": (_INF, 10, 10)}, "box"),
+    ({"box": (10, 0, 10)}, "box"), ({"box": (10, 10, -_INF)}, "box"),
+    ({"box": (-1, -1, 10)}, "box"), ({"box": (10, 10)}, "box"),
+    ({"n_configs": 0}, "n_configs"), ({"n_atoms": 0}, "n_atoms"),
+    ({"n_atoms": 1}, "n_atoms"),
+])
+def test_a_bad_box_or_size_is_rejected_before_sampling(monkeypatch, kwargs, name):
+    def never(*args):
+        raise AssertionError("sampled")
+
+    for module, fn in ((geometry, "_sample"), (errors, "_sample"),
+                       (geometry, "_config_positions")):
+        monkeypatch.setattr(module, fn, never)
+    args = {"n_configs": 150, "n_atoms": 2, "box": (10, 10, 10), "seed": 1} | kwargs
+    calls = [partial(splitting_distribution, c3=1000.0, **args),
+             partial(geometry_factor, **args)]
+    if name != "n_configs":
+        calls.append(partial(sample_positions, args["n_atoms"], args["box"], 1))
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            call()
 
 
 def _sup_index(samples, window):
