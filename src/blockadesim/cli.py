@@ -255,10 +255,12 @@ def validate(config: dict) -> list[str]:
             v.append(f"params.configs: configs x atom pairs must be "
                      f"<= {_MAX_PAIRS}")
         kb, diag = p["c3"] / _volume(p["box"]), hypot(*p["box"])
+        r3 = diag * diag * diag
         # two atoms at opposite corners give the smallest sample x
-        if not (0 < kb < inf and p["c3"] / (diag * diag * diag) / kb > 0):
+        if not (0 < kb < inf and p["c3"] / r3 / kb > 0 and r3 * r3 < inf):
             v.append("params.box: c3 / volume must be positive and finite, "
-                     "and so must x = (c3 / diagonal^3) / (c3 / volume)")
+                     "and so must x = (c3 / diagonal^3) / (c3 / volume) "
+                     "and diagonal^6")
     if exp == "error-budget" and not v and not p["kt_start"] < p["kt_stop"]:
         v.append("params.kt_stop: must exceed params.kt_start")
     return v

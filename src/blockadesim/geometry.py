@@ -22,18 +22,18 @@ split into one contiguous share per thread, each walked in equal chunks.
 numpy's Philox fill and ufuncs release the GIL, so the shares run side by
 side, and since every chunk is its own counter blocks and its own slice of
 the samples, any thread count and chunk plan gives the serial run's samples
-bit for bit.  The calling thread allocates every thread's scratch (draws,
-positions, block buffers) once per run, all of it within one
-``_CHUNK_DOUBLES`` budget on any number of CPUs, and releases it before the
-sort.  The pool is made at the first parallel run and dropped in a forked
-child, whose copy of it has no threads; a failed share stops the others at
-their next chunk and its exception reaches the caller.
+bit for bit.  The calling thread gives each thread one flat buffer a run:
+its scratch, within one ``_CHUNK_DOUBLES`` budget on any number of CPUs, or
+its share's samples if more, which the thread sorts there.  The pool is
+made at the first parallel run and dropped in a forked child, whose copy
+of it has no threads; a failed share stops the others at their next chunk
+and its exception reaches the caller.
 
-A run sorts its samples once: the histogram counts are searches in the
-sorted copy, and the first ``splitting_ks`` of the returned (read-only)
-samples takes that copy instead of sorting again.
-``splitting_ks`` bounds the KS terms of each block of 64 sorted samples by
-its end terms and evaluates only the blocks that can reach the supremum.
+A run sorts its samples once, a sorted run per share: the histogram counts
+are sums of searches in the runs, and the first ``splitting_ks`` of the
+returned (read-only) samples takes the runs instead of sorting again.
+``splitting_ks`` bounds the KS terms between cuts at every 64th sample of
+the longest run and merges only the intervals that can reach the supremum.
 A single ensemble is two plain arrays: ``sample_positions`` returns its
 (n, 3) positions, configuration 0 of that stream, and ``coupling_matrix``
 their (n, n) couplings by the same pair kernel.
@@ -76,14 +76,18 @@ class SplittingHistogram:
 
 def _checked_box(n_configs: int, n_atoms: int, box) -> tuple[float, float, float]:
     """The box as three floats; a ValueError naming the parameter unless
-    n_configs >= 1, n_atoms >= 2 and the box is three positive finite lengths."""
+    n_configs >= 1, n_atoms >= 2 and the box is three positive finite lengths
+    with a positive finite volume and a finite diagonal r^6."""
     if n_configs < 1:
         raise ValueError(f"n_configs must be >= 1, got {n_configs}")
     if n_atoms < 2:
         raise ValueError(f"n_atoms must be >= 2, got {n_atoms}")
     box = tuple(float(b) for b in box)
-    if len(box) != 3 or not all(0.0 < b < np.inf for b in box):
-        raise ValueError(f"box must be three positive finite lengths, got {box}")
+    r2 = sum(b * b for b in box)        # the diagonal's, the largest pair r^2
+    if not (len(box) == 3 and all(0.0 < b < np.inf for b in box)
+            and 0.0 < box[0] * box[1] * box[2] < np.inf and r2 * r2 * r2 < np.inf):
+        raise ValueError(f"box must be three positive finite lengths with a positive "
+                         f"finite volume and a finite diagonal r^6, got {box}")
     return box
 
 
@@ -179,30 +183,42 @@ def _config_positions(
     return pts.transpose(2, 1, 0)
 
 
-def _fill_share(x, kernel, per_config, n_atoms, box, seed, bounds, scratch, j, stop):
+def _sort(a: np.ndarray) -> np.ndarray:
+    """``a`` sorted in place (NaN last): every sort of splitting samples."""
+    a.sort()
+    return a
+
+
+def _fill_share(x, kernel, per_config, n_atoms, box, seed, bounds, j, flats, stop, cuts, runs):
     """Chunks bounds[0]..bounds[1], bounds[1]..bounds[2], ... of a run, each
-    chunk's values written by ``kernel`` into its slice of x, in
-    ``scratch[j]``.  Starts no chunk once ``stop`` is set."""
-    u, pts, buf, tmp = scratch[j]
+    chunk's values written by ``kernel`` into its slice of x, in ``flats[j]``
+    cut at ``cuts``, then, given ``runs``, the share's values sorted into
+    ``runs[j]``, a head of ``flats[j]``.  Starts no chunk once ``stop`` is set."""
+    u, pts, buf, tmp, _ = np.split(flats[j], cuts)
     for k0, k1 in zip(bounds, bounds[1:]):
         if stop:
             return
         pos = _config_positions(k1 - k0, n_atoms, box, seed, k0, u, pts)
         kernel(pos, x[k0 * per_config : k1 * per_config], buf, tmp)
+    if runs:
+        runs[j][:] = x[bounds[0] * per_config : bounds[-1] * per_config]
+        _sort(runs[j])
 
 
-def _sample(n_configs, n_atoms, box, seed, kernel, per_config, rows):
+def _sample(n_configs, n_atoms, box, seed, kernel, per_config, rows, sort=False):
     """A run's ``per_config`` values a configuration, configuration-major:
     ``kernel(positions, out, buf, tmp)`` writes a chunk's into its slice
     ``out``, with flat scratch of ``rows`` and n_atoms - 1 doubles a config.
+    With ``sort``, (values, runs): each share's values sorted on its thread.
 
     A run whose scratch reaches ``_PARALLEL_MIN_DOUBLES`` gives one
     contiguous share of its configurations to each of ``_WORKERS`` pool
     threads; a smaller one, or one on a single CPU, runs on the calling
     thread.  Chunks are equal to within one configuration, a whole number of
     them per share, and all shares' scratch together is at most
-    ``_CHUNK_DOUBLES`` doubles (one configuration's at least).  A failed
-    share's exception is raised here once every share has stopped."""
+    ``_CHUNK_DOUBLES`` doubles (one configuration's at least), in one flat
+    buffer a share, made here, that also holds its samples when sorted.  A
+    failed share's exception is raised here once every share has stopped."""
     # per configuration: draws, positions, block rows and the kernel's tmp
     sizes = (4 * _counter_block(n_atoms), 3 * n_atoms, rows, n_atoms - 1)
     doubles = sum(sizes)
@@ -212,40 +228,45 @@ def _sample(n_configs, n_atoms, box, seed, kernel, per_config, rows):
     n_chunks = -(-n_configs // (step * workers)) * workers
     bounds = [i * n_configs // n_chunks for i in range(n_chunks + 1)]
     m = -(-n_configs // n_chunks)
+    share = n_chunks // workers
+    plans = [bounds[j * share : (j + 1) * share + 1] for j in range(workers)]
     # the samples before the scratch: glibc then keeps the freed scratch
-    # above them, where the sort's copy reuses it; scratch first raised the
-    # peak RSS of the benchmark's splitting workload by 4.6 MB
+    # above them; scratch first raised the peak RSS of the benchmark's
+    # splitting workload by 4.6 MB
     x = np.empty(n_configs * per_config)
-    scratch = [[np.empty(m * d) for d in sizes] for _ in range(workers)]
+    flats = [np.empty(max(m * doubles, (p[-1] - p[0]) * per_config * sort)) for p in plans]
+    runs = [f[: (p[-1] - p[0]) * per_config] for f, p in zip(flats, plans) if sort]
     run = (x, kernel, per_config, n_atoms, box, seed)
     stop: list = []
+    tail = (flats, stop, m * np.cumsum(sizes), runs)
     if workers == 1:
-        _fill_share(*run, bounds, scratch, 0, stop)
-        return x
-    from concurrent.futures import FIRST_EXCEPTION, wait
+        _fill_share(*run, plans[0], 0, *tail)
+    else:
+        from concurrent.futures import FIRST_EXCEPTION, wait
 
-    share = n_chunks // workers
-    futures = [_pool().submit(_fill_share, *run, bounds[j * share : (j + 1) * share + 1],
-                              scratch, j, stop)
-               for j in range(workers)]
-    try:
-        wait(futures, return_when=FIRST_EXCEPTION)
-    finally:
-        # after a failure or an interrupt, no share starts another chunk
-        stop.append(True)
+        futures = [_pool().submit(_fill_share, *run, plans[j], j, *tail)
+                   for j in range(workers)]
+        try:
+            wait(futures, return_when=FIRST_EXCEPTION)
+        finally:
+            # after a failure or an interrupt, no share starts another chunk
+            stop.append(True)
+            for f in futures:
+                f.cancel()
+            wait(futures)
+            # a pool thread drops a task's arguments only after its future
+            # is done, so the shares hold the lists, not the buffers: freed
+            # here, but for the sorted runs' heads
+            flats.clear()
         for f in futures:
-            f.cancel()
-        wait(futures)
-        # a pool thread drops a task's arguments only after its future is
-        # done, so the shares hold the list, not the buffers: freed here
-        scratch.clear()
-    for f in futures:
-        if not f.cancelled():
-            f.result()
-    return x
+            if not f.cancelled():
+                f.result()
+    # in place, as the shares hold the list: a short run keeps its scratch
+    runs[:] = [r.copy() if len(r) < m * doubles else r for r in runs]
+    return (x, runs) if sort else x
 
 
-# [weak reference to the samples, their sorted copy] of the last
+# [weak reference to the samples, their sorted runs] of the last
 # ``splitting_distribution``, for the first ``splitting_ks`` of those samples;
 # emptied when taken or when they die (a replaced reference is freed uncalled)
 _SORTED: list = []
@@ -284,17 +305,16 @@ def splitting_distribution(
         kernel(pos, c3, out, buf, tmp)
         out /= kb
 
-    x = _sample(n_configs, n_atoms, box, seed, scaled, per_config, rows)
+    x, runs = _sample(n_configs, n_atoms, box, seed, scaled, per_config, rows, sort=True)
     x.flags.writeable = False
-    xs = np.sort(x)
-    lo = xs[0] * (1.0 - 1e-12)
-    hi = xs[-1] * (1.0 + 1e-12)
+    lo = min(r[0] for r in runs) * (1.0 - 1e-12)
+    hi = max(r[-1] for r in runs) * (1.0 + 1e-12)
     hi = hi if hi > lo else lo * (1.0 + 1e-9)
     edges = np.geomspace(lo, hi, bins + 1)
     # np.histogram's rules for explicit edges: the last bin is closed
-    counts = np.diff(np.append(np.searchsorted(xs, edges[:-1], "left"),
-                               np.searchsorted(xs, edges[-1], "right")))
-    _SORTED[:] = [weakref.ref(x, lambda _: _SORTED.clear()), xs]
+    counts = np.diff(sum(np.append(np.searchsorted(r, edges[:-1], "left"),
+                                   np.searchsorted(r, edges[-1], "right")) for r in runs))
+    _SORTED[:] = [weakref.ref(x, lambda _: _SORTED.clear()), runs]
     return SplittingHistogram(
         bin_edges=edges,
         counts=counts,
@@ -364,29 +384,45 @@ def splitting_ks(
     lo, hi = window
     entry = _SORTED[:]        # one read: a run started meanwhile cannot swap it
     if entry and entry[0]() is samples:
-        xs = entry[1]
+        runs = entry[1]
         _SORTED.clear()
     else:
         # one sort of a float copy of all samples (NaN sorts last)
-        xs = np.sort(np.asarray(samples, dtype=float))
-    xs = xs[np.searchsorted(xs, lo, "left"):np.searchsorted(xs, hi, "right")]
-    if len(xs) == 0:
+        runs = [_sort(np.array(samples, dtype=float))]
+    runs = sorted((r[np.searchsorted(r, lo, "left"):np.searchsorted(r, hi, "right")]
+                   for r in runs), key=len, reverse=True)
+    n = sum(map(len, runs))
+    if n == 0:
         raise GeometryError("no samples inside the comparison window")
     grid, cdf = _window_cdf(window)
-    n = len(xs)
-    # The terms at sample i are (i+1)/n - F(x_i) and F(x_i) - i/n.  On a block
-    # a .. b-1, i/n ascends and F is monotone (up to a few ulp where np.interp
-    # crosses a grid node), so b/n - F(x_a) and F(x_{b-1}) - a/n bound every
-    # term of the block.  The exact terms at the block ends give a lower
-    # bound d of the supremum; a block whose bound is below d - 1e-12 cannot
-    # hold it, and only the others are evaluated, in one gather.
-    a = np.arange(0, n, _KS_BLOCK)
-    z = np.minimum(a + _KS_BLOCK, n) - 1
-    fa, fz = np.interp(xs[a], grid, cdf), np.interp(xs[z], grid, cdf)
-    d = max(((a + 1) / n - fa).max(), (fa - a / n).max(),
-            ((z + 1) / n - fz).max(), (fz - z / n).max())
-    blocks = a[np.maximum((z + 1) / n - fa, fz - a / n) >= d - 1e-12]
-    i = (blocks[:, None] + np.arange(_KS_BLOCK)).ravel()
-    i = i[i < n]
-    f = np.interp(xs[i], grid, cdf)
+    # The terms at sorted sample i are (i+1)/n - F(x_i) and F(x_i) - i/n.
+    # Cut j is the last sample of block j of 64 of the longest run (the
+    # largest sample for the last cut); each other run is cut by value, so
+    # between start[:, j] and end[:, j] the runs hold the samples of sorted
+    # indices b .. c-1 (the column sums), all in [cut j-1, cut j], and sample
+    # c-1 is cut j.  F is monotone (up to a few ulp where np.interp crosses
+    # a grid node), so c/n - F(cut j-1) and F(cut j) - b/n bound every term
+    # of interval j.  The exact terms at the cuts give a lower bound d of the
+    # supremum; only the intervals whose bound reaches d - 1e-12 are
+    # gathered, sorted across the runs and evaluated.
+    blocks = np.arange(_KS_BLOCK, len(runs[0]) + 1, _KS_BLOCK)
+    cut = np.append(runs[0][blocks - 1], max(r[-1] for r in runs if len(r)))
+    end = np.array([np.append(blocks, len(runs[0])),
+                    *(np.searchsorted(r, cut, "right") for r in runs[1:])])
+    start = np.hstack([np.zeros((len(runs), 1), end.dtype), end[:, :-1]])
+    b, c = start.sum(axis=0), end.sum(axis=0)
+    f = np.interp(cut, grid, cdf)
+    d = max((c / n - f).max(), (f - (c - 1) / n).max())
+    j = np.flatnonzero(np.maximum(c / n - np.append(0.0, f[:-1]), f - b / n) >= d - 1e-12)
+    xs = np.concatenate([r[_ranges(s[j], e[j])] for r, s, e in zip(runs, start, end)])
+    if len(runs) > 1:
+        _sort(xs)
+    i = _ranges(b[j], c[j])
+    f = np.interp(xs, grid, cdf)
     return float(max(d, ((i + 1) / n - f).max(), (f - i / n).max()))
+
+
+def _ranges(start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """The concatenated ranges start[0] .. end[0]-1, start[1] .. end[1]-1, ..."""
+    lengths = end - start
+    return np.repeat(start + lengths - np.cumsum(lengths), lengths) + np.arange(lengths.sum())

@@ -381,12 +381,14 @@ def _moves(basis, changes):
 
 
 def _find(basis, codes) -> np.ndarray:
-    """Index of the state with each row of codes, -1 where none has it (as
-    for a value out of its column's range, whose key would carry over)."""
+    """Index of the state with each row of codes, -1 where none has it; a row
+    with a value out of its column's range (its key would carry over) is not searched."""
     place, sorted_keys, order = basis._lookup
-    keys = np.where(((codes >= 0) & (codes < basis.radix)).all(axis=-1), codes @ place, -1)
+    ok = ((codes >= 0) & (codes < basis.radix)).all(axis=-1)
+    keys, found = (codes @ place)[ok], np.full(ok.shape, -1, order.dtype)
     pos = np.minimum(np.searchsorted(sorted_keys, keys), len(order) - 1)
-    return np.where(sorted_keys[pos] == keys, order[pos], -1)
+    found[ok] = np.where(sorted_keys[pos] == keys, order[pos], -1)
+    return found
 
 
 def _check_levels(basis, *levels):

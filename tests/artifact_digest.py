@@ -9,11 +9,13 @@ checkout, it runs in process, against that checkout's ``src`` and
   2000 configurations (below the sampler's parallel threshold: one chunk on
   the calling thread) and for 9000 (on two CPUs, two threads with two
   chunks of 2250 configurations each; on one CPU, two chunks of 4500; each
-  chunk written into its own slice of the samples), min-pair of 16 atoms
-  for 50000 configurations (on two CPUs, seven chunks of 3571 or 3572 per
-  thread), and on two non-default KS windows, min-pair of 16 atoms on
-  0.5..3 and all pairs of 16 atoms on 0.001..1000 (the bounded KS scan
-  away from its default window),
+  chunk written into its own slice of the samples, and each thread's share
+  sorted by that thread into one sorted run, which the histogram and the KS
+  read without merging), min-pair of 16 atoms for 50000 configurations (on
+  two CPUs, seven chunks of 3571 or 3572 per thread, and two sorted runs
+  copied out of their scratch-sized buffers), and on two non-default KS
+  windows, min-pair of 16 atoms on 0.5..3 and all pairs of 16 atoms on
+  0.001..1000 (the bounded KS scan away from its default window),
   ``oracle-check`` at 4, 5, 8 and 12 atoms (12 is the pair-resolved cap;
   at 4 also with 4096 samples per schedule, past one product's ``_CHUNK``
   samples on the block route),

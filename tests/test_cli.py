@@ -728,11 +728,12 @@ def test_box_volume_out_of_float_range_rejected(tmp_path, capsys):
         assert "params.box" in err
 
 
-@pytest.mark.parametrize("box", ["1e150,1e-150,1", "1e100,1e-200,1"])
+@pytest.mark.parametrize("box", ["1e150,1e-150,1", "1e100,1e-200,1", "1e60,1e60,1e60"])
 def test_box_whose_farthest_pair_leaves_the_float_range_rejected(
         box, tmp_path, capsys):
-    # finite c3 / V, but the diagonal's r^3 overflows (first) or its
-    # x = (c3 / r^3) / (c3 / V) underflows (second), so a sample would be 0
+    # finite c3 / V, but the diagonal's r^3 overflows (first), its
+    # x = (c3 / r^3) / (c3 / V) underflows (second), so a sample would be 0,
+    # or its r^6 overflows (third), which the library rejects
     err = _rejected(capsys, tmp_path, "splitting-stats", "--box", box,
                     "--configs", "100")
     assert "params.box" in err

@@ -538,24 +538,51 @@ def test_ks_window_slice_matches_masked_sort():
 
 @pytest.mark.parametrize("statistic", ["min-pair", "all-pairs"])
 def test_a_run_sorts_its_samples_once(monkeypatch, tmp_path, statistic):
-    sorts, real_sort = [], np.sort
+    # each share sorts its own samples, once, on its sampling thread; a KS
+    # of the run's samples or the CLI run sorts no sample-length array
+    sorts, real_sort = [], geometry._sort
 
-    def spy(a, *args, **kwargs):
+    def spy(a):
         sorts.append(len(a))
-        return real_sort(a, *args, **kwargs)
+        return real_sort(a)
 
-    monkeypatch.setattr(np, "sort", spy)
-    h = splitting_distribution(300, 5, (10, 10, 10), 1000.0, seed=3, statistic=statistic)
-    ks = splitting_ks(h.samples)
-    assert sorts == [len(h.samples)]
-    sorts.clear()
-    argv = ["splitting-stats", "--configs", "300", "--atoms", "5",
-            "--statistic", statistic, "--seed", "3", "--out-dir", str(tmp_path)]
-    assert cli.main(argv) == 0
-    assert sorts == [len(h.samples)]
-    summary = json.loads((tmp_path / "splitting_stats_summary.json").read_text())
-    assert summary["results"]["ks_distance"] == splitting_ks(h.samples.copy())
-    assert splitting_ks(h.samples) == ks
+    monkeypatch.setattr(geometry, "_sort", spy)
+    monkeypatch.setattr(geometry, "_PARALLEL_MIN_DOUBLES", 0)
+    for workers in (1, 2):
+        monkeypatch.setattr(geometry, "_WORKERS", workers)
+        sorts.clear()
+        h = splitting_distribution(300, 5, (10, 10, 10), 1000.0, seed=3, statistic=statistic)
+        shares = sorts[:]
+        assert len(shares) == workers and sum(shares) == len(h.samples)
+        sorts.clear()
+        ks = splitting_ks(h.samples)
+        assert len(h.samples) not in sorts
+        sorts.clear()
+        out = tmp_path / str(workers)
+        argv = ["splitting-stats", "--configs", "300", "--atoms", "5",
+                "--statistic", statistic, "--seed", "3", "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        assert sorts[:workers] == shares and len(h.samples) not in sorts[workers:]
+        summary = json.loads((out / "splitting_stats_summary.json").read_text())
+        assert summary["results"]["ks_distance"] == splitting_ks(h.samples.copy())
+        assert splitting_ks(h.samples) == ks
+
+
+def test_a_pooled_min_pair_run_holds_two_sample_copies(monkeypatch):
+    # each share's short sorted run is copied out of its scratch-sized
+    # buffer, so the returned samples and the sorted runs are all it holds
+    monkeypatch.setattr(geometry, "_WORKERS", 2)
+    run = partial(splitting_distribution, 5000, 16, (10.0, 10.0, 10.0), 1000.0, 0)
+    run()                      # the pool exists before the count
+    tracemalloc.start()
+    try:
+        h = run()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    print(f"held traced memory {held / h.samples.nbytes:.3f} x the samples")
+    # the rest, ~3.5 kB, is the edges, the counts and a few small objects
+    assert held < 2.1 * h.samples.nbytes
 
 
 def test_sorted_samples_are_handed_to_one_ks_only():
@@ -608,6 +635,9 @@ _NAN, _INF = float("nan"), float("inf")
     ({"box": (_NAN, 10, 10)}, "box"), ({"box": (_INF, 10, 10)}, "box"),
     ({"box": (10, 0, 10)}, "box"), ({"box": (10, 10, -_INF)}, "box"),
     ({"box": (-1, -1, 10)}, "box"), ({"box": (10, 10)}, "box"),
+    # finite lengths whose volume or diagonal r^6 leaves the float range
+    ({"box": (1e200,) * 3}, "box"), ({"box": (1e120,) * 3}, "box"),
+    ({"box": (1e-200,) * 3}, "box"), ({"box": (1e160, 1, 1)}, "box"),
     ({"n_configs": 0}, "n_configs"), ({"n_atoms": 0}, "n_atoms"),
     ({"n_atoms": 1}, "n_atoms"),
 ])
@@ -662,3 +692,44 @@ def test_bounded_ks_scan_matches_the_full_scan():
     assert 0 < i % geometry._KS_BLOCK < geometry._KS_BLOCK - 1 and i < n - 1
     for samples, w in cases:
         assert splitting_ks(samples, w) == _masked_ks(samples, w)
+
+
+def _ks_of_runs(runs, window):
+    """(splitting_ks over the sorted runs, as a splitting run hands them
+    over, and the samples they hold)."""
+    samples = np.concatenate(runs)
+    geometry._SORTED[:] = [weakref.ref(samples), [np.sort(r) for r in runs]]
+    ks = splitting_ks(samples, window)
+    assert not geometry._SORTED
+    return ks, samples
+
+
+def test_ks_over_sorted_runs_matches_the_masked_sort():
+    rng = np.random.default_rng(17)
+    window = (0.2, 20.0)
+    grid = np.geomspace(*window, 20001)
+    pdf = analytic_splitting_pdf(grid)
+    cdf = np.concatenate([[0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(grid))])
+    cdf /= cdf[-1]
+    # inverse-cdf samples: D is tiny and most intervals are candidates
+    smooth = np.interp((np.arange(50000) + 0.5) / 50000, cdf, grid)
+    ties = np.round(rng.lognormal(0.5, 1.0, 5000), 1)
+    lognormal = rng.lognormal(0.5, 1.0, 20000)
+    cases = []
+    for k in (1, 2, 3, 5):
+        for x in (smooth, ties, lognormal):
+            # k runs of unequal lengths, values interleaved across them
+            parts = np.split(rng.permutation(x), np.sort(rng.integers(0, len(x), k - 1)))
+            cases.append((parts, window))
+        # ties spanning runs, and window edges that fall on samples
+        parts = np.array_split(rng.permutation(ties), k)
+        cases.append((parts, tuple(np.sort(ties)[[500, 4000]])))
+        # a run with no sample in the window
+        cases.append(([*np.array_split(lognormal, k), rng.uniform(30.0, 40.0, 100)], window))
+    # a run lying wholly inside one gap of another, listed first or last
+    inner = np.linspace(smooth[20000], smooth[20001], 7)[1:-1]
+    cases += [([inner, smooth], window), ([smooth, inner], window),
+              ([inner, lognormal[:50], smooth], window)]
+    for runs, w in cases:
+        ks, samples = _ks_of_runs(runs, w)
+        assert ks == _masked_ks(samples, w), (len(runs), w)

@@ -157,6 +157,31 @@ def test_state_keys_never_alias(monkeypatch):
             basis.state_index(spec)
 
 
+def _find_all_rows(basis, codes):
+    """hilbert._find as it read when it searched every row, the out-of-range
+    ones with key -1."""
+    place, sorted_keys, order = basis._lookup
+    keys = np.where(((codes >= 0) & (codes < basis.radix)).all(axis=-1), codes @ place, -1)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(order) - 1)
+    return np.where(sorted_keys[pos] == keys, order[pos], -1)
+
+
+def test_find_searches_only_in_range_rows_with_the_same_result():
+    rng = np.random.default_rng(64)
+    bases = [enumerate_basis(6, ("q", "r", "p'", "p''"), 4, ryd_max=2),
+             enumerate_basis(4, ("q", "r"), 3, mode="pair-resolved")]
+    for b in bases:
+        radix = np.array(b.radix)
+        # every state, and rows one past either end of a column's range
+        for codes in (b.codes, rng.integers(-1, radix + 1, (5000, len(radix))),
+                      rng.integers(0, radix, (3000, len(radix)))):
+            got = hilbert._find(b, codes)
+            assert got.dtype == _find_all_rows(b, codes).dtype
+            np.testing.assert_array_equal(got, _find_all_rows(b, codes))
+        np.testing.assert_array_equal(hilbert._find(b, b.codes), np.arange(b.dim))
+        assert (hilbert._find(b, np.full((3, len(radix)), -1)) == -1).all()
+
+
 def test_collective_op_elements():
     # amplitude 1 onto the first excited state for any N
     for n in (1, 2, 7, 40):
