@@ -635,11 +635,11 @@ _NAN, _INF = float("nan"), float("inf")
     ({"box": (_NAN, 10, 10)}, "box"), ({"box": (_INF, 10, 10)}, "box"),
     ({"box": (10, 0, 10)}, "box"), ({"box": (10, 10, -_INF)}, "box"),
     ({"box": (-1, -1, 10)}, "box"), ({"box": (10, 10)}, "box"),
+    ({"n_configs": 0}, "n_configs"), ({"n_atoms": 0}, "n_atoms"),
+    ({"n_atoms": 1}, "n_atoms"),
     # finite lengths whose volume or diagonal r^6 leaves the float range
     ({"box": (1e200,) * 3}, "box"), ({"box": (1e120,) * 3}, "box"),
     ({"box": (1e-200,) * 3}, "box"), ({"box": (1e160, 1, 1)}, "box"),
-    ({"n_configs": 0}, "n_configs"), ({"n_atoms": 0}, "n_atoms"),
-    ({"n_atoms": 1}, "n_atoms"),
 ])
 def test_a_bad_box_or_size_is_rejected_before_sampling(monkeypatch, kwargs, name):
     def never(*args):
