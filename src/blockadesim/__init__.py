@@ -32,7 +32,6 @@ from .errors import (
     p_deph_estimate,
     p_doub_estimate,
     p_doub_geometry,
-    p_total,
     regime_check,
 )
 from .geometry import (

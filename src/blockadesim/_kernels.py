@@ -19,7 +19,7 @@ straight into consecutive rows of one pair-major (n_pairs, m) array:
 ``_all_pairs`` raises it to c3/r^3 in place and makes its one transposed
 copy into the configuration-major result, or into the caller's slice of a
 larger sample array; ``_pair_rows`` returns the squared distances as they
-are, for ``geometry.coupling_matrix`` and ``errors.geometry_factor``.
+are, for ``geometry.coupling_matrix`` and ``geometry.geometry_factor``.
 
 ``_min_pair``, ``_all_pairs`` and ``_pair_rows`` take their buffers from the
 caller as flat arrays, of which they use the head a chunk needs, so that one

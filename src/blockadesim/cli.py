@@ -28,7 +28,7 @@ import json
 import os
 import sys
 import warnings
-from math import hypot, inf, isfinite, pi, prod, sqrt
+from math import inf, isfinite, pi, sqrt
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -134,12 +134,6 @@ def _frequency(*modes: str, positive=True) -> Kind:
 def _reals(value, count: int) -> bool:
     return isinstance(value, (list, tuple)) and len(value) == count \
         and all(_is_real(x) for x in value)
-
-
-def _volume(box) -> float:
-    """The box volume in floating point, which may underflow to 0 or
-    overflow to inf."""
-    return prod(map(float, box))
 
 
 def _numbers_arg(text: str) -> list[float]:
@@ -254,13 +248,9 @@ def validate(config: dict) -> list[str]:
         if p["configs"] * p["atoms"] * (p["atoms"] - 1) // 2 > _MAX_PAIRS:
             v.append(f"params.configs: configs x atom pairs must be "
                      f"<= {_MAX_PAIRS}")
-        kb, diag = p["c3"] / _volume(p["box"]), hypot(*p["box"])
-        r3 = diag * diag * diag
-        # two atoms at opposite corners give the smallest sample x
-        if not (0 < kb < inf and p["c3"] / r3 / kb > 0 and r3 * r3 < inf):
-            v.append("params.box: c3 / volume must be positive and finite, "
-                     "and so must x = (c3 / diagonal^3) / (c3 / volume) "
-                     "and diagonal^6")
+        for message in geometry.splitting_violations(p["box"], p["c3"], p["window"]):
+            name, _, must = message.partition(" ")     # "<param> must be ..."
+            v.append(f"params.{name}: {must}")
     if exp == "error-budget" and not v and not p["kt_start"] < p["kt_stop"]:
         v.append("params.kt_stop: must exceed params.kt_start")
     return v
@@ -356,14 +346,8 @@ def _register(p: dict, n_max: int, **extra):
 
 def _run_splitting(p: dict, seed: int) -> Run:
     hist = geometry.splitting_distribution(
-        n_configs=p["configs"],
-        n_atoms=p["atoms"],
-        box=tuple(p["box"]),
-        c3=float(p["c3"]),
-        seed=seed,
-        statistic=p["statistic"],
-        bins=p["bins"],
-    )
+        n_configs=p["configs"], n_atoms=p["atoms"], box=tuple(p["box"]), c3=float(p["c3"]),
+        seed=seed, statistic=p["statistic"], bins=p["bins"])
     ks = geometry.splitting_ks(hist.samples, window=tuple(p["window"]))
     edges = hist.bin_edges
     analytic = geometry.analytic_splitting_pdf(np.sqrt(edges[:-1] * edges[1:]))
@@ -590,16 +574,15 @@ _TABLE = {
     "splitting-stats": ("pair-splitting Monte Carlo", _run_splitting, (
         Param("configs", 30000, _count(1, 3_000_000)),
         Param("atoms", 2, _count(2)),
+        # box and window: validate asks geometry which values a run admits
         Param("box", [10.0, 10.0, 10.0], _kind(
-            lambda v: _reals(v, 3) and min(v) > 0 and 0 < _volume(v) < inf,
-            "three positive finite lengths with a positive finite volume",
+            lambda v: _reals(v, 3), "three positive finite lengths",
             type=_numbers_arg, metavar="LX,LY,LZ")),
         Param("c3", 1000.0, _positive()),
         Param("statistic", "min-pair", _choice("min-pair", "all-pairs")),
         Param("bins", 60, _count(1, 10_000)),
-        Param("window", [0.2, 20.0], _kind(
-            lambda v: _reals(v, 2) and 0 < v[0] < v[1], "0 < lo < hi",
-            type=_numbers_arg, metavar="LO,HI")),
+        Param("window", [0.2, 20.0], _kind(lambda v: _reals(v, 2), "0 < lo < hi",
+                                           type=_numbers_arg, metavar="LO,HI")),
         Param("out", None, _path(nullable=True, metavar="FILE")),
     )),
     "rabi": ("collective Rabi oscillation", _run_rabi, (

@@ -7,8 +7,8 @@ The closed-form budget for a full-transfer pulse of duration T:
 
 Both are order-of-magnitude estimators; the geometry-resolved variant
 replaces the closed form by the exact pair sum (1/N^2) sum 1/(kappa_ij T)^2
-over a sampled coupling matrix (``geometry_factor``: its mean over the
-configurations of ``geometry``'s one sampler).  ``blockade_scaling_experiment``
+over a sampled coupling matrix; its mean over configurations,
+``geometry_factor``, is sampled in ``geometry``.  ``blockade_scaling_experiment``
 measures the actual leakage of the simulated pulse against these estimates;
 the simulation reproduces the (kappa_bar T)^-2 law while its prefactor is
 larger than 1/(4 pi) (the closed form drops order-pi^2 dynamical factors;
@@ -23,8 +23,7 @@ from math import pi
 import numpy as np
 
 from .dynamics import Schedule, StiffnessError, Wait, evolve, fidelity
-from ._kernels import _pair_rows
-from .geometry import _checked_box, _sample
+from .geometry import geometry_factor  # noqa: F401  (errors.geometry_factor)
 from .hilbert import dephasing_term, dipole_term, enumerate_basis
 from .protocols import rabi_pulse, register_basis
 
@@ -60,14 +59,6 @@ def p_deph_estimate(gamma_r: float, T: float) -> float:
     return _clamp01(gamma_r * T)
 
 
-def p_total(probabilities) -> float:
-    """Independent composition 1 - prod(1 - p_i)."""
-    out = 1.0
-    for p in probabilities:
-        out *= 1.0 - _clamp01(p)
-    return 1.0 - out
-
-
 def p_doub_geometry(kappa: np.ndarray, T: float) -> float:
     """Geometry-resolved estimator (1/N^2) sum_{i != j} 1/(kappa_ij T)^2."""
     n = len(kappa)
@@ -76,41 +67,12 @@ def p_doub_geometry(kappa: np.ndarray, T: float) -> float:
     return _clamp01(s / n**2)
 
 
-def _r6_sums(positions, out, rows, tmp):
-    """Per configuration of a chunk, the sum of r^6 over its pairs, in ``out``."""
-    r6 = np.ascontiguousarray(_pair_rows(positions, rows, tmp).T)
-    np.power(r6, 3, out=r6).sum(axis=1, out=out)
-
-
-def geometry_factor(
-    n_atoms: int,
-    box,
-    seed: int,
-    n_configs: int = 64,
-) -> float:
-    """Dimensionless geometry-resolved leakage factor of a sampled box.
-
-    Mean over configurations of (1/N^2) sum_{i != j} (kappa_bar/kappa_ij)^2
-    = (1/N^2) sum (r_ij^3 / V)^2: the pair-sum estimator equals
-    factor / (kappa_bar T)^2, to be compared with the closed form's 1/(4 pi).
-    The coupling constant cancels.  Configurations and pair distances come
-    from the same chunked sampler as ``geometry.splitting_distribution``.
-    """
-    box = _checked_box(n_configs, n_atoms, box)
-    u2 = _sample(n_configs, n_atoms, box, seed, _r6_sums, 1, n_atoms * (n_atoms - 1) // 2)
-    return float(2.0 * u2.mean() / (n_atoms**2 * float(np.prod(box))**2))
-
-
 @dataclass(frozen=True)
 class ErrorEstimate:
     """Composed analytic budget for one pulse of duration T."""
 
     p_doub: float
     p_deph: float
-
-    @property
-    def p_total(self) -> float:
-        return p_total([self.p_doub, self.p_deph])
 
 
 def estimate_budget(kappa_bar: float, gamma_r: float, T: float) -> ErrorEstimate:

@@ -5,42 +5,41 @@ distance r couples with kappa = c3 / r^3; the volume-scale coupling
 kappa_bar = c3 / V sets the minimum splitting scale of the doubly-excited
 manifold for an ensemble confined to volume V.
 
+This module owns the rule of a splitting run: ``_checked_box`` (sizes, box
+and c3: kappa_bar and the smallest sample x, of two atoms at opposite
+corners, positive and finite) and ``_checked_window`` (0 < lo < hi < inf)
+raise a ValueError "<param> must be ..." before anything is sampled, and
+``splitting_violations`` gives the CLI their verdict.
+
 Monte-Carlo statistics draw configuration k from counter block k of one
-``Philox(key=seed)`` stream (Salmon et al., "Parallel random numbers: as
-easy as 1, 2, 3", SC'11), so any chunk of configurations is reached
-directly and reproduces the serial run.  Every sampled quantity comes from
-one sampler, ``_sample``: one chunk of configurations at a time, over the
-upper-triangle pairs only, a kernel writes each chunk's values straight into
-its own slice of one result array.  ``splitting_distribution`` passes the
-min-pair kernel (one reused block buffer) or all pairs (one pair-major array
-per chunk) over kappa_bar, ``errors.geometry_factor`` the pair sums of r^6.
+``Philox(key=seed)`` stream (Salmon et al., SC'11), so any chunk of
+configurations is reached directly and reproduces the serial run.  One
+sampler, ``_sample``, has a kernel write each chunk's values into its slice
+of one result array, within ``hilbert.MEMORY_BUDGET``: the min-pair or
+all-pairs x of ``splitting_distribution`` or the pair sums of r^6 of
+``geometry_factor`` (which ``errors`` re-exports).  A run large enough to
+pay for it (``_PARALLEL_MIN_DOUBLES``) gives one contiguous share of its
+configurations to each thread of a pool of one thread per CPU the process
+may run on; numpy's Philox fill and ufuncs release the GIL, and any thread
+count and chunk plan gives the serial run's samples bit for bit.  Each
+thread gets one flat buffer a run, its scratch within one
+``_CHUNK_DOUBLES`` budget on any number of CPUs, or its share's samples if
+more, which it sorts there.  The pool is dropped in a forked child; a
+failed share stops the others at their next chunk and its exception
+reaches the caller.
 
-A run large enough to pay for it (``_PARALLEL_MIN_DOUBLES``) samples on a
-thread pool of one thread per CPU the process may run on
-(``os.sched_getaffinity``, else ``os.cpu_count``): its configurations are
-split into one contiguous share per thread, each walked in equal chunks.
-numpy's Philox fill and ufuncs release the GIL, so the shares run side by
-side, and since every chunk is its own counter blocks and its own slice of
-the samples, any thread count and chunk plan gives the serial run's samples
-bit for bit.  The calling thread gives each thread one flat buffer a run:
-its scratch, within one ``_CHUNK_DOUBLES`` budget on any number of CPUs, or
-its share's samples if more, which the thread sorts there.  The pool is
-made at the first parallel run and dropped in a forked child, whose copy
-of it has no threads; a failed share stops the others at their next chunk
-and its exception reaches the caller.
-
-A run sorts its samples once, a sorted run per share: the histogram counts
-are sums of searches in the runs, and the first ``splitting_ks`` of the
-returned (read-only) samples takes the runs instead of sorting again.
-``splitting_ks`` bounds the KS terms between cuts at every 64th sample of
-the longest run and merges only the intervals that can reach the supremum.
-A single ensemble is two plain arrays: ``sample_positions`` returns its
-(n, 3) positions, configuration 0 of that stream, and ``coupling_matrix``
-their (n, n) couplings by the same pair kernel.
+The histogram counts are sums of searches in the sorted runs, and the first
+``splitting_ks`` of the returned (read-only) samples takes the runs instead
+of sorting again; it bounds the KS terms between cuts at every 64th sample
+of the longest run and merges only the intervals that can reach the
+supremum.  ``sample_positions`` returns one ensemble's (n, 3) positions,
+configuration 0 of the stream, and ``coupling_matrix`` their (n, n)
+couplings by the same pair kernel.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import weakref
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .hilbert import MEMORY_BUDGET
 
 # Coincident-atom guard (um); couplings diverge as r -> 0.
 _R_MIN = 1e-9
@@ -74,21 +74,50 @@ class SplittingHistogram:
         return self.counts / (total * widths)
 
 
-def _checked_box(n_configs: int, n_atoms: int, box) -> tuple[float, float, float]:
+def _checked_box(n_configs: int, n_atoms: int, box, c3=None) -> tuple[float, float, float]:
     """The box as three floats; a ValueError naming the parameter unless
-    n_configs >= 1, n_atoms >= 2 and the box is three positive finite lengths
-    with a positive finite volume and a finite diagonal r^6."""
+    n_configs >= 1, n_atoms >= 2, the box is three positive finite lengths
+    with a positive finite volume and diagonal^6 and, given c3, c3, c3 / V
+    and x = (c3 / diagonal^3) / (c3 / V) are positive and finite."""
     if n_configs < 1:
         raise ValueError(f"n_configs must be >= 1, got {n_configs}")
     if n_atoms < 2:
         raise ValueError(f"n_atoms must be >= 2, got {n_atoms}")
+    if c3 is not None and not 0.0 < c3 < np.inf:
+        raise ValueError(f"c3 must be positive and finite, got {c3}")
     box = tuple(float(b) for b in box)
-    r2 = sum(b * b for b in box)        # the diagonal's, the largest pair r^2
-    if not (len(box) == 3 and all(0.0 < b < np.inf for b in box)
-            and 0.0 < box[0] * box[1] * box[2] < np.inf and r2 * r2 * r2 < np.inf):
+    volume, r2 = math.prod(box), sum(b * b for b in box)   # r2: the largest pair's
+    ok = (len(box) == 3 and all(0.0 < b < np.inf for b in box)
+          and 0.0 < volume < np.inf and r2 * r2 * r2 < np.inf)
+    if ok and c3 is not None:
+        kb = float(c3) / volume
+        ok = 0.0 < kb < np.inf and 0.0 < float(c3) / r2**1.5 / kb < np.inf
+    if not ok:
+        at = "" if c3 is None else (f", and at c3 = {c3} a positive finite c3 / volume "
+                                    "and x = (c3 / diagonal^3) / (c3 / volume)")
         raise ValueError(f"box must be three positive finite lengths with a positive "
-                         f"finite volume and a finite diagonal r^6, got {box}")
+                         f"finite volume and diagonal^6{at}, got {box}")
     return box
+
+
+def _checked_window(window) -> tuple[float, float]:
+    """The KS window as two floats; a ValueError unless 0 < lo < hi < inf."""
+    window = tuple(float(w) for w in window)
+    if not (len(window) == 2 and 0.0 < window[0] < window[1] < np.inf):
+        raise ValueError(f"window must be 0 < lo < hi < inf, got {window}")
+    return window
+
+
+def splitting_violations(box, c3: float, window) -> list[str]:
+    """The "<param> must be ..." message of each check of a splitting run,
+    ``_checked_box`` with c3 and ``_checked_window``, that refuses it."""
+    out = []
+    for check in (lambda: _checked_box(1, 2, box, c3), lambda: _checked_window(window)):
+        try:
+            check()
+        except ValueError as exc:
+            out.append(str(exc))
+    return out
 
 
 def sample_positions(n: int, box: tuple[float, float, float], seed: int) -> np.ndarray:
@@ -111,10 +140,13 @@ def coupling_matrix(positions: np.ndarray, c3: float) -> np.ndarray:
 
 
 def kappa_bar(volume: float, c3: float) -> float:
-    """Volume-scale coupling c3 / V, the minimum-splitting scale."""
-    if volume <= 0:
-        raise ValueError(f"volume must be positive, got {volume}")
-    return c3 / volume
+    """Volume-scale coupling c3 / V, the minimum-splitting scale; a
+    ValueError unless V, c3 and c3 / V are positive and finite."""
+    kb = float(c3) / float(volume) if 0.0 < volume < np.inf else np.nan
+    if not (0.0 < c3 < np.inf and 0.0 < kb < np.inf):
+        raise ValueError(f"volume and c3 must be positive and finite, and so must "
+                         f"c3 / volume, got {volume} and {c3}")
+    return kb
 
 
 # Doubles one chunk of configurations may hold: its draws, its positions and
@@ -218,7 +250,8 @@ def _sample(n_configs, n_atoms, box, seed, kernel, per_config, rows, sort=False)
     them per share, and all shares' scratch together is at most
     ``_CHUNK_DOUBLES`` doubles (one configuration's at least), in one flat
     buffer a share, made here, that also holds its samples when sorted.  A
-    failed share's exception is raised here once every share has stopped."""
+    failed share's exception is raised here once every share has stopped.
+    Over ``hilbert.MEMORY_BUDGET`` it raises a ValueError before allocating."""
     # per configuration: draws, positions, block rows and the kernel's tmp
     sizes = (4 * _counter_block(n_atoms), 3 * n_atoms, rows, n_atoms - 1)
     doubles = sum(sizes)
@@ -226,8 +259,13 @@ def _sample(n_configs, n_atoms, box, seed, kernel, per_config, rows, sort=False)
     workers = min(workers, n_configs)
     step = max(1, _CHUNK_DOUBLES // workers // doubles)
     n_chunks = -(-n_configs // (step * workers)) * workers
-    bounds = [i * n_configs // n_chunks for i in range(n_chunks + 1)]
     m = -(-n_configs // n_chunks)
+    # 8 B a sample and 8 B a sorted sample, beside every share's scratch
+    need = 16 * n_configs * per_config + 8 * workers * m * doubles
+    if need > MEMORY_BUDGET:
+        raise ValueError(f"n_configs must be fewer: {n_configs} x {per_config} samples "
+                         f"need {need:.3g} B > budget {MEMORY_BUDGET:.3g} B")
+    bounds = [i * n_configs // n_chunks for i in range(n_chunks + 1)]
     share = n_chunks // workers
     plans = [bounds[j * share : (j + 1) * share + 1] for j in range(workers)]
     # the samples before the scratch: glibc then keeps the freed scratch
@@ -272,15 +310,9 @@ def _sample(n_configs, n_atoms, box, seed, kernel, per_config, rows, sort=False)
 _SORTED: list = []
 
 
-def splitting_distribution(
-    n_configs: int,
-    n_atoms: int,
-    box: tuple[float, float, float],
-    c3: float,
-    seed: int,
-    statistic: str = "min-pair",
-    bins: int = 60,
-) -> SplittingHistogram:
+def splitting_distribution(n_configs: int, n_atoms: int, box: tuple[float, float, float],
+                           c3: float, seed: int, statistic: str = "min-pair",
+                           bins: int = 60) -> SplittingHistogram:
     """Monte-Carlo histogram of x = kappa/kappa_bar over configurations.
 
     statistic "min-pair" records the smallest pair coupling of each
@@ -289,11 +321,9 @@ def splitting_distribution(
     counts sum to the sample count.  Configuration k is a pure function of
     (seed, k, n_atoms); see ``_config_positions``.
     """
-    box = _checked_box(n_configs, n_atoms, box)
+    box = _checked_box(n_configs, n_atoms, box, c3)
     if statistic not in ("min-pair", "all-pairs"):
         raise ValueError(f"unknown statistic {statistic!r}")
-    if not 0.0 < c3 < np.inf:
-        raise ValueError(f"c3 must be positive and finite, got {c3}")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     kb = kappa_bar(float(np.prod(box)), c3)
@@ -315,11 +345,35 @@ def splitting_distribution(
     counts = np.diff(sum(np.append(np.searchsorted(r, edges[:-1], "left"),
                                    np.searchsorted(r, edges[-1], "right")) for r in runs))
     _SORTED[:] = [weakref.ref(x, lambda _: _SORTED.clear()), runs]
-    return SplittingHistogram(
-        bin_edges=edges,
-        counts=counts,
-        samples=x,
-    )
+    return SplittingHistogram(bin_edges=edges, counts=counts, samples=x)
+
+
+def _r6_sums(positions, out, rows, tmp):
+    """Per configuration of a chunk, the sum of r^6 over its pairs, in ``out``."""
+    r6 = np.ascontiguousarray(_kernels._pair_rows(positions, rows, tmp).T)
+    np.power(r6, 3, out=r6).sum(axis=1, out=out)
+
+
+def geometry_factor(n_atoms: int, box, seed: int, n_configs: int = 64) -> float:
+    """Dimensionless geometry-resolved leakage factor of a sampled box.
+
+    Mean over configurations of (1/N^2) sum_{i != j} (kappa_bar/kappa_ij)^2
+    = (1/N^2) sum (r_ij^3 / V)^2: the pair-sum estimator equals
+    factor / (kappa_bar T)^2, to be compared with the closed form's 1/(4 pi).
+    The coupling constant cancels.  Besides ``_checked_box``, a ValueError
+    names the box unless V^2 is positive and the bounds of the sums and of
+    the factor, 2 n_configs n_pairs diagonal^6 and diagonal^6 / V^2, finite.
+    """
+    box = _checked_box(n_configs, n_atoms, box)
+    n_pairs = n_atoms * (n_atoms - 1) // 2
+    volume, r2 = float(np.prod(box)), sum(b * b for b in box)
+    r6 = r2 * r2 * r2
+    if not (0.0 < volume**2 and 2.0 * n_configs * n_pairs * r6 < np.inf
+            and r6 / volume**2 < np.inf):
+        raise ValueError(f"box must be one with a positive volume^2 and a finite 2 x "
+                         f"n_configs x pairs x diagonal^6 and diagonal^6 / volume^2, got {box}")
+    u2 = _sample(n_configs, n_atoms, box, seed, _r6_sums, 1, n_pairs)
+    return float(2.0 * u2.mean() / (n_atoms**2 * volume**2))
 
 
 # x below which the closed-form splitting density is exactly 0.0 in doubles
@@ -371,17 +425,16 @@ def analytic_window_cdf(xgrid: np.ndarray, window: tuple[float, float]) -> np.nd
 _KS_BLOCK = 64
 
 
-def splitting_ks(
-    samples: np.ndarray, window: tuple[float, float] = (0.2, 20.0)
-) -> float:
+def splitting_ks(samples: np.ndarray, window: tuple[float, float] = (0.2, 20.0)) -> float:
     """Two-sided KS distance between sampled x values and the analytic pdf.
 
     Both distributions are renormalized to unit mass on the window: samples
     outside are dropped, the analytic cdf is rescaled.  Returns the sup
     distance between the empirical cdf and the renormalized analytic cdf.
-    Raises GeometryError when either has no mass on the window.
+    Raises ValueError unless 0 < lo < hi < inf, and GeometryError when
+    either has no mass on the window.
     """
-    lo, hi = window
+    window = lo, hi = _checked_window(window)
     entry = _SORTED[:]        # one read: a run started meanwhile cannot swap it
     if entry and entry[0]() is samples:
         runs = entry[1]

@@ -259,7 +259,7 @@ N_ORACLE = 12
 N_ATOMS_MAX = 2**50
 # candidate rows enumerate_basis holds at once (~2 MB per table column)
 _CANDIDATES = 1 << 18
-# bytes one run may hold; ``dynamics.evolve`` says what it counts
+# bytes one run may hold; ``dynamics.evolve`` and ``geometry._sample`` count
 MEMORY_BUDGET = 2e9
 
 

@@ -25,9 +25,9 @@ checkout, it runs in process, against that checkout's ``src`` and
   (dim 400001), a large basis and its operators built from the state keys;
 * every ``cli`` op of ``perfbench.workloads.build_ops`` for both workloads at
   seeds 1 and 2;
-* eleven edge runs at the limits of floating point, of the unit parser,
-  of the error-budget grid and of the rabi table's size, which pin their
-  exit codes.
+* thirteen edge runs at the limits of floating point, of the unit parser,
+  of the error-budget grid, of the rabi table's size and of the box a
+  splitting run admits, which pin their exit codes.
 
 Every run writes into the same out-dir, which is emptied before each run, so
 that the config echoed in a summary is the same for any two checkouts.  Each
@@ -80,8 +80,9 @@ DEFAULT_RUNS = (
 # pair coupling near the float maximum; leakage that rounds to 0; a milli
 # suffix; a Rabi fit of two samples; a grid that does not ascend; a gate
 # whose 3e-300 us closing pulse is shorter than ulp of its start time,
-# without and with decay; the largest grid, under the split convention; and
-# the largest rabi table (1.2M rows)
+# without and with decay; the largest grid, under the split convention; the
+# largest rabi table (1.2M rows); a box whose c3 / V overflows; and a box
+# near the float limit that the splitting rule admits
 EDGE_RUNS = (
     ("rabi", "--omega", "1e307", "--n-atoms", "100"),
     ("rabi", "--omega", "1e308", "--n-atoms", "100"),
@@ -94,6 +95,8 @@ EDGE_RUNS = (
     ("gate", "--omega-minus", "1e300", "--gamma-r", "1"),
     ("error-budget", "--kt-points", "2000", "--convention", "split"),
     ("rabi", "--periods", "300", "--samples-per-period", "4096"),
+    ("splitting-stats", "--box", "1e-100,1e-100,1e-100", "--c3", "1e10"),
+    ("splitting-stats", "--box", "1e-90,1e-90,1e-90", "--configs", "200"),
 )
 
 

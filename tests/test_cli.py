@@ -14,7 +14,7 @@ import scipy.optimize  # noqa: F401  (loaded before the timed rabi run)
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from blockadesim import cli, errors, hilbert, protocols
+from blockadesim import cli, errors, geometry, hilbert, protocols
 from blockadesim.dynamics import Schedule
 from blockadesim.hilbert import N_ATOMS_MAX, N_ORACLE
 from blockadesim.protocols import CompilationError
@@ -737,6 +737,43 @@ def test_box_whose_farthest_pair_leaves_the_float_range_rejected(
     err = _rejected(capsys, tmp_path, "splitting-stats", "--box", box,
                     "--configs", "100")
     assert "params.box" in err
+
+
+def _power(low: int, high: int):
+    """m x 10^e for a mantissa m in [1, 10) and an integer e in [low, high],
+    parsed as text: 0.0 below the float range, inf above it."""
+    return st.builds(lambda m, e: float(f"{m!r}e{e}"),
+                     st.floats(1.0, 10.0, exclude_max=True), st.integers(low, high))
+
+
+class _Sampled(Exception):
+    pass
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(box=st.lists(_power(-330, 310), min_size=3, max_size=3), c3=_power(-320, 310))
+def test_cli_and_library_admit_the_same_box_and_c3(box, c3):
+    """validate names box or c3 exactly when splitting_distribution refuses
+    the run before sampling, and names the parameter the library names."""
+    config = cli.default_config("splitting-stats")
+    config["params"].update(box=box, c3=c3, configs=10)
+    named = {item.partition(":")[0] for item in cli.validate(config)}
+
+    def sampled(*args, **kwargs):
+        raise _Sampled
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(geometry, "_sample", sampled)
+        try:
+            geometry.splitting_distribution(10, 2, tuple(box), c3, 0)
+        except _Sampled:
+            refused = set()
+        except ValueError as exc:
+            refused = {"params." + str(exc).partition(" must be")[0]}
+    assert named <= {"params.box", "params.c3"}
+    assert bool(named) == bool(refused) and refused <= named
+    if c3 < math.inf:
+        assert ("params.box" in named) == bool(refused)
 
 
 def test_oracle_check_n_max_above_n_atoms_rejected(tmp_path, capsys):

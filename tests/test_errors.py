@@ -10,7 +10,6 @@ from blockadesim.errors import (
     p_deph_estimate,
     p_doub_estimate,
     p_doub_geometry,
-    p_total,
     regime_check,
 )
 from blockadesim.geometry import coupling_matrix, sample_positions
@@ -45,12 +44,6 @@ def test_p_deph():
         p_deph_estimate(-1.0, 1.0)
 
 
-def test_p_total_composition():
-    assert p_total([0.1, 0.2]) == pytest.approx(1 - 0.9 * 0.8)
-    assert p_total([]) == 0.0
-    assert p_total([1.0, 0.5]) == 1.0
-
-
 def test_geometry_factor_matches_cube_moment():
     # for a cube the factor tends to (N-1)/N * E[(r^3/V)^2] with
     # E[r^6]/V^2 = 3/28 + 18/90 + 1/36 for unit box side
@@ -80,9 +73,6 @@ def test_estimate_budget_composes():
     est = estimate_budget(kappa_bar=50.0, gamma_r=0.02, T=1.0)
     assert est.p_doub == pytest.approx(p_doub_estimate(50.0, 1.0))
     assert est.p_deph == pytest.approx(0.02)
-    assert est.p_total == pytest.approx(
-        1 - (1 - est.p_doub) * (1 - est.p_deph)
-    )
 
 
 def test_p_doub_geometry_matches_loop():

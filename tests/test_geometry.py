@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blockadesim import cli, errors, geometry
+from blockadesim import cli, geometry
 from blockadesim.errors import geometry_factor
 from blockadesim.geometry import (
     GeometryError,
@@ -645,9 +645,8 @@ def test_a_bad_box_or_size_is_rejected_before_sampling(monkeypatch, kwargs, name
     def never(*args):
         raise AssertionError("sampled")
 
-    for module, fn in ((geometry, "_sample"), (errors, "_sample"),
-                       (geometry, "_config_positions")):
-        monkeypatch.setattr(module, fn, never)
+    for fn in ("_sample", "_config_positions"):
+        monkeypatch.setattr(geometry, fn, never)
     args = {"n_configs": 150, "n_atoms": 2, "box": (10, 10, 10), "seed": 1} | kwargs
     calls = [partial(splitting_distribution, c3=1000.0, **args),
              partial(geometry_factor, **args)]
@@ -656,6 +655,62 @@ def test_a_bad_box_or_size_is_rejected_before_sampling(monkeypatch, kwargs, name
     for call in calls:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             call()
+
+
+def _never(*args):
+    raise AssertionError("sampled")
+
+
+@pytest.mark.parametrize("call, name", [
+    # c3 / V underflows to 0, or overflows to inf at a finite volume
+    (partial(splitting_distribution, 10, 2, (1e50,) * 3, 1e-200, 0), "box"),
+    (partial(splitting_distribution, 10, 2, (1e-100,) * 3, 1e10, 0), "box"),
+    (partial(splitting_distribution, 10, 2, (1e-103,) * 3, 1000.0, 0), "box"),
+    # the factor's V^2 and pair r^6 underflow, or its pair-r^6 sum overflows
+    (partial(geometry_factor, 3, (1e-100,) * 3, 1), "box"),
+    (partial(geometry_factor, 3, (1e-60,) * 3, 1), "box"),
+    (partial(geometry_factor, 8, (1e51,) * 3, 3), "box"),
+    (partial(kappa_bar, _NAN, 1000.0), "volume and c3"),
+    (partial(kappa_bar, 1e-309, 1000.0), "volume and c3"),
+    (partial(kappa_bar, 1000.0, -1.0), "volume and c3"),
+])
+def test_a_box_outside_the_splitting_rule_is_refused_before_sampling(
+        monkeypatch, call, name):
+    monkeypatch.setattr(geometry, "_sample", _never)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call()
+
+
+@pytest.mark.parametrize("window", [(0, 20), (-1, 20), (0.2, _INF), (20, 0.2),
+                                    (_NAN, 20), (0.2,)])
+def test_a_bad_ks_window_is_refused_before_the_samples(window):
+    samples = np.array([0.5, 1.0, 2.0])
+    samples.flags.writeable = False
+    with pytest.raises(ValueError, match="^window must be"):
+        splitting_ks(samples, window)
+    assert geometry.splitting_violations((10, 10, 10), 1000.0, window)[0].startswith(
+        "window must be")
+
+
+def test_a_run_over_the_memory_budget_is_refused_before_allocating(monkeypatch):
+    monkeypatch.setattr(geometry, "MEMORY_BUDGET", 1e6)
+    box = (10.0, 10.0, 10.0)
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_config_positions", _never)
+        for call in (partial(splitting_distribution, 5000, 16, box, 1000.0, 0, "all-pairs"),
+                     partial(geometry_factor, 16, box, 0, 5000)):
+            with pytest.raises(ValueError, match="^n_configs must be"):
+                call()
+    # 100 two-atom configurations hold 1.6 kB of samples and 13 kB of scratch
+    assert len(splitting_distribution(100, 2, box, 1000.0, 0).samples) == 100
+
+
+def test_geometry_factor_is_scale_invariant():
+    want = geometry_factor(3, (10.0, 7.0, 5.0), 4, n_configs=4)
+    for k in range(-50, 51):
+        s = 10.0**k
+        got = geometry_factor(3, (10.0 * s, 7.0 * s, 5.0 * s), 4, n_configs=4)
+        assert got == pytest.approx(want, rel=1e-12), k
 
 
 def _sup_index(samples, window):
